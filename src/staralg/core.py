@@ -84,25 +84,9 @@ class StarAlgebra:
 
     # -- unit detection -------------------------------------------------------
 
-    def _unit_solution(self):
-        """Least-squares two-sided unit and its relative residual (cached)."""
-        if "unit_lsq" not in self._cache:
-            n = self.dim
-            lhs = np.concatenate(
-                [
-                    self.mul.transpose(0, 1, 2).reshape(n, n * n).T,   # rows (j,k): sum_i u_i c[i,j,k]
-                    self.mul.transpose(1, 0, 2).reshape(n, n * n).T,   # rows (j,k): sum_i u_i c[j,i,k]
-                ]
-            )
-            rhs = np.concatenate([np.eye(n).reshape(n * n), np.eye(n).reshape(n * n)]).astype(complex)
-            u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            res = float(np.linalg.norm(lhs @ u - rhs)) / np.sqrt(2 * n)
-            self._cache["unit_lsq"] = (u, res)
-        return self._cache["unit_lsq"]
-
     def unit_vector(self, tol=DEFAULT_TOL):
         """Coefficients of the two-sided unit, or None if the algebra is non-unital."""
-        u, res = self._unit_solution()
+        u, res = _cached(self, _unit_solution)
         return u if res <= tol else None
 
     def is_unital(self, tol=DEFAULT_TOL):
@@ -113,6 +97,30 @@ class StarAlgebra:
         if u is None:
             raise MalformedInput("algebra has no unit")
         return Element(self, u)
+
+
+def _cached(algebra, fn, *args):
+    """``fn(algebra, *args)``, memoised in ``algebra._cache`` under ``(fn, *args)``.
+
+    Every argument (tol, seed, sample count) is part of the key. Every caller
+    gets the same value, so callers must not mutate it."""
+    key = (fn, *args)
+    if key not in algebra._cache:
+        algebra._cache[key] = fn(algebra, *args)
+    return algebra._cache[key]
+
+
+def _unit_solution(algebra):
+    """Least-squares two-sided unit and its relative residual."""
+    n = algebra.dim
+    lhs = np.concatenate([
+        algebra.mul.reshape(n, n * n).T,                       # rows (j,k): sum_i u_i c[i,j,k]
+        algebra.mul.transpose(1, 0, 2).reshape(n, n * n).T,   # rows (j,k): sum_i u_i c[j,i,k]
+    ])
+    rhs = np.concatenate([np.eye(n).reshape(n * n), np.eye(n).reshape(n * n)]).astype(complex)
+    u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    res = float(np.linalg.norm(lhs @ u - rhs)) / np.sqrt(2 * n)
+    return u, res
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,28 +177,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({np.array2string(self.coeffs, precision=4, suppress_small=True)})"
-
-
-# -- arithmetic as free functions (mirrors of the methods) ---------------------
-
-def mul(a, b):
-    return a * b
-
-
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def scale(lam, a):
-    return lam * a
-
-
-def star(a):
-    return a.star()
 
 
 # -- validation ---------------------------------------------------------------
@@ -299,19 +285,26 @@ class UnitalHull:
 
 
 def unital_hull(algebra, tol=DEFAULT_TOL):
-    """A itself when a unit exists; otherwise the unitization (cached)."""
-    key = ("hull", round(np.log10(tol), 3))
-    if key not in algebra._cache:
-        u = algebra.unit_vector(tol)
-        if u is not None:
-            hull = UnitalHull(algebra, np.eye(algebra.dim, dtype=complex), False, u)
-        else:
-            big = unitize(algebra)
-            emb = np.zeros((algebra.dim + 1, algebra.dim), dtype=complex)
-            emb[1:, :] = np.eye(algebra.dim)
-            hull = UnitalHull(big, emb, True, big.unit)
-        algebra._cache[key] = hull
-    return algebra._cache[key]
+    """A itself when a unit exists; otherwise the unitization (cached per tol)."""
+    return _cached(algebra, _unital_hull, tol)
+
+
+def _unital_hull(algebra, tol):
+    u = algebra.unit_vector(tol)
+    if u is not None:
+        return UnitalHull(algebra, np.eye(algebra.dim, dtype=complex), False, u)
+    big = unitize(algebra)
+    emb = np.zeros((algebra.dim + 1, algebra.dim), dtype=complex)
+    emb[1:, :] = np.eye(algebra.dim)
+    return UnitalHull(big, emb, True, big.unit)
+
+
+def _trace_form(algebra, tol):
+    """F[i, j] = tr(L_i L_j) over the basis of the unital hull; use via _cached."""
+    c = unital_hull(algebra, tol).algebra.mul
+    n = c.shape[0]
+    # L_i[a, b] = c[i, b, a], so tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
+    return c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
 
 
 # -- minimal polynomial and spectrum ------------------------------------------
@@ -359,10 +352,6 @@ def minimal_polynomial(a, tol=DEFAULT_TOL):
 class Spectrum:
     points: tuple
     includes_forced_zero: bool
-
-    def real_parts_only(self, tol=DEFAULT_TOL):
-        scale_ = max(1.0, max(abs(p) for p in self.points))
-        return all(abs(p.imag) <= tol * 1e3 * scale_ for p in self.points)
 
 
 def distinct_eigenvalues(a, tol=DEFAULT_TOL):

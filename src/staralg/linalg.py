@@ -10,11 +10,6 @@ import numpy as np
 KAPPA = 1e3
 
 
-def rel(residual, scale):
-    """Residual relative to max(1, scale)."""
-    return residual / max(1.0, scale)
-
-
 def nullspace(mat, tol):
     """Orthonormal basis (columns) of the kernel of `mat` at relative tol."""
     mat = np.atleast_2d(mat)

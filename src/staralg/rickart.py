@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, random_element
+from .core import DEFAULT_TOL, Element, _cached, random_element
 from .errors import DecompositionFailed, NotARightIdeal
 from .linalg import KAPPA, colspace, nullspace, subspaces_equal
 from .spectral import left_projection, right_projection
@@ -167,7 +167,13 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 
 
 def check_weakly_rickart(algebra, samples=8, tol=DEFAULT_TOL, seed=0):
-    """Construct RP(a) for basis and sampled elements and verify both axioms."""
+    """Construct RP(a) for basis and sampled elements and verify both axioms.
+
+    Cached per (samples, tol, seed)."""
+    return _cached(algebra, _weakly_rickart_pass, samples, tol, seed)
+
+
+def _weakly_rickart_pass(algebra, samples, tol, seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = algebra.basis() + [random_element(algebra, rng) for _ in range(samples)]
@@ -207,13 +213,15 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
 
     In finite dimension the projection lattice of a Rickart *-algebra is
     automatically complete, so the reduction to 'unital and weakly Rickart'
-    is exact; the sampled annihilator-generator witnesses guard the
-    implementation rather than the theorem.
+    is exact. The weakly-Rickart part is ``check_weakly_rickart`` at its
+    default 8 samples, so it reuses the cached pass when one ran at the same
+    (tol, seed). Implementation guard: the sampled annihilator-generator
+    witnesses check the code, not the theorem.
     """
     rng = np.random.default_rng(seed)
     if not algebra.is_unital(tol):
         return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})
-    wr = check_weakly_rickart(algebra, samples=4, tol=tol, seed=seed)
+    wr = check_weakly_rickart(algebra, tol=tol, seed=seed)
     if not wr.passed:
         return CheckReport("baer", False, wr.worst_residual, seed,
                            witness={"reason": "not weakly Rickart", "inner": wr.witness})

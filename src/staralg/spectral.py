@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, distinct_eigenvalues, unital_hull
+from .core import DEFAULT_TOL, Element, _cached, _trace_form, distinct_eigenvalues, unital_hull
 from .errors import DecompositionFailed, DegenerateInput, NoCStarNorm, NotPositive
 from .linalg import KAPPA
 
@@ -193,20 +193,13 @@ def ep_witness(a, tol=DEFAULT_TOL):
 
 
 def _gram_matrix(algebra, tol):
-    """Hermitian form <a, b> = trace of left multiplication by b* a in the hull."""
-    key = ("gram", round(np.log10(tol), 3))
-    if key not in algebra._cache:
-        hull = unital_hull(algebra, tol)
-        n = algebra.dim
-        emb = [hull.embed(e) for e in algebra.basis()]
-        lmats = [e.lmat() for e in emb]
-        smats = [hull.embed(e.star()).lmat() for e in algebra.basis()]
-        g = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = np.trace(smats[i] @ lmats[j])
-        algebra._cache[key] = 0.5 * (g + g.conj().T)
-    return algebra._cache[key]
+    """Hermitian form <a, b> = trace of left multiplication by b* a in the hull.
+
+    With E the hull embedding and F the hull trace form, tr(L_{e_i* e_j}) is
+    ((E star)^T F E)[i, j], since L is linear. Use via _cached."""
+    emb = unital_hull(algebra, tol).embed_mat
+    g = (emb @ algebra.star).T @ _cached(algebra, _trace_form, tol) @ emb
+    return 0.5 * (g + g.conj().T)
 
 
 def cstar_norm(a, tol=DEFAULT_TOL):
@@ -217,7 +210,7 @@ def cstar_norm(a, tol=DEFAULT_TOL):
     positive definite (non-proper involution).
     """
     algebra = a.parent
-    g = _gram_matrix(algebra, tol)
+    g = _cached(algebra, _gram_matrix, tol)
     evals, evecs = np.linalg.eigh(g)
     if evals[0] <= tol * max(1.0, evals[-1]):
         raise NoCStarNorm("trace form not positive definite; no C*-norm exists")

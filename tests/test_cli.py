@@ -82,6 +82,15 @@ def test_check_properties(m2_file, capsys):
         assert out["pass"]
 
 
+def test_check_bound_follows_tol(m2_file, capsys):
+    for tol in (1e-9, 1e-6):
+        for prop in ("regular", "sqrt"):
+            assert main(["--tol", str(tol), "check", m2_file, "--property", prop]) == 0, prop
+            out = json.loads(capsys.readouterr().out)
+            assert out["pass"]
+            assert out["details"]["bound"] == pytest.approx(100 * tol)
+
+
 def test_group_command(tmp_path, capsys):
     p = tmp_path / "s3.json"
     p.write_text(json.dumps(group_to_json(sa.symmetric_group_3())))

@@ -132,6 +132,31 @@ def test_cstar_norm_basis_independent():
     assert sa.cstar_norm(a.star() * a) == pytest.approx(sa.cstar_norm(a) ** 2, rel=1e-8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    sa.nilpotent_line,
+    sa.swap_algebra,
+    sa.unitized_nilpotent,
+    lambda: semisimple_instance([3, 2], 1, np.random.default_rng(8)),
+])
+def test_gram_matrix_matches_per_pair_traces(make):
+    """The trace form F and the Gram matrix built from it agree with one trace per pair."""
+    from staralg.core import _cached, _trace_form
+    from staralg.spectral import _gram_matrix
+
+    alg = make()
+    hull = sa.unital_hull(alg)
+    lmats = [e.lmat() for e in hull.algebra.basis()]
+    form = np.array([[np.trace(li @ lj) for lj in lmats] for li in lmats])
+    left = [hull.embed(e).lmat() for e in alg.basis()]
+    star_left = [hull.embed(e.star()).lmat() for e in alg.basis()]
+    g = np.array([[np.trace(si @ lj) for lj in left] for si in star_left])
+    g = 0.5 * (g + g.conj().T)
+    scale = max(1.0, float(np.max(np.abs(form))))
+    assert np.max(np.abs(_cached(alg, _trace_form, 1e-9) - form)) <= 1e-12 * scale
+    assert np.max(np.abs(_cached(alg, _gram_matrix, 1e-9) - g)) <= 1e-12 * scale
+
+
 def test_cstar_norm_rejects_improper():
     with pytest.raises(sa.NoCStarNorm):
         sa.cstar_norm(sa.swap_algebra().element([1.0, 0.0]))

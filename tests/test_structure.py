@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import staralg as sa
+from staralg import rickart, structure
 from staralg.instances import (
     diagonal_algebra,
     direct_sum,
@@ -101,16 +102,16 @@ def test_abelian_split():
 
 def test_block_star_isomorphism_matrix_algebra():
     alg = matrix_algebra(3)
-    units = block_star_isomorphism(alg, seed=0)
+    units, residual = block_star_isomorphism(alg, seed=0)
     assert len(units) == 3
-    assert matrix_unit_residual(alg, units) < 1e-9
+    assert residual == matrix_unit_residual(alg, units) < 1e-9
 
 
 def test_block_star_isomorphism_scrambled():
     rng = np.random.default_rng(17)
     alg = semisimple_instance([3], 0, rng)
-    units = block_star_isomorphism(alg, seed=0)
-    assert matrix_unit_residual(alg, units) < 1e-8
+    units, residual = block_star_isomorphism(alg, seed=0)
+    assert residual == matrix_unit_residual(alg, units) < 1e-8
 
 
 def test_analyze_matrix_algebra_report():
@@ -153,3 +154,48 @@ def test_analyze_block_accounting():
     assert r.abelian_dim == 1
     assert sum(n * n for n in r.block_sizes_nonabelian) + r.abelian_dim == r.dim
     assert all(n >= 2 for n in r.block_sizes_nonabelian)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_analyze_computes_each_fact_once(monkeypatch):
+    wr_passes = _count_calls(monkeypatch, rickart, "_weakly_rickart_pass")
+    proper_searches = _count_calls(monkeypatch, structure, "_check_proper")
+    spans = _count_calls(monkeypatch, structure, "subalgebra_from_span")
+    residuals = _count_calls(monkeypatch, structure, "matrix_unit_residual")
+    alg = semisimple_instance([2, 2], 1, np.random.default_rng(7))
+    r = sa.analyze(alg)
+    assert r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
+    dec = sa.central_atoms(alg)
+    assert len(wr_passes) == 1      # check_baer reuses analyze's pass
+    assert len(proper_searches) == 1  # check_hermitian reuses it on a semisimple algebra
+    # one ideal zA per atom, plus the two summands (1-h)A and hA of abelian_split
+    assert len(spans) == len(dec.atoms) + 2
+    assert len(residuals) == len(r.block_sizes_nonabelian)
+
+
+def test_memo_key_covers_every_argument(monkeypatch):
+    wr_passes = _count_calls(monkeypatch, rickart, "_weakly_rickart_pass")
+    radicals = _count_calls(monkeypatch, structure, "_radical")
+    alg = matrix_algebra(2)
+    first = sa.check_weakly_rickart(alg)
+    sa.check_weakly_rickart(alg, seed=1)
+    sa.check_weakly_rickart(alg, samples=4)
+    assert len(wr_passes) == 3
+    assert sa.check_weakly_rickart(alg, 8, 1e-9, 0) is first
+    assert len(wr_passes) == 3
+    sa.radical(alg)
+    sa.radical(alg, tol=1e-8)
+    sa.radical(alg)
+    assert len(radicals) == 2
