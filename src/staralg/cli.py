@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .core import algebra_from_json, algebra_to_json, random_element, validate
+from .core import _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
 from .errors import InternalInconsistency, StarAlgError, ValidationFailed
 from .groups import certify_group_theorem, group_from_json
 from .rickart import CheckReport, check_baer, check_weakly_rickart
@@ -32,18 +32,16 @@ class FileError(Exception):
 
 
 def _parse_element(algebra, text):
-    parts = text.replace(";", " ").split()
     coeffs = []
-    for p in parts:
-        re, im = p.split(",")
-        coeffs.append(complex(float(re), float(im)))
+    for p in text.replace(";", " ").split():
+        try:
+            re, im = p.split(",")
+            coeffs.append(complex(float(re), float(im)))
+        except ValueError as exc:
+            raise FileError(f"bad coefficient {p!r}, expected 're,im'") from exc
     if len(coeffs) != algebra.dim:
         raise FileError(f"element has {len(coeffs)} coefficients, algebra dim is {algebra.dim}")
     return algebra.element(coeffs)
-
-
-def _c2l(z):
-    return [float(z.real), float(z.imag)]
 
 
 def cmd_validate(args):
@@ -86,7 +84,7 @@ def cmd_spectral(args):
     dec = spectral_decompose(element, args.tol)
     payload = {
         "terms": [
-            {"eigenvalue": _c2l(lam), "projection": [_c2l(z) for z in p.coeffs]}
+            {"eigenvalue": _coeffs_json([lam])[0], "projection": _coeffs_json(p.coeffs)}
             for lam, p in dec.terms
         ]
     }

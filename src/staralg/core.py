@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditioned, MalformedInput, ParentMismatch
-from .linalg import cluster_points
+from .linalg import KAPPA, cluster_points
 
 DEFAULT_TOL = 1e-9
 
@@ -276,7 +276,7 @@ class UnitalHull:
         proj = self.embed_mat.conj().T @ coeffs
         back = self.embed_mat @ proj
         res = float(np.linalg.norm(back - coeffs))
-        if res > tol * max(1.0, float(np.linalg.norm(coeffs))) * 1e3:
+        if res > tol * max(1.0, float(np.linalg.norm(coeffs))) * KAPPA:
             raise IllConditioned("hull element does not lie in the base algebra", res)
         return Element(parent, proj)
 
@@ -307,46 +307,7 @@ def _trace_form(algebra, tol):
     return c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
 
 
-# -- minimal polynomial and spectrum ------------------------------------------
-
-def minimal_polynomial(a, tol=DEFAULT_TOL):
-    """Monic minimal polynomial of `a`, computed in the unital hull.
-
-    Returns coefficients highest-degree first (numpy convention). Uses the
-    Krylov sequence of the left-regular representation with least-squares
-    dependence decisions at the given tolerance.
-    """
-    hull = unital_hull(a.parent, tol)
-    m = hull.embed(a).lmat()
-    nh = m.shape[0]
-    s = max(1.0, float(np.linalg.norm(m, 2)))
-    ms = m / s
-
-    powers = [np.eye(nh, dtype=complex).reshape(-1)]
-    cur = np.eye(nh, dtype=complex)
-    best = None
-    for deg in range(1, nh + 1):
-        cur = cur @ ms
-        target = cur.reshape(-1)
-        k = np.stack(powers, axis=1)
-        x, *_ = np.linalg.lstsq(k, target, rcond=None)
-        res = float(np.linalg.norm(k @ x - target)) / max(1.0, float(np.linalg.norm(target)))
-        if best is None or res < best[0]:
-            best = (res, deg, x)
-        if res <= tol:
-            break
-        powers.append(target)
-
-    res, deg, x = best
-    if res > np.sqrt(tol):
-        raise IllConditioned("no reliable Krylov dependence found", res)
-    # scaled poly: z^deg - sum_j x_j z^j ; unscale roots by s
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for j in range(deg):
-        coeffs[deg - j] = -x[j] * s ** (deg - j)
-    return coeffs
-
+# -- spectrum -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -378,18 +339,23 @@ def spectrum(a, tol=DEFAULT_TOL):
 
 # -- random elements ----------------------------------------------------------
 
-def random_element(algebra, rng, scale_=1.0):
+def random_element(algebra, rng):
     n = algebra.dim
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return Element(algebra, scale_ * v / np.sqrt(2 * n))
+    return Element(algebra, v / np.sqrt(2 * n))
 
 
-def random_selfadjoint(algebra, rng, scale_=1.0):
-    a = random_element(algebra, rng, scale_)
+def random_selfadjoint(algebra, rng):
+    a = random_element(algebra, rng)
     return 0.5 * (a + a.star())
 
 
 # -- JSON interchange ---------------------------------------------------------
+
+def _coeffs_json(values):
+    """Complex numbers as JSON ``[re, im]`` pairs."""
+    return [[float(z.real), float(z.imag)] for z in values]
+
 
 def algebra_to_json(algebra, tol=DEFAULT_TOL):
     """Sparse JSON form; see README for the schema."""
@@ -406,7 +372,7 @@ def algebra_to_json(algebra, tol=DEFAULT_TOL):
     u = algebra.unit_vector(tol)
     out["unital"] = u is not None
     if algebra.unit is not None:
-        out["unit"] = [[float(x.real), float(x.imag)] for x in algebra.unit]
+        out["unit"] = _coeffs_json(algebra.unit)
     if algebra.labels is not None:
         out["labels"] = list(algebra.labels)
     return out
@@ -421,10 +387,10 @@ def algebra_from_json(data):
         s = np.zeros((n, n), dtype=complex)
         for i, k, re, im in data["star"]:
             s[int(k), int(i)] = re + 1j * im
+        unit = None
+        if data.get("unit") is not None:
+            unit = np.array([re + 1j * im for re, im in data["unit"]], dtype=complex)
+        labels = tuple(data["labels"]) if data.get("labels") else None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad algebra JSON: {exc}") from exc
-    unit = None
-    if data.get("unit") is not None:
-        unit = np.array([re + 1j * im for re, im in data["unit"]], dtype=complex)
-    labels = tuple(data["labels"]) if data.get("labels") else None
     return StarAlgebra(c, s, unit=unit, labels=labels)

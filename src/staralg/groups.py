@@ -41,10 +41,13 @@ class FiniteGroup:
 
 def group_from_cayley(table, labels=None):
     """Validate a Cayley table (Latin square, identity, inverses, associativity)."""
-    t = np.asarray(table, dtype=int)
-    n = t.shape[0]
-    if t.ndim != 2 or t.shape != (n, n) or n < 1:
+    try:
+        t = np.asarray(table, dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise GroupTableError(f"table is not a rectangular integer array: {exc}") from exc
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
         raise GroupTableError(f"table has shape {t.shape}, expected square")
+    n = t.shape[0]
     if t.min() < 0 or t.max() >= n:
         raise GroupTableError("table entries out of range")
     full = np.arange(n)
@@ -208,11 +211,14 @@ def group_to_json(group):
 
 
 def group_from_json(data):
-    kind = data.get("type")
-    if kind == "cayley":
-        return group_from_cayley(data["table"])
-    if kind == "perm":
-        return group_from_permutations(
-            int(data["degree"]), data["generators"], cap=int(data.get("cap", 10000))
-        )
+    try:
+        kind = data.get("type")
+        if kind == "cayley":
+            return group_from_cayley(data["table"])
+        if kind == "perm":
+            return group_from_permutations(
+                int(data["degree"]), data["generators"], cap=int(data.get("cap", 10000))
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GroupTableError(f"bad group JSON: {exc!r}") from exc
     raise GroupTableError(f"unknown group JSON type {kind!r}")

@@ -7,6 +7,7 @@ import numpy as np
 
 from .core import StarAlgebra, unitize
 from .errors import MalformedInput
+from .linalg import KAPPA
 
 
 def from_matrix_basis(mats, tol=1e-12):
@@ -24,7 +25,7 @@ def from_matrix_basis(mats, tol=1e-12):
         v = mat.reshape(-1)
         x, *_ = np.linalg.lstsq(basis, v, rcond=None)
         res = float(np.linalg.norm(basis @ x - v))
-        if res > tol * max(1.0, float(np.linalg.norm(v))) * 1e3:
+        if res > tol * max(1.0, float(np.linalg.norm(v))) * KAPPA:
             raise MalformedInput("matrix span is not closed under the operation")
         return x
 
@@ -133,7 +134,7 @@ def _block_matrix_basis(block_sizes, abelian_dim):
     return mats
 
 
-def semisimple_instance(block_sizes, abelian_dim, rng, mix=True):
+def semisimple_instance(block_sizes, abelian_dim, rng):
     """A *-algebra isomorphic to (+)M_{n_k} (+) C^m in a scrambled basis.
 
     The matrix realization is conjugated by a random unitary (preserving the
@@ -145,15 +146,14 @@ def semisimple_instance(block_sizes, abelian_dim, rng, mix=True):
     d = mats[0].shape[0]
     u = random_unitary(d, rng)
     mats = [u @ m @ u.conj().T for m in mats]
-    if mix:
-        n = len(mats)
-        # singular values in [0.5, 2]: keeps the change of basis well conditioned
-        a = random_unitary(n, rng)
-        b = random_unitary(n, rng)
-        svals = 0.5 + 1.5 * rng.random(n)
-        s = a @ np.diag(svals) @ b
-        stack = np.stack([m.reshape(-1) for m in mats], axis=1) @ s
-        mats = [stack[:, i].reshape(d, d) for i in range(len(mats))]
+    n = len(mats)
+    # singular values in [0.5, 2]: keeps the change of basis well conditioned
+    a = random_unitary(n, rng)
+    b = random_unitary(n, rng)
+    svals = 0.5 + 1.5 * rng.random(n)
+    s = a @ np.diag(svals) @ b
+    stack = np.stack([m.reshape(-1) for m in mats], axis=1) @ s
+    mats = [stack[:, i].reshape(d, d) for i in range(n)]
     return from_matrix_basis(mats)
 
 

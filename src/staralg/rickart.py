@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, random_element
+from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
 from .linalg import KAPPA, colspace, nullspace, subspaces_equal
 from .spectral import left_projection, right_projection
@@ -185,7 +185,7 @@ def _weakly_rickart_pass(algebra, samples, tol, seed):
         except DecompositionFailed as exc:
             return CheckReport(
                 "weakly_rickart", False, float("inf"), seed,
-                witness={"element": _coeff_list(a), "reason": str(exc)},
+                witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)},
             )
         scale = max(1.0, a.norm())
         res1 = (a * e - a).norm() / scale
@@ -198,11 +198,12 @@ def _weakly_rickart_pass(algebra, samples, tol, seed):
             if res2 > tol * KAPPA:
                 return CheckReport(
                     "weakly_rickart", False, res2, seed,
-                    witness={"element": _coeff_list(a), "kernel_vector": list(map(_c2l, kernel[:, i]))},
+                    witness={"element": _coeffs_json(a.coeffs),
+                             "kernel_vector": _coeffs_json(kernel[:, i])},
                 )
         if res1 > tol * KAPPA:
             return CheckReport(
-                "weakly_rickart", False, res1, seed, witness={"element": _coeff_list(a)},
+                "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
             )
     return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
 
@@ -251,7 +252,7 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
                        details={"witness_subsets": tested, "generator_failures": failures})
 
 
-def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL, tries=None):
+def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):
     """Greedily extend an orthogonal family of nonzero projections.
 
     Each step compresses a random element by the complement of the current
@@ -266,8 +267,7 @@ def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL, tries=None):
     one = Element(algebra, unit)
     family = []
     total = algebra.zero()
-    tries = tries if tries is not None else 4 * algebra.dim
-    for _ in range(tries):
+    for _ in range(4 * algebra.dim):
         comp = one - total
         if comp.norm() <= tol * KAPPA:
             break
@@ -283,11 +283,3 @@ def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL, tries=None):
         family.append(dec_p)
         total = total + dec_p
     return family
-
-
-def _c2l(z):
-    return [float(z.real), float(z.imag)]
-
-
-def _coeff_list(a):
-    return [_c2l(z) for z in a.coeffs]

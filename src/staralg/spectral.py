@@ -25,30 +25,19 @@ class SpectralDecomposition:
     source: Element
     terms: tuple  # of (complex, Element) pairs, lambda nonzero and distinct
 
-    def eigenvalues(self):
-        return [lam for lam, _ in self.terms]
-
     def projections(self):
         return [p for _, p in self.terms]
 
     def projection_sum(self):
-        total = self.source.parent.zero()
-        for _, p in self.terms:
-            total = total + p
-        return total
-
-    def reconstruction(self):
-        total = self.source.parent.zero()
-        for lam, p in self.terms:
-            total = total + lam * p
-        return total
+        return self.map_values(lambda lam: 1.0)
 
     def map_values(self, fn):
         """Element sum(fn(lambda_j) e_j); stays in the generated subalgebra."""
-        total = self.source.parent.zero()
+        parent = self.source.parent
+        total = np.zeros(parent.dim, dtype=complex)
         for lam, p in self.terms:
-            total = total + fn(lam) * p
-        return total
+            total = total + p.coeffs * fn(lam)  # the order Element.__rmul__ uses
+        return Element(parent, total)
 
 
 def _certify(dec, tol):
@@ -65,7 +54,7 @@ def _certify(dec, tol):
         for j in range(len(ps)):
             if i != j:
                 worst = max(worst, (ps[i] * ps[j]).norm())
-    worst = max(worst, (b - dec.reconstruction()).norm() / scale)
+    worst = max(worst, (b - dec.map_values(lambda lam: lam)).norm() / scale)
     if worst > tol * KAPPA:
         raise DecompositionFailed(
             f"decomposition certificates fail (worst residual {worst:.3e}); "

@@ -12,6 +12,7 @@ from .core import (
     Element,
     StarAlgebra,
     _cached,
+    _coeffs_json,
     _trace_form,
     random_element,
     random_selfadjoint,
@@ -111,8 +112,7 @@ def _check_proper(algebra, tol, seed):
         score = (a.star() * a).norm()
         if best is None or score < best[0]:
             best = (score, a)
-    witness = {"element": [[float(z.real), float(z.imag)] for z in best[1].coeffs],
-               "norm_a_star_a": best[0]}
+    witness = {"element": _coeffs_json(best[1].coeffs), "norm_a_star_a": best[0]}
     return CheckReport("proper", False, best[0], seed, witness=witness, details=details)
 
 
@@ -120,17 +120,8 @@ def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
     """A / rad as a StarAlgebra on the orthogonal complement of the radical."""
     r = np.stack([x.coeffs for x in rad_basis], axis=1)
     u = nullspace(r.conj().T, tol)
-    k = u.shape[1]
-    c = np.zeros((k, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            c[i, j, :] = u.conj().T @ algebra.mul_coeffs(u[:, i], u[:, j])
-    s = u.conj().T @ algebra.star @ np.conj(u)
-    unit = None
-    uv = algebra.unit_vector(tol)
-    if uv is not None:
-        unit = u.conj().T @ uv
-    return StarAlgebra(c, s, unit=unit), u
+    quotient, _ = _compress(algebra, u, algebra.unit_vector(tol))
+    return quotient, u
 
 
 def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
@@ -232,26 +223,10 @@ def _central_atoms(algebra, tol, seed):
         s = Element(algebra, zmat @ w)
         return 0.5 * (s + s.star())
 
-    atoms = [one]
-    for _ in range(4 * algebra.dim + 8):
-        idx = next((i for i, z in enumerate(atoms) if not primitive(z)), None)
-        if idx is None:
-            break
-        z = atoms[idx]
-        x = z * random_central_selfadjoint() * z
-        if x.norm() <= np.sqrt(tol):
-            continue
-        dec = spectral_decompose(x, tol)
-        parts = list(dec.projections())
-        rem = z - dec.projection_sum()
-        if rem.norm() > np.sqrt(tol):
-            if not is_projection(rem, tol):
-                continue
-            parts.append(rem)
-        if len(parts) >= 2:
-            atoms = atoms[:idx] + parts + atoms[idx + 1:]
-    else:
-        raise DegenerateRandomness("central-atom refinement did not terminate; retry with a new seed")
+    atoms = _split_projections(
+        one, primitive, random_central_selfadjoint, 4 * algebra.dim + 8, tol,
+        "central-atom refinement did not terminate; retry with a new seed",
+    )
 
     total = algebra.zero()
     for z in atoms:
@@ -263,9 +238,40 @@ def _central_atoms(algebra, tol, seed):
             if i != j and (zi * zj).norm() > tol * KAPPA:
                 raise InternalInconsistency("central atoms are not orthogonal")
 
-    blocks = [_image_subalgebra(algebra, z, tol) for z in atoms]
+    blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
     return CentralDecomposition(zbasis, [atoms[i] for i in order], [blocks[i] for i in order])
+
+
+def _split_projections(one, is_atom, draw, tries, tol, failure_message):
+    """Refine the projection `one` into a list of atoms.
+
+    Each round takes the first projection p that is not an atom, decomposes
+    p x p for a random selfadjoint x = draw(), and replaces p by the spectral
+    projections, plus the remainder p - sum when it is a nonzero projection.
+    Raises DegenerateRandomness after `tries` rounds. This is the
+    random-Hermitian-element splitting of Murota, Kanno, Kojima and Kojima
+    (2010).
+    """
+    atoms = [one]
+    for _ in range(tries):
+        idx = next((i for i, p in enumerate(atoms) if not is_atom(p)), None)
+        if idx is None:
+            return atoms
+        p = atoms[idx]
+        x = p * draw() * p
+        if x.norm() <= np.sqrt(tol):
+            continue
+        dec = spectral_decompose(x, tol)
+        parts = dec.projections()
+        rem = p - dec.projection_sum()
+        if rem.norm() > np.sqrt(tol):
+            if not is_projection(rem, tol):
+                continue
+            parts.append(rem)
+        if len(parts) >= 2:
+            atoms = atoms[:idx] + parts + atoms[idx + 1:]
+    raise DegenerateRandomness(failure_message)
 
 
 # -- subalgebra extraction ----------------------------------------------------
@@ -273,91 +279,79 @@ def _central_atoms(algebra, tol, seed):
 @dataclass(frozen=True, eq=False)
 class SubAlgebra:
     parent: StarAlgebra
-    algebra: StarAlgebra | None   # None encodes the zero subalgebra
-    inclusion: np.ndarray         # (parent_dim, sub_dim), orthonormal columns
+    algebra: StarAlgebra
+    inclusion: np.ndarray  # (parent_dim, sub_dim), orthonormal columns
 
     @property
     def dim(self):
-        return 0 if self.algebra is None else self.algebra.dim
+        return self.algebra.dim
 
     def embed(self, a):
         return Element(self.parent, self.inclusion @ a.coeffs)
 
-    def restrict(self, a):
-        return Element(self.algebra, self.inclusion.conj().T @ a.coeffs)
 
+def _compress(algebra, u, unit_coeffs):
+    """A compressed to the span of the orthonormal columns of u.
 
-def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL, unit_coeffs=None):
-    """Sub-StarAlgebra on an orthonormalized basis of a *-closed, closed span."""
-    u = colspace(vectors, tol)
+    Returns the StarAlgebra with structure constants u^H (u_i u_j),
+    involution u^H star conj(u) and unit u^H unit_coeffs (None stays None),
+    and the worst norm of a product's component outside span(u).
+    """
     k = u.shape[1]
-    if k == 0:
-        return SubAlgebra(parent, None, u)
     c = np.zeros((k, k, k), dtype=complex)
     worst = 0.0
     for i in range(k):
         for j in range(k):
-            prod = parent.mul_coeffs(u[:, i], u[:, j])
+            prod = algebra.mul_coeffs(u[:, i], u[:, j])
             c[i, j, :] = u.conj().T @ prod
             worst = max(worst, float(np.linalg.norm(u @ c[i, j, :] - prod)))
-    s = u.conj().T @ parent.star @ np.conj(u)
+    s = u.conj().T @ algebra.star @ np.conj(u)
+    unit = None if unit_coeffs is None else u.conj().T @ unit_coeffs
+    return StarAlgebra(c, s, unit=unit), worst
+
+
+def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL, unit_coeffs=None):
+    """Sub-StarAlgebra on an orthonormalized basis of a nonzero, *-closed, closed span."""
+    u = colspace(vectors, tol)
+    sub, worst = _compress(parent, u, unit_coeffs)
     if worst > np.sqrt(tol):
         raise MalformedInput(f"span is not multiplicatively closed (residual {worst:.3e})")
-    unit = None if unit_coeffs is None else u.conj().T @ unit_coeffs
-    return SubAlgebra(parent, StarAlgebra(c, s, unit=unit), u)
-
-
-def _image_subalgebra(algebra, p, tol):
-    """The ideal pA for a central projection p, as a SubAlgebra with unit p."""
-    return subalgebra_from_span(algebra, p.lmat(), tol, unit_coeffs=p.coeffs)
+    return SubAlgebra(parent, sub, u)
 
 
 def _is_commutative(sub, tol):
-    if sub.algebra is None or sub.dim == 1:
+    if sub.dim == 1:
         return True
     c = sub.algebra.mul
     return float(np.max(np.abs(c - c.transpose(1, 0, 2)))) <= tol * KAPPA * max(1.0, float(np.max(np.abs(c))))
 
 
 def abelian_split(algebra, tol=DEFAULT_TOL, seed=0):
-    """The unique central projection h with hA commutative, (1-h)A properly non-Abelian."""
+    """The unique central projection h with hA commutative, (1-h)A properly non-Abelian.
+
+    Returns ``(h, dim hA)``. The dimension is the rank of left multiplication
+    by h, computed apart from the central blocks so that ``analyze``'s
+    dimension count cross-checks them.
+    """
     dec = central_atoms(algebra, tol, seed)
     h = algebra.zero()
     for z, block in zip(dec.atoms, dec.blocks):
         if _is_commutative(block, tol):
             h = h + z
-    one = algebra.one(tol)
-    m_sub = _image_subalgebra(algebra, one - h, tol)
-    b_sub = _image_subalgebra(algebra, h, tol)
-    return h, m_sub, b_sub
+    return h, colspace(h.lmat(), tol).shape[1]
 
 
 # -- matrix units for a simple block ------------------------------------------
 
 def _minimal_projections(block, tol, rng):
-    one = block.one(tol)
-    projections = [one]
-    for _ in range(6 * block.dim + 16):
-        idx = next(
-            (i for i, p in enumerate(projections) if _corner_span(block, p, tol).shape[1] > 1),
-            None,
-        )
-        if idx is None:
-            return projections
-        p = projections[idx]
-        x = p * random_selfadjoint(block, rng) * p
-        if x.norm() <= np.sqrt(tol):
-            continue
-        dec = spectral_decompose(x, tol)
-        parts = list(dec.projections())
-        rem = p - dec.projection_sum()
-        if rem.norm() > np.sqrt(tol):
-            if not is_projection(rem, tol):
-                continue
-            parts.append(rem)
-        if len(parts) >= 2:
-            projections = projections[:idx] + parts + projections[idx + 1:]
-    raise DegenerateRandomness("minimal-projection refinement did not terminate")
+    # a zero-dimensional corner counts as an atom too
+    return _split_projections(
+        block.one(tol),
+        lambda p: _corner_span(block, p, tol).shape[1] <= 1,
+        lambda: random_selfadjoint(block, rng),
+        6 * block.dim + 16, tol,
+        "minimal-projection refinement did not terminate",
+    )
 
 
 def matrix_unit_residual(block, units, tol=DEFAULT_TOL):
@@ -477,10 +471,6 @@ class StructureReport:
         }
 
 
-def _coeffs_json(coeffs):
-    return [[float(z.real), float(z.imag)] for z in coeffs]
-
-
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     """Run every checker and certify the block structure on Baer instances."""
     report = validate(algebra, tol)
@@ -523,9 +513,8 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=0):
 
     if baer:
         dec = central_atoms(algebra, tol, seed)
-        h, m_sub, b_sub = abelian_split(algebra, tol, seed)
+        h, abelian_dim = abelian_split(algebra, tol, seed)
         h_json = _coeffs_json(h.coeffs)
-        abelian_dim = b_sub.dim
         worst_units = 0.0
         for z, block in zip(dec.atoms, dec.blocks):
             if _is_commutative(block, tol):

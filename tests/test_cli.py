@@ -75,6 +75,25 @@ def test_spectral_wrong_length(m2_file, capsys):
     assert main(["spectral", m2_file, "--element", "1,0"]) == 1
 
 
+@pytest.mark.parametrize("payload, argv", [
+    (None, ["spectral", "--element", "1"]),
+    (None, ["spectral", "--element", "x,y"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "unit": [["a", "b"]]},
+     ["validate"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "labels": 5},
+     ["validate"]),
+    ({"type": "cayley"}, ["group"]),
+    ({"type": "cayley", "table": [[0, 1], [1]]}, ["group"]),
+], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
+        "ragged-table"])
+def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_properties(m2_file, capsys):
     for prop in ("rp", "baer", "regular", "sqrt"):
         assert main(["check", m2_file, "--property", prop]) == 0, prop

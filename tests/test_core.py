@@ -1,4 +1,4 @@
-"""Data model, arithmetic, validation, unitization, minimal polynomials, spectra."""
+"""Data model, arithmetic, validation, unitization, spectra."""
 
 import json
 
@@ -80,20 +80,6 @@ def test_unital_hull_of_unital_algebra_is_itself(m2):
     assert hull.algebra is m2
 
 
-def test_minimal_polynomial_of_projection(m2):
-    # [TRIVIAL] a projection satisfies t^2 - t
-    p = m2.element([1, 0, 0, 0])
-    coeffs = sa.minimal_polynomial(p)
-    assert np.allclose(coeffs, [1.0, -1.0, 0.0])
-
-
-def test_minimal_polynomial_of_nilpotent():
-    # [TRIVIAL] x^2 = 0 and x != 0 gives t^2
-    alg = sa.nilpotent_line()
-    coeffs = sa.minimal_polynomial(alg.element([1.0]))
-    assert np.allclose(coeffs, [1.0, 0.0, 0.0])
-
-
 def test_spectrum_symmetric_off_diagonal(m2):
     # [DERIVED] eigenvalues of [[0,1],[1,0]] are -1, 1
     sp = sa.spectrum(m2.element([0, 1, 1, 0]))
@@ -137,19 +123,3 @@ def test_star_antimultiplicative(seed):
     rng = np.random.default_rng(seed)
     a, b = sa.random_element(alg, rng), sa.random_element(alg, rng)
     assert ((a * b).star() - b.star() * a.star()).norm() < 1e-10
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_minimal_polynomial_annihilates(seed):
-    alg = sa.matrix_algebra(2)
-    a = sa.random_element(alg, np.random.default_rng(seed))
-    coeffs = sa.minimal_polynomial(a)
-    hull = sa.unital_hull(alg)
-    ah = hull.embed(a)
-    acc = hull.algebra.zero()
-    power = hull.one()
-    for c in reversed(coeffs):  # coeffs are highest-degree first
-        acc = acc + complex(c) * power
-        power = power * ah
-    assert acc.norm() < 1e-6 * max(1.0, a.norm()) ** len(coeffs)

@@ -91,10 +91,10 @@ def test_central_atoms_scrambled():
 def test_abelian_split():
     rng = np.random.default_rng(21)
     alg = semisimple_instance([2], 3, rng)
-    h, nonabelian, abelian = abelian_split(alg, seed=2)
+    h, abelian_dim = abelian_split(alg, seed=2)
     assert sa.is_projection(h)
-    assert abelian.algebra.dim == 3
-    assert nonabelian.algebra.dim == 4
+    assert abelian_dim == 3
+    assert np.linalg.matrix_rank((alg.one() - h).lmat(), tol=1e-8) == 4
     # h is central: ha = ah for all basis elements
     for e in alg.basis():
         assert (h * e - e * h).norm() < 1e-8
@@ -112,6 +112,15 @@ def test_block_star_isomorphism_scrambled():
     alg = semisimple_instance([3], 0, rng)
     units, residual = block_star_isomorphism(alg, seed=0)
     assert residual == matrix_unit_residual(alg, units) < 1e-8
+
+
+def test_refinement_gives_up_when_nothing_splits(monkeypatch):
+    monkeypatch.setattr(structure, "spectral_decompose",
+                        lambda b, tol: sa.SpectralDecomposition(b, ()))
+    with pytest.raises(sa.DegenerateRandomness):
+        sa.central_atoms(direct_sum(matrix_algebra(2), diagonal_algebra(2)))
+    with pytest.raises(sa.DegenerateRandomness):
+        block_star_isomorphism(matrix_algebra(2))
 
 
 def test_analyze_matrix_algebra_report():
@@ -180,8 +189,7 @@ def test_analyze_computes_each_fact_once(monkeypatch):
     dec = sa.central_atoms(alg)
     assert len(wr_passes) == 1      # check_baer reuses analyze's pass
     assert len(proper_searches) == 1  # check_hermitian reuses it on a semisimple algebra
-    # one ideal zA per atom, plus the two summands (1-h)A and hA of abelian_split
-    assert len(spans) == len(dec.atoms) + 2
+    assert len(spans) == len(dec.atoms)  # one ideal zA per atom
     assert len(residuals) == len(r.block_sizes_nonabelian)
 
 
