@@ -10,9 +10,10 @@ import sys
 
 import numpy as np
 
-from .core import _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
+from .core import DEFAULT_TOL, _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
 from .errors import InternalInconsistency, StarAlgError, ValidationFailed
 from .groups import certify_group_theorem, group_from_json
+from .linalg import sampled_identity_bound
 from .rickart import CheckReport, check_baer, check_weakly_rickart
 from .spectral import positive_sqrt, quasi_inverse, spectral_decompose
 from .stepfns import FiniteSubsets, export_finite_backend
@@ -92,35 +93,29 @@ def cmd_spectral(args):
     return 0, payload, f"{len(dec.terms)} spectral terms; eigenvalues: {lams or 'none'}"
 
 
+def _identity_residual(prop, a, tol):
+    """Relative residual of axa = a, xax = x (regular) or y^2 = a*a (sqrt) at one sample a."""
+    if prop == "regular":
+        x = quasi_inverse(a, tol)
+        return max((a * x * a - a).norm() / max(1.0, a.norm()), (x * a * x - x).norm() / max(1.0, x.norm()))
+    x = a.star() * a
+    y = positive_sqrt(x, tol)
+    return (y * y - x).norm() / max(1.0, x.norm())
+
+
 def cmd_check(args):
     algebra = algebra_from_json(_load_json(args.file))
     tol, seed = args.tol, args.seed
-    bound = 100 * tol  # residual bound of the sampled regular/sqrt identities
     if args.property == "rp":
         report = check_weakly_rickart(algebra, tol=tol, seed=seed)
     elif args.property == "baer":
         report = check_baer(algebra, tol=tol, seed=seed)
-    elif args.property == "regular":
+    else:  # argparse admits only "regular" and "sqrt" here
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(16):
-            a = random_element(algebra, rng)
-            x = quasi_inverse(a, tol)
-            scale = max(1.0, a.norm())
-            worst = max(worst, (a * x * a - a).norm() / scale,
-                        (x * a * x - x).norm() / max(1.0, x.norm()))
-        report = CheckReport("regular", worst <= bound, worst, seed, details={"bound": bound})
-    elif args.property == "sqrt":
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(16):
-            a = random_element(algebra, rng)
-            x = a.star() * a
-            y = positive_sqrt(x, tol)
-            worst = max(worst, (y * y - x).norm() / max(1.0, x.norm()))
-        report = CheckReport("positive_sqrt", worst <= bound, worst, seed, details={"bound": bound})
-    else:
-        raise FileError(f"unknown property {args.property!r}")
+        worst = max(_identity_residual(args.property, random_element(algebra, rng), tol) for _ in range(16))
+        bound = sampled_identity_bound(tol)
+        name = "regular" if args.property == "regular" else "positive_sqrt"
+        report = CheckReport(name, worst <= bound, worst, seed, details={"bound": bound})
     return (0 if report.passed else 2), report.to_dict(), (
         f"{report.property_name}: {'pass' if report.passed else 'FAIL'} "
         f"(worst residual {report.worst_residual:.2e})"
@@ -139,7 +134,7 @@ def cmd_export_commutative(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="staralg", description=__doc__)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", choices=["json", "text"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,21 +170,19 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 1
     try:
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise FileError("--tol must be a positive finite number")
+        if args.seed < 0:
+            raise FileError("--seed must be non-negative")
         code, payload, text = args.fn(args)
-    except FileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValidationFailed as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except StarAlgError as exc:
+    except (FileError, StarAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output == "json":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IllConditioned, MalformedInput, ParentMismatch
-from .linalg import KAPPA, cluster_points
+from .linalg import certificate_bound, cluster_points, relative_bound
 
 DEFAULT_TOL = 1e-9
 
@@ -42,6 +42,8 @@ class StarAlgebra:
             if u.shape != (n,):
                 raise MalformedInput("unit vector length does not match dim")
             object.__setattr__(self, "unit", u)
+        if self.labels is not None and len(self.labels) != n:
+            raise MalformedInput(f"{len(self.labels)} labels for an algebra of dimension {n}")
 
     @property
     def dim(self):
@@ -205,7 +207,6 @@ def validate(algebra, tol=DEFAULT_TOL):
     """Check the *-algebra axioms on basis elements, to tolerance."""
     c = algebra.mul
     s = algebra.star
-    scale_ = max(1.0, float(np.max(np.abs(c)))) ** 2
 
     left = np.einsum("ijm,mkl->ijkl", c, c)
     right = np.einsum("jkm,iml->ijkl", c, c)
@@ -230,7 +231,8 @@ def validate(algebra, tol=DEFAULT_TOL):
                 float(np.linalg.norm(algebra.mul_coeffs(ej, u) - ej)),
             )
 
-    passed = max(assoc, inv, unit_defect) <= tol * scale_
+    # relative to the size of a product of two structure constants
+    passed = max(assoc, inv, unit_defect) <= relative_bound(tol, float(np.max(np.abs(c))) ** 2)
     return ValidationReport(algebra.dim, assoc, inv, unit_defect, tol, passed)
 
 
@@ -276,7 +278,7 @@ class UnitalHull:
         proj = self.embed_mat.conj().T @ coeffs
         back = self.embed_mat @ proj
         res = float(np.linalg.norm(back - coeffs))
-        if res > tol * max(1.0, float(np.linalg.norm(coeffs))) * KAPPA:
+        if res > certificate_bound(tol) * max(1.0, float(np.linalg.norm(coeffs))):
             raise IllConditioned("hull element does not lie in the base algebra", res)
         return Element(parent, proj)
 
@@ -332,7 +334,7 @@ def spectrum(a, tol=DEFAULT_TOL):
     """Spectrum of `a`; 0 is adjoined for non-unital parents."""
     pts = distinct_eigenvalues(a, tol)
     forced = unital_hull(a.parent, tol).adjoined
-    if forced and not any(abs(p) <= tol * max(1.0, max(abs(q) for q in pts)) for p in pts):
+    if forced and not any(abs(p) <= relative_bound(tol, max(abs(q) for q in pts)) for p in pts):
         pts.append(0j)  # defensive; the hull representation always has kernel
     return Spectrum(tuple(pts), forced)
 
@@ -382,11 +384,12 @@ def algebra_from_json(data):
     try:
         n = int(data["dim"])
         c = np.zeros((n, n, n), dtype=complex)
+        # ravel_multi_index rejects non-integer and out-of-range indices that c[i, j, k] would wrap
         for i, j, k, re, im in data["mul"]:
-            c[int(i), int(j), int(k)] = re + 1j * im
+            c.flat[np.ravel_multi_index((i, j, k), c.shape)] = re + 1j * im
         s = np.zeros((n, n), dtype=complex)
         for i, k, re, im in data["star"]:
-            s[int(k), int(i)] = re + 1j * im
+            s.flat[np.ravel_multi_index((k, i), s.shape)] = re + 1j * im
         unit = None
         if data.get("unit") is not None:
             unit = np.array([re + 1j * im for re, im in data["unit"]], dtype=complex)

@@ -45,6 +45,8 @@ def group_from_cayley(table, labels=None):
         t = np.asarray(table, dtype=int)
     except (TypeError, ValueError) as exc:
         raise GroupTableError(f"table is not a rectangular integer array: {exc}") from exc
+    if not np.array_equal(t, table):
+        raise GroupTableError("table entries are not integers")
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
         raise GroupTableError(f"table has shape {t.shape}, expected square")
     n = t.shape[0]

@@ -5,9 +5,9 @@ These are the workhorses of the test suite and of the certification drivers.
 
 import numpy as np
 
-from .core import StarAlgebra, unitize
+from .core import DEFAULT_TOL, StarAlgebra, unitize
 from .errors import MalformedInput
-from .linalg import KAPPA
+from .linalg import certificate_bound, relative_bound, require
 
 
 def from_matrix_basis(mats, tol=1e-12):
@@ -25,8 +25,8 @@ def from_matrix_basis(mats, tol=1e-12):
         v = mat.reshape(-1)
         x, *_ = np.linalg.lstsq(basis, v, rcond=None)
         res = float(np.linalg.norm(basis @ x - v))
-        if res > tol * max(1.0, float(np.linalg.norm(v))) * KAPPA:
-            raise MalformedInput("matrix span is not closed under the operation")
+        require(res, certificate_bound(tol) * max(1.0, float(np.linalg.norm(v))), MalformedInput,
+                "matrix span is not closed under the operation")
         return x
 
     c = np.zeros((n, n, n), dtype=complex)
@@ -40,7 +40,7 @@ def from_matrix_basis(mats, tol=1e-12):
     unit = None
     eye = np.eye(d, dtype=complex).reshape(-1)
     x, *_ = np.linalg.lstsq(basis, eye, rcond=None)
-    if float(np.linalg.norm(basis @ x - eye)) <= 1e-9 * d:
+    if float(np.linalg.norm(basis @ x - eye)) <= relative_bound(DEFAULT_TOL, d):
         unit = x
     return StarAlgebra(c, s, unit=unit)
 

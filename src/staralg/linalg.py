@@ -1,7 +1,8 @@
-"""Small numerical helpers shared by all modules.
+"""Small numerical helpers shared by all modules, and the tolerance policy.
 
 All subspace computations are SVD-based with relative tolerances; bases are
-returned as matrices with orthonormal columns.
+returned as matrices with orthonormal columns. Every residual bound is one of
+the named functions of ``tol`` below; no other module scales ``tol`` itself.
 """
 
 import numpy as np
@@ -10,14 +11,39 @@ import numpy as np
 KAPPA = 1e3
 
 
+def certificate_bound(tol):
+    """Bound on a certified residual: projection, reconstruction and relation defects."""
+    return tol * KAPPA
+
+
+def membership_bound(tol):
+    """Bound on a vector's distance to a subspace it must lie in (closure, corners)."""
+    return np.sqrt(tol)
+
+
+def relative_bound(tol, size):
+    """``tol`` relative to a magnitude (a norm, an eigenvalue, a product size), never below ``tol``."""
+    return tol * max(1.0, size)
+
+
+def sampled_identity_bound(tol):
+    """Bound on the identities checked over sampled elements (regular, square root)."""
+    return 100 * tol
+
+
+def require(residual, bound, error, message):
+    """Raise ``error`` with the residual in its message unless residual <= bound (NaN fails)."""
+    if not residual <= bound:
+        raise error(f"{message} (residual {residual:.3e})")
+
+
 def nullspace(mat, tol):
     """Orthonormal basis (columns) of the kernel of `mat` at relative tol."""
     mat = np.atleast_2d(mat)
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(mat)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
+    rank = int(np.sum(s > relative_bound(tol, s[0])))
     return vh[rank:].conj().T
 
 
@@ -27,8 +53,7 @@ def colspace(mat, tol):
     if mat.size == 0 or not np.any(mat):
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
+    rank = int(np.sum(s > relative_bound(tol, s[0])))
     return u[:, :rank]
 
 
@@ -58,7 +83,7 @@ def cluster_points(points, tol):
     pts = list(points)
     if not pts:
         return []
-    thresh = tol * max(1.0, max(abs(p) for p in pts))
+    thresh = relative_bound(tol, max(abs(p) for p in pts))
     clusters = []  # list of lists
     for p in sorted(pts, key=lambda z: (z.real, z.imag)):
         for c in clusters:

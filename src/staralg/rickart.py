@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
-from .linalg import KAPPA, colspace, nullspace, subspaces_equal
+from .linalg import certificate_bound, colspace, membership_bound, nullspace, require, subspaces_equal
 from .spectral import left_projection, right_projection
 
 
@@ -49,14 +49,14 @@ class AnnihilatorResult:
 
 
 def is_projection(p, tol=DEFAULT_TOL):
-    scale = max(1.0, p.norm())
-    return (p - p.star()).norm() <= tol * KAPPA * scale and (p - p * p).norm() <= tol * KAPPA * scale
+    bound = certificate_bound(tol) * max(1.0, p.norm())
+    return (p - p.star()).norm() <= bound and (p - p * p).norm() <= bound
 
 
 def proj_leq(p, q, tol=DEFAULT_TOL):
     """p <= q iff p = pq = qp, to tolerance."""
-    scale = max(1.0, p.norm(), q.norm())
-    return (p * q - p).norm() <= tol * KAPPA * scale and (q * p - p).norm() <= tol * KAPPA * scale
+    bound = certificate_bound(tol) * max(1.0, p.norm(), q.norm())
+    return (p * q - p).norm() <= bound and (q * p - p).norm() <= bound
 
 
 def join(e, f, tol=DEFAULT_TOL):
@@ -125,14 +125,11 @@ def annihilator(elements, side="right", tol=DEFAULT_TOL):
 
 def _generates(f, subspace, side, tol):
     """span(fA) == span(subspace) (right side; Af for the left side)."""
-    algebra = f.parent
     mat = f.lmat() if side == "right" else f.rmat()
-    return subspaces_equal(colspace(mat, tol), subspace, np.sqrt(tol))
+    return subspaces_equal(colspace(mat, tol), subspace, membership_bound(tol))
 
 
 def _ideal_generator(algebra, basis, side, tol):
-    if not basis:
-        return algebra.zero()
     try:
         f = algebra.zero()
         for x in basis:
@@ -157,9 +154,9 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
     for x in ideal_basis:
         for e in algebra.basis():
             v = (x * e).coeffs
-            res = v - span @ (span.conj().T @ v)
-            if float(np.linalg.norm(res)) > np.sqrt(tol) * max(1.0, float(np.linalg.norm(v))):
-                raise NotARightIdeal("subspace not closed under right multiplication")
+            res = float(np.linalg.norm(v - span @ (span.conj().T @ v)))
+            require(res, membership_bound(tol) * max(1.0, float(np.linalg.norm(v))), NotARightIdeal,
+                    "subspace not closed under right multiplication")
     if span.shape[1] == 0:
         return algebra.zero()
     basis = [Element(algebra, span[:, i]) for i in range(span.shape[1])]
@@ -175,6 +172,7 @@ def check_weakly_rickart(algebra, samples=8, tol=DEFAULT_TOL, seed=0):
 
 def _weakly_rickart_pass(algebra, samples, tol, seed):
     rng = np.random.default_rng(seed)
+    bound = certificate_bound(tol)
     worst = 0.0
     tested = algebra.basis() + [random_element(algebra, rng) for _ in range(samples)]
     for a in tested:
@@ -187,21 +185,20 @@ def _weakly_rickart_pass(algebra, samples, tol, seed):
                 "weakly_rickart", False, float("inf"), seed,
                 witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)},
             )
-        scale = max(1.0, a.norm())
-        res1 = (a * e - a).norm() / scale
+        res1 = (a * e - a).norm() / max(1.0, a.norm())
         worst = max(worst, res1)
         kernel = nullspace(a.lmat(), tol)
         emat = e.lmat()
         for i in range(kernel.shape[1]):
             res2 = float(np.linalg.norm(emat @ kernel[:, i]))
-            worst = max(worst, res2 / KAPPA)
-            if res2 > tol * KAPPA:
+            worst = max(worst, res2)
+            if res2 > bound:
                 return CheckReport(
                     "weakly_rickart", False, res2, seed,
                     witness={"element": _coeffs_json(a.coeffs),
                              "kernel_vector": _coeffs_json(kernel[:, i])},
                 )
-        if res1 > tol * KAPPA:
+        if res1 > bound:
             return CheckReport(
                 "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
             )
@@ -269,16 +266,16 @@ def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):
     total = algebra.zero()
     for _ in range(4 * algebra.dim):
         comp = one - total
-        if comp.norm() <= tol * KAPPA:
+        if comp.norm() <= certificate_bound(tol):
             break
         a = comp * random_element(algebra, rng) * comp
-        if a.norm() <= np.sqrt(tol):
+        if a.norm() <= membership_bound(tol):
             continue
         try:
             dec_p = right_projection(a, tol)
         except DecompositionFailed:
             continue
-        if dec_p.norm() <= tol * KAPPA:
+        if dec_p.norm() <= certificate_bound(tol):
             continue
         family.append(dec_p)
         total = total + dec_p

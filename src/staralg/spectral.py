@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _trace_form, distinct_eigenvalues, unital_hull
 from .errors import DecompositionFailed, DegenerateInput, NoCStarNorm, NotPositive
-from .linalg import KAPPA
+from .linalg import certificate_bound, relative_bound, require
 
 
 @dataclass(frozen=True)
@@ -41,26 +41,21 @@ class SpectralDecomposition:
 
 
 def _certify(dec, tol):
-    """Residual certificates; raises DecompositionFailed beyond tol*KAPPA."""
+    """Residual certificates; raises DecompositionFailed beyond certificate_bound(tol)."""
     b = dec.source
-    scale = max(1.0, b.norm())
     worst = 0.0
     ps = dec.projections()
     for p in ps:
         worst = max(worst, (p - p.star()).norm(), (p - p * p).norm())
-        if p.norm() <= tol * KAPPA:
+        if p.norm() <= certificate_bound(tol):
             raise DecompositionFailed("zero projection in decomposition")
     for i in range(len(ps)):
         for j in range(len(ps)):
             if i != j:
                 worst = max(worst, (ps[i] * ps[j]).norm())
-    worst = max(worst, (b - dec.map_values(lambda lam: lam)).norm() / scale)
-    if worst > tol * KAPPA:
-        raise DecompositionFailed(
-            f"decomposition certificates fail (worst residual {worst:.3e}); "
-            "the involution is likely not proper"
-        )
-    return worst
+    worst = max(worst, (b - dec.map_values(lambda lam: lam)).norm() / max(1.0, b.norm()))
+    require(worst, certificate_bound(tol), DecompositionFailed,
+            "decomposition certificates fail; the involution is likely not proper")
 
 
 def spectral_decompose(b, tol=DEFAULT_TOL):
@@ -72,8 +67,7 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     """
     scale = max(1.0, b.norm())
     normality = ((b.star() * b) - (b * b.star())).norm() / scale**2
-    if normality > tol * KAPPA:
-        raise DecompositionFailed(f"element is not normal (residual {normality:.3e})")
+    require(normality, certificate_bound(tol), DecompositionFailed, "element is not normal")
     if b.norm() <= tol:
         return SpectralDecomposition(b, ())
 
@@ -81,7 +75,7 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     bh = hull.embed(b)
     one = hull.one()
     lams = distinct_eigenvalues(b, tol)
-    lam_scale = max(1.0, max(abs(l) for l in lams))
+    zero = relative_bound(tol, max(abs(l) for l in lams))
 
     # each idempotent is p_j(b) for the interpolation polynomial with
     # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
@@ -95,7 +89,7 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
 
     terms = []
     for j, lam in enumerate(lams):
-        if abs(lam) <= tol * lam_scale:
+        if abs(lam) <= zero:
             continue
         sel = assign == j
         coeffs = evecs[:, sel] @ (evecs_inv[sel, :] @ one_c)
@@ -121,8 +115,7 @@ def right_projection(a, tol=DEFAULT_TOL):
     dec = spectral_decompose(_selfadjoint_part(a.star() * a), tol)
     e = dec.projection_sum()
     res = (a * e - a).norm() / max(1.0, a.norm())
-    if res > tol * KAPPA:
-        raise DecompositionFailed(f"RP certificate a*RP(a) = a fails (residual {res:.3e})")
+    require(res, certificate_bound(tol), DecompositionFailed, "RP certificate a*RP(a) = a fails")
     return e
 
 
@@ -137,27 +130,24 @@ def quasi_inverse(a, tol=DEFAULT_TOL):
     dec = spectral_decompose(_selfadjoint_part(a.star() * a), tol)
     x = dec.map_values(lambda lam: 1.0 / lam) * a.star()
     res = (a * x * a - a).norm() / max(1.0, a.norm())
-    if res > tol * KAPPA:
-        raise DecompositionFailed(f"quasi-inverse residual {res:.3e}")
+    require(res, certificate_bound(tol), DecompositionFailed, "quasi-inverse certificate axa = a fails")
     return x
 
 
 def positive_sqrt(x, tol=DEFAULT_TOL):
     """The positive y with y^2 = x, inside the subalgebra generated by x."""
     scale = max(1.0, x.norm())
-    if (x - x.star()).norm() / scale > tol * KAPPA:
-        raise NotPositive("element is not selfadjoint")
+    require((x - x.star()).norm() / scale, certificate_bound(tol), NotPositive, "element is not selfadjoint")
     if x.norm() <= tol:
         return x.parent.zero()
     dec = spectral_decompose(_selfadjoint_part(x), tol)
-    lam_scale = max(1.0, max(abs(l) for l, _ in dec.terms))
+    bound = certificate_bound(tol) * max(1.0, max(abs(l) for l, _ in dec.terms))
     for lam, _ in dec.terms:
-        if abs(lam.imag) > tol * KAPPA * lam_scale or lam.real < -tol * KAPPA * lam_scale:
+        if abs(lam.imag) > bound or lam.real < -bound:
             raise NotPositive(f"negative/complex spectral value {lam}")
     y = dec.map_values(lambda lam: np.sqrt(max(lam.real, 0.0)))
     res = (y * y - x).norm() / scale
-    if res > tol * KAPPA:
-        raise DecompositionFailed(f"square-root residual {res:.3e}")
+    require(res, certificate_bound(tol), DecompositionFailed, "square-root certificate y^2 = x fails")
     return y
 
 
@@ -167,17 +157,17 @@ def ep_witness(a, tol=DEFAULT_TOL):
         raise DegenerateInput("EP witness undefined for the zero element")
     h = _selfadjoint_part(a.star() * a)
     dec = spectral_decompose(h, tol)
-    lam_scale = max(1.0, max((abs(l) for l, _ in dec.terms), default=1.0))
+    floor = relative_bound(tol, max((abs(l) for l, _ in dec.terms), default=1.0))
     for lam, _ in dec.terms:
-        if lam.real < tol * lam_scale:
+        if lam.real < floor:
             raise DecompositionFailed(f"non-positive spectral value {lam} in a*a")
     if not dec.terms:
         raise DecompositionFailed("a*a has empty decomposition though a is non-zero")
     w = dec.map_values(lambda lam: 1.0 / np.sqrt(lam.real))
     proj = h * w * w
     res = (proj - dec.projection_sum()).norm()
-    if res > tol * KAPPA * max(1.0, proj.norm()):
-        raise DecompositionFailed(f"EP witness residual {res:.3e}")
+    require(res, certificate_bound(tol) * max(1.0, proj.norm()), DecompositionFailed,
+            "EP witness certificate (a*a)w^2 = RP(a) fails")
     return w
 
 
@@ -201,7 +191,7 @@ def cstar_norm(a, tol=DEFAULT_TOL):
     algebra = a.parent
     g = _cached(algebra, _gram_matrix, tol)
     evals, evecs = np.linalg.eigh(g)
-    if evals[0] <= tol * max(1.0, evals[-1]):
+    if evals[0] <= relative_bound(tol, evals[-1]):
         raise NoCStarNorm("trace form not positive definite; no C*-norm exists")
     ghalf = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
     ginvhalf = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T

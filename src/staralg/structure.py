@@ -27,7 +27,7 @@ from .errors import (
     MalformedInput,
     ValidationFailed,
 )
-from .linalg import KAPPA, colspace, nullspace
+from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
 from .spectral import _gram_matrix, spectral_decompose
 
@@ -48,8 +48,8 @@ def _radical(algebra, tol):
     nh = hull.algebra.dim
     kernel = nullspace(_cached(algebra, _trace_form, tol), tol)
     if hull.adjoined:
-        if np.any(np.abs(kernel[0]) > np.sqrt(tol)):
-            raise InternalInconsistency("radical vector leaves the base algebra")
+        require(float(np.max(np.abs(kernel[0]), initial=0.0)), membership_bound(tol),
+                InternalInconsistency, "radical vector leaves the base algebra")
         kernel = kernel[1:]
     if kernel.shape[1] == 0:
         return []
@@ -59,8 +59,8 @@ def _radical(algebra, tol):
         x = Element(algebra, mat[:, i])
         m = hull.embed(x).lmat()
         s = max(1.0, float(np.linalg.norm(m, 2)))
-        if float(np.linalg.norm(np.linalg.matrix_power(m / s, nh), 2)) > tol * KAPPA:
-            raise InternalInconsistency("trace-form kernel element is not nilpotent")
+        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, nh), 2)), certificate_bound(tol),
+                InternalInconsistency, "trace-form kernel element is not nilpotent")
         out.append(x)
     return out
 
@@ -80,7 +80,7 @@ def _check_proper(algebra, tol, seed):
     g = _cached(algebra, _gram_matrix, tol)
     evals, evecs = np.linalg.eigh(g)
     min_eig, max_eig = float(evals[0]), float(evals[-1])
-    passed = min_eig > tol * max(1.0, max_eig)
+    passed = min_eig > relative_bound(tol, max_eig)
     details = {"gram_min_eig": min_eig, "gram_max_eig": max_eig}
 
     if passed:
@@ -96,7 +96,7 @@ def _check_proper(algebra, tol, seed):
         return CheckReport("proper", True, 0.0, seed, details=details)
 
     rng = np.random.default_rng(seed)
-    bad = evecs[:, evals <= tol * max(1.0, max_eig)]
+    bad = evecs[:, evals <= relative_bound(tol, max_eig)]
     candidates = [e.coeffs for e in algebra.basis()]
     candidates += [bad[:, i] for i in range(bad.shape[1])]
     for _ in range(32):
@@ -142,15 +142,12 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
 
     rng = np.random.default_rng(seed)
     worst_imag = 0.0
-    spectra_real = True
     for _ in range(6):
         b = random_selfadjoint(algebra, rng)
         sp = spectrum(b, tol)
         scale = max(1.0, max(abs(p) for p in sp.points))
-        imag = max(abs(p.imag) for p in sp.points) / scale
-        worst_imag = max(worst_imag, imag)
-        if imag > tol * KAPPA:
-            spectra_real = False
+        worst_imag = max(worst_imag, max(abs(p.imag) for p in sp.points) / scale)
+    spectra_real = worst_imag <= certificate_bound(tol)
     passed = inner.passed and spectra_real
     if inner.passed != spectra_real:
         # Theorem-level equivalence; a disagreement means tolerance breakdown
@@ -188,12 +185,6 @@ def center(algebra, tol=DEFAULT_TOL):
     return [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
 
-def _span_dim(vectors, tol):
-    if not vectors:
-        return 0
-    return colspace(np.stack(vectors, axis=1), tol).shape[1]
-
-
 def _corner_span(algebra, p, tol):
     vecs = [(p * e * p).coeffs for e in algebra.basis()]
     return colspace(np.stack(vecs, axis=1), tol)
@@ -216,7 +207,7 @@ def _central_atoms(algebra, tol, seed):
     rng = np.random.default_rng(seed)
 
     def primitive(z):
-        return _span_dim([(z * c).coeffs for c in zbasis], tol) == 1
+        return colspace(np.stack([(z * c).coeffs for c in zbasis], axis=1), tol).shape[1] == 1
 
     def random_central_selfadjoint():
         w = rng.standard_normal(len(zbasis)) + 1j * rng.standard_normal(len(zbasis))
@@ -231,12 +222,12 @@ def _central_atoms(algebra, tol, seed):
     total = algebra.zero()
     for z in atoms:
         total = total + z
-    if (total - one).norm() > tol * KAPPA:
-        raise InternalInconsistency("central atoms do not sum to the unit")
+    bound = certificate_bound(tol)
+    require((total - one).norm(), bound, InternalInconsistency, "central atoms do not sum to the unit")
     for i, zi in enumerate(atoms):
         for j, zj in enumerate(atoms):
-            if i != j and (zi * zj).norm() > tol * KAPPA:
-                raise InternalInconsistency("central atoms are not orthogonal")
+            if i != j:
+                require((zi * zj).norm(), bound, InternalInconsistency, "central atoms are not orthogonal")
 
     blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
@@ -260,12 +251,12 @@ def _split_projections(one, is_atom, draw, tries, tol, failure_message):
             return atoms
         p = atoms[idx]
         x = p * draw() * p
-        if x.norm() <= np.sqrt(tol):
+        if x.norm() <= membership_bound(tol):
             continue
         dec = spectral_decompose(x, tol)
         parts = dec.projections()
         rem = p - dec.projection_sum()
-        if rem.norm() > np.sqrt(tol):
+        if rem.norm() > membership_bound(tol):
             if not is_projection(rem, tol):
                 continue
             parts.append(rem)
@@ -314,8 +305,7 @@ def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL, unit_coeffs=None):
     """Sub-StarAlgebra on an orthonormalized basis of a nonzero, *-closed, closed span."""
     u = colspace(vectors, tol)
     sub, worst = _compress(parent, u, unit_coeffs)
-    if worst > np.sqrt(tol):
-        raise MalformedInput(f"span is not multiplicatively closed (residual {worst:.3e})")
+    require(worst, membership_bound(tol), MalformedInput, "span is not multiplicatively closed")
     return SubAlgebra(parent, sub, u)
 
 
@@ -323,7 +313,8 @@ def _is_commutative(sub, tol):
     if sub.dim == 1:
         return True
     c = sub.algebra.mul
-    return float(np.max(np.abs(c - c.transpose(1, 0, 2)))) <= tol * KAPPA * max(1.0, float(np.max(np.abs(c))))
+    bound = certificate_bound(tol) * max(1.0, float(np.max(np.abs(c))))
+    return float(np.max(np.abs(c - c.transpose(1, 0, 2)))) <= bound
 
 
 def abelian_split(algebra, tol=DEFAULT_TOL, seed=0):
@@ -405,7 +396,7 @@ def _matrix_units_once(block, tol, rng):
     for _ in range(8):
         b = random_element(block, rng)
         xs = [e1 * b * ep for ep in projections]
-        if all(x.norm() > np.sqrt(tol) for x in xs[1:]):
+        if all(x.norm() > membership_bound(tol) for x in xs[1:]):
             break
     else:
         raise DegenerateRandomness("random element kept producing zero corners")
@@ -416,14 +407,13 @@ def _matrix_units_once(block, tol, rng):
         s = x.star() * x                      # a positive multiple of e_p
         ep = projections[p]
         t = complex(np.vdot(ep.coeffs, s.coeffs) / np.vdot(ep.coeffs, ep.coeffs))
-        if t.real <= tol or (s - t.real * ep).norm() > np.sqrt(tol) * max(1.0, abs(t)):
+        if t.real <= tol or (s - t.real * ep).norm() > membership_bound(tol) * max(1.0, abs(t)):
             raise DegenerateRandomness("corner element is not a scalar multiple of the atom")
         row.append((1.0 / np.sqrt(t.real)) * x)
 
     units = [[row[p].star() * row[q] for q in range(n)] for p in range(n)]
     worst = matrix_unit_residual(block, units, tol)
-    if worst > tol * KAPPA:
-        raise DecompositionFailed(f"matrix-unit relations residual {worst:.3e}")
+    require(worst, certificate_bound(tol), DecompositionFailed, "matrix-unit relations fail")
     return units, worst
 
 

@@ -84,8 +84,12 @@ def test_spectral_wrong_length(m2_file, capsys):
      ["validate"]),
     ({"type": "cayley"}, ["group"]),
     ({"type": "cayley", "table": [[0, 1], [1]]}, ["group"]),
+    ({"dim": 1, "mul": [[-1, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]]}, ["validate"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, -1, 1.0, 0.0]]}, ["validate"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "labels": ["a", "b", "c"]},
+     ["validate"]),
 ], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
-        "ragged-table"])
+        "ragged-table", "mul-index-negative", "star-index-negative", "labels-length"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))
@@ -127,8 +131,16 @@ def test_export_commutative_round_trip(tmp_path, capsys):
     assert out["abelian_dim"] == 3 and out["blocks"] == []
 
 
-def test_bad_tol_exit_one(m2_file):
-    assert main(["--tol", "-1", "analyze", m2_file]) == 1
+def test_bad_tol_exit_one(tmp_path, m2_file, capsys):
+    # a non-associative algebra must not pass validation at an infinite tol
+    bad = tmp_path / "bad_alg.json"
+    bad.write_text(json.dumps({"dim": 2, "mul": [[0, 0, 1, 1.0, 0.0], [1, 1, 0, 1.0, 0.0]],
+                               "star": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]}))
+    for argv in (["--tol", "-1", "analyze", m2_file], ["--tol", "inf", "validate", str(bad)],
+                 ["--tol", "nan", "validate", m2_file], ["--seed", "-1", "analyze", m2_file]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_text_output(m2_file, capsys):

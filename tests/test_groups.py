@@ -43,6 +43,8 @@ def test_group_from_cayley_rejects_bad_tables():
         sa.group_from_cayley([[0, 0], [1, 1]])  # not a Latin square
     with pytest.raises(sa.GroupTableError):
         sa.group_from_cayley([[1, 0], [0, 2]])  # out of range
+    with pytest.raises(sa.GroupTableError):
+        sa.group_from_cayley([[0, 1.9], [1, 0.2]])  # not integers; truncation would give C2
 
 
 def test_group_from_permutations_closure_cap():
