@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, StarAlgebra, unitize
 from .errors import MalformedInput
-from .linalg import certificate_bound, relative_bound, require
+from .linalg import certificate_bound, relative_bound, require_each
 
 
 def from_matrix_basis(mats, tol=1e-12):
@@ -16,26 +16,22 @@ def from_matrix_basis(mats, tol=1e-12):
     The matrices must be linearly independent and their span closed under
     products and adjoints.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    d = mats[0].shape[0]
-    n = len(mats)
-    basis = np.stack([m.reshape(-1) for m in mats], axis=1)  # (d*d, n)
+    mats = np.asarray(mats, dtype=complex)  # (n, d, d)
+    n, d = mats.shape[:2]
+    basis = mats.reshape(n, d * d).T
 
-    def expand(mat):
-        v = mat.reshape(-1)
+    def expand(stack):
+        """Coordinates of each matrix of the stack, one column each."""
+        v = stack.reshape(len(stack), d * d).T
         x, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        res = float(np.linalg.norm(basis @ x - v))
-        require(res, certificate_bound(tol) * max(1.0, float(np.linalg.norm(v))), MalformedInput,
-                "matrix span is not closed under the operation")
+        require_each(np.linalg.norm(basis @ x - v, axis=0),
+                     certificate_bound(tol) * np.maximum(1.0, np.linalg.norm(v, axis=0)),
+                     MalformedInput, "matrix span is not closed under the operation")
         return x
 
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c[i, j, :] = expand(mats[i] @ mats[j])
-    s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s[:, i] = expand(mats[i].conj().T)
+    # one solve per left factor: row j of expand(m_i @ mats).T is the product m_i m_j
+    c = np.array([expand(m @ mats).T for m in mats])
+    s = expand(mats.conj().transpose(0, 2, 1))
 
     unit = None
     eye = np.eye(d, dtype=complex).reshape(-1)

@@ -37,6 +37,13 @@ def require(residual, bound, error, message):
         raise error(f"{message} (residual {residual:.3e})")
 
 
+def require_each(residuals, bounds, error, message):
+    """``require`` on every residual against its own bound, reporting the worst offender."""
+    excess = np.where(residuals <= bounds, -np.inf, residuals - bounds)  # NaN stays NaN, argmax takes it
+    worst = np.argmax(excess)
+    require(float(residuals[worst]), float(bounds[worst]), error, message)
+
+
 def nullspace(mat, tol):
     """Orthonormal basis (columns) of the kernel of `mat` at relative tol."""
     mat = np.atleast_2d(mat)

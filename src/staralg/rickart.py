@@ -8,7 +8,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
-from .linalg import certificate_bound, colspace, membership_bound, nullspace, require, subspaces_equal
+from .linalg import (certificate_bound, colspace, membership_bound, nullspace, require, require_each,
+                     subspaces_equal)
 from .spectral import left_projection, right_projection
 
 
@@ -150,13 +151,12 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
     if not ideal_basis:
         raise NotARightIdeal("empty basis")
     algebra = ideal_basis[0].parent
-    span = colspace(np.stack([x.coeffs for x in ideal_basis], axis=1), tol)
-    for x in ideal_basis:
-        for e in algebra.basis():
-            v = (x * e).coeffs
-            res = float(np.linalg.norm(v - span @ (span.conj().T @ v)))
-            require(res, membership_bound(tol) * max(1.0, float(np.linalg.norm(v))), NotARightIdeal,
-                    "subspace not closed under right multiplication")
+    xs = np.array([x.coeffs for x in ideal_basis])
+    span = colspace(xs.T, tol)
+    prods = algebra.left_mat(xs)  # [x, :, j] = x e_j
+    res = np.linalg.norm(prods - span @ (span.conj().T @ prods), axis=1).ravel()
+    bounds = membership_bound(tol) * np.maximum(1.0, np.linalg.norm(prods, axis=1).ravel())
+    require_each(res, bounds, NotARightIdeal, "subspace not closed under right multiplication")
     if span.shape[1] == 0:
         return algebra.zero()
     basis = [Element(algebra, span[:, i]) for i in range(span.shape[1])]

@@ -43,17 +43,17 @@ class SpectralDecomposition:
 def _certify(dec, tol):
     """Residual certificates; raises DecompositionFailed beyond certificate_bound(tol)."""
     b = dec.source
-    worst = 0.0
-    ps = dec.projections()
-    for p in ps:
-        worst = max(worst, (p - p.star()).norm(), (p - p * p).norm())
-        if p.norm() <= certificate_bound(tol):
-            raise DecompositionFailed("zero projection in decomposition")
-    for i in range(len(ps)):
-        for j in range(len(ps)):
-            if i != j:
-                worst = max(worst, (ps[i] * ps[j]).norm())
-    worst = max(worst, (b - dec.map_values(lambda lam: lam)).norm() / max(1.0, b.norm()))
+    algebra = b.parent
+    ps = np.array([p.coeffs for p in dec.projections()], dtype=complex).reshape(-1, algebra.dim)
+    if np.any(np.linalg.norm(ps, axis=1) <= certificate_bound(tol)):
+        raise DecompositionFailed("zero projection in decomposition")
+    # [i, j, :] = p_i p_j - delta_ij p_i: idempotent and pairwise orthogonal
+    pairs = algebra.products(ps, ps) - np.eye(len(ps))[:, :, None] * ps
+    worst = float(np.max([
+        np.max(np.linalg.norm(ps - algebra.star_coeffs(ps), axis=-1), initial=0.0),
+        np.max(np.linalg.norm(pairs, axis=-1), initial=0.0),
+        (b - dec.map_values(lambda lam: lam)).norm() / max(1.0, b.norm()),
+    ]))
     require(worst, certificate_bound(tol), DecompositionFailed,
             "decomposition certificates fail; the involution is likely not proper")
 

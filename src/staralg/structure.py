@@ -82,38 +82,29 @@ def _check_proper(algebra, tol, seed):
     min_eig, max_eig = float(evals[0]), float(evals[-1])
     passed = min_eig > relative_bound(tol, max_eig)
     details = {"gram_min_eig": min_eig, "gram_max_eig": max_eig}
+    rng = np.random.default_rng(seed)
+    basis = np.eye(algebra.dim, dtype=complex)
 
     if passed:
-        rng = np.random.default_rng(seed)
-        for a in algebra.basis() + [random_element(algebra, rng) for _ in range(8)]:
-            if a.norm() <= tol:
-                continue
-            a = (1.0 / a.norm()) * a
-            if (a.star() * a).norm() <= tol:
-                raise InternalInconsistency(
-                    "positive definite trace form but a*a = 0 witness found"
-                )
+        samples = [random_element(algebra, rng).coeffs for _ in range(8)]
+        if np.any(_star_squares(algebra, np.vstack([basis, samples]), tol)[1] <= tol):
+            raise InternalInconsistency("positive definite trace form but a*a = 0 witness found")
         return CheckReport("proper", True, 0.0, seed, details=details)
 
-    rng = np.random.default_rng(seed)
     bad = evecs[:, evals <= relative_bound(tol, max_eig)]
-    candidates = [e.coeffs for e in algebra.basis()]
-    candidates += [bad[:, i] for i in range(bad.shape[1])]
-    for _ in range(32):
-        if bad.shape[1]:
-            w = rng.standard_normal(bad.shape[1]) + 1j * rng.standard_normal(bad.shape[1])
-            candidates.append(bad @ w)
-    best = None
-    for v in candidates:
-        nv = float(np.linalg.norm(v))
-        if nv <= tol:
-            continue
-        a = Element(algebra, v / nv)
-        score = (a.star() * a).norm()
-        if best is None or score < best[0]:
-            best = (score, a)
-    witness = {"element": _coeffs_json(best[1].coeffs), "norm_a_star_a": best[0]}
-    return CheckReport("proper", False, best[0], seed, witness=witness, details=details)
+    k = bad.shape[1]
+    mixes = [bad @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(32)]
+    vs, scores = _star_squares(algebra, np.vstack([basis, bad.T, mixes]), tol)
+    best = int(np.argmin(scores))
+    witness = {"element": _coeffs_json(vs[best]), "norm_a_star_a": float(scores[best])}
+    return CheckReport("proper", False, float(scores[best]), seed, witness=witness, details=details)
+
+
+def _star_squares(algebra, vs, tol):
+    """The rows a of vs with norm above tol, normalised, and the norm of a*a for each."""
+    vs = vs[np.linalg.norm(vs, axis=1) > tol]
+    vs = vs / np.linalg.norm(vs, axis=1, keepdims=True)
+    return vs, np.linalg.norm((algebra.left_mat(algebra.star_coeffs(vs)) @ vs[:, :, None])[..., 0], axis=1)
 
 
 def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
@@ -176,18 +167,15 @@ class CentralDecomposition:
 
 
 def center(algebra, tol=DEFAULT_TOL):
-    """Orthonormal basis of the center via the commutation linear system."""
-    mats = []
-    for i in range(algebra.dim):
-        e = np.eye(algebra.dim)[i]
-        mats.append(algebra.left_mat(e) - algebra.right_mat(e))
-    kernel = nullspace(np.concatenate(mats, axis=0), tol)
+    """Orthonormal basis of the center: the common kernel of L_e - R_e over the basis."""
+    eye = np.eye(algebra.dim)
+    kernel = nullspace((algebra.left_mat(eye) - algebra.right_mat(eye)).reshape(-1, algebra.dim), tol)
     return [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
 
 def _corner_span(algebra, p, tol):
-    vecs = [(p * e * p).coeffs for e in algebra.basis()]
-    return colspace(np.stack(vecs, axis=1), tol)
+    # column j of R_p L_p is (p e_j) p
+    return colspace(p.rmat() @ p.lmat(), tol)
 
 
 def central_atoms(algebra, tol=DEFAULT_TOL, seed=0):
@@ -207,7 +195,7 @@ def _central_atoms(algebra, tol, seed):
     rng = np.random.default_rng(seed)
 
     def primitive(z):
-        return colspace(np.stack([(z * c).coeffs for c in zbasis], axis=1), tol).shape[1] == 1
+        return colspace(z.lmat() @ zmat, tol).shape[1] == 1
 
     def random_central_selfadjoint():
         w = rng.standard_normal(len(zbasis)) + 1j * rng.standard_normal(len(zbasis))
@@ -224,10 +212,10 @@ def _central_atoms(algebra, tol, seed):
         total = total + z
     bound = certificate_bound(tol)
     require((total - one).norm(), bound, InternalInconsistency, "central atoms do not sum to the unit")
-    for i, zi in enumerate(atoms):
-        for j, zj in enumerate(atoms):
-            if i != j:
-                require((zi * zj).norm(), bound, InternalInconsistency, "central atoms are not orthogonal")
+    zs = np.array([z.coeffs for z in atoms])
+    cross = np.linalg.norm(algebra.products(zs, zs), axis=-1)[~np.eye(len(atoms), dtype=bool)]
+    require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
+            "central atoms are not orthogonal")
 
     blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
@@ -288,14 +276,9 @@ def _compress(algebra, u, unit_coeffs):
     involution u^H star conj(u) and unit u^H unit_coeffs (None stays None),
     and the worst norm of a product's component outside span(u).
     """
-    k = u.shape[1]
-    c = np.zeros((k, k, k), dtype=complex)
-    worst = 0.0
-    for i in range(k):
-        for j in range(k):
-            prod = algebra.mul_coeffs(u[:, i], u[:, j])
-            c[i, j, :] = u.conj().T @ prod
-            worst = max(worst, float(np.linalg.norm(u @ c[i, j, :] - prod)))
+    prods = algebra.products(u.T, u.T)
+    c = prods @ np.conj(u)
+    worst = float(np.max(np.linalg.norm(c @ u.T - prods, axis=-1)))
     s = u.conj().T @ algebra.star @ np.conj(u)
     unit = None if unit_coeffs is None else u.conj().T @ unit_coeffs
     return StarAlgebra(c, s, unit=unit), worst
@@ -348,20 +331,16 @@ def _minimal_projections(block, tol, rng):
 def matrix_unit_residual(block, units, tol=DEFAULT_TOL):
     """Worst defect of the matrix-unit relations for a candidate system."""
     n = len(units)
-    one = block.one(tol)
-    worst = 0.0
-    for p in range(n):
-        for q in range(n):
-            worst = max(worst, (units[p][q].star() - units[q][p]).norm())
-            for r in range(n):
-                for s in range(n):
-                    prod = units[p][q] * units[r][s]
-                    expect = units[p][s] if q == r else block.zero()
-                    worst = max(worst, (prod - expect).norm())
-    diag = block.zero()
-    for p in range(n):
-        diag = diag + units[p][p]
-    return max(worst, (diag - one).norm())
+    u = np.array([[x.coeffs for x in row] for row in units])  # [p, q, :]
+    flat = u.reshape(n * n, block.dim)
+    # [p, q, r, s, :] = u_pq u_rs - delta_qr u_ps
+    prods = block.products(flat, flat).reshape(n, n, n, n, -1)
+    prods -= np.eye(n)[:, :, None, None] * u[:, None, None]
+    return float(np.max([
+        np.max(np.linalg.norm(block.star_coeffs(flat).reshape(u.shape) - u.transpose(1, 0, 2), axis=-1)),
+        np.max(np.linalg.norm(prods, axis=-1)),
+        np.linalg.norm(np.trace(u) - block.one(tol).coeffs),
+    ]))
 
 
 def block_star_isomorphism(block, tol=DEFAULT_TOL, seed=0):
@@ -411,7 +390,8 @@ def _matrix_units_once(block, tol, rng):
             raise DegenerateRandomness("corner element is not a scalar multiple of the atom")
         row.append((1.0 / np.sqrt(t.real)) * x)
 
-    units = [[row[p].star() * row[q] for q in range(n)] for p in range(n)]
+    rows = np.array([x.coeffs for x in row])
+    units = [[Element(block, v) for v in line] for line in block.products(block.star_coeffs(rows), rows)]
     worst = matrix_unit_residual(block, units, tol)
     require(worst, certificate_bound(tol), DecompositionFailed, "matrix-unit relations fail")
     return units, worst

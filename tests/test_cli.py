@@ -75,6 +75,9 @@ def test_spectral_wrong_length(m2_file, capsys):
     assert main(["spectral", m2_file, "--element", "1,0"]) == 1
 
 
+_NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"), 0.0]]}
+
+
 @pytest.mark.parametrize("payload, argv", [
     (None, ["spectral", "--element", "1"]),
     (None, ["spectral", "--element", "x,y"]),
@@ -88,14 +91,31 @@ def test_spectral_wrong_length(m2_file, capsys):
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, -1, 1.0, 0.0]]}, ["validate"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "labels": ["a", "b", "c"]},
      ["validate"]),
+    (_NAN_STAR, ["validate"]),
+    (_NAN_STAR, ["analyze"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "unit": [[float("inf"), 0.0]]},
+     ["validate"]),
 ], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
-        "ragged-table", "mul-index-negative", "star-index-negative", "labels-length"])
+        "ragged-table", "mul-index-negative", "star-index-negative", "labels-length",
+        "star-nan-validate", "star-nan-analyze", "unit-inf"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))
     assert main([argv[0], str(path), *argv[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_overflowing_constants_fail_validation(tmp_path, capsys, command):
+    # products of 1e200 overflow: validation fails with exit 2, never a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 1, "mul": [[0, 0, 0, 1e200, 0.0]], "star": [[0, 0, 1.0, 0.0]]}))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if command == "validate":
+        assert json.loads(out)["passed"] is False
 
 
 def test_check_properties(m2_file, capsys):

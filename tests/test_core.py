@@ -52,6 +52,20 @@ def test_arithmetic_matches_matrices(m2):
         assert np.allclose(a.star().coeffs, x.conj().T.reshape(-1))
 
 
+def test_from_matrix_basis_rejects_open_spans():
+    def unit(p, q):
+        m = np.zeros((2, 2))
+        m[p, q] = 1.0
+        return m
+
+    with pytest.raises(sa.MalformedInput):  # E12 E21 = E11 leaves the span
+        sa.from_matrix_basis([unit(0, 1), unit(1, 0)])
+    with pytest.raises(sa.MalformedInput):  # closed under products, but E12* = E21 leaves it
+        sa.from_matrix_basis([unit(0, 0), unit(0, 1)])
+    alg = sa.from_matrix_basis([unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)])
+    assert np.allclose(alg.mul, sa.matrix_algebra(2).mul) and np.allclose(alg.star, sa.matrix_algebra(2).star)
+
+
 def test_parent_mismatch_raises(m2):
     other = sa.matrix_algebra(2)
     with pytest.raises(sa.ParentMismatch):

@@ -12,6 +12,7 @@ from staralg.linalg import (
     membership_bound,
     relative_bound,
     require,
+    require_each,
     sampled_identity_bound,
 )
 
@@ -35,6 +36,28 @@ def test_validate_bound_is_relative_to_the_product_size():
         report = sa.validate(sa.StarAlgebra(c, np.array([[1.0 + d]])), tol)
         assert report.involution_defect == pytest.approx(3 * d, rel=1e-3)
         assert report.passed is passed
+
+
+def test_validate_fails_without_raising_on_overflow():
+    # 1e154: the size bound is finite but the associativity sums overflow to a NaN defect;
+    # 1e200: the size itself overflows
+    for value in (1e154, 1e200):
+        report = sa.validate(sa.StarAlgebra(np.full((2, 2, 2), value, dtype=complex), np.eye(2)))
+        assert report.passed is False
+    for bad in ({"mul": np.full((1, 1, 1), np.nan)}, {"star": np.array([[np.inf]])},
+                {"unit": np.array([np.nan])}):
+        args = {"mul": np.ones((1, 1, 1)), "star": np.eye(1)} | bad
+        with pytest.raises(sa.MalformedInput):
+            sa.StarAlgebra(**args)
+
+
+def test_require_each_reports_the_worst_offender():
+    bounds = np.array([1.0, 1.0, 10.0])
+    require_each(np.array([0.5, 1.0, 10.0]), bounds, sa.MalformedInput, "all within")
+    with pytest.raises(sa.MalformedInput, match=r"\(residual 3\.000e\+00\)"):
+        require_each(np.array([0.5, 3.0, 11.0]), bounds, sa.MalformedInput, "two offenders")
+    with pytest.raises(sa.MalformedInput, match="nan"):
+        require_each(np.array([0.5, np.nan, 11.0]), bounds, sa.MalformedInput, "a NaN offends")
 
 
 def test_require_raises_the_given_error_with_the_residual():
