@@ -96,6 +96,10 @@ class StarAlgebra:
         """All products of two stacks: ``[a, b, :]`` holds the coefficients of xs[a] ys[b]."""
         return ys @ self._times_basis(xs)
 
+    def row_products(self, xs, ys):
+        """Products row by row of two stacks: ``[a, :]`` holds the coefficients of xs[a] ys[a]."""
+        return (ys[..., None, :] @ self._times_basis(xs))[..., 0, :]
+
     # -- unit detection -------------------------------------------------------
 
     def unit_vector(self, tol=DEFAULT_TOL):
@@ -224,9 +228,11 @@ def validate(algebra, tol=DEFAULT_TOL):
     s = algebra.star
     pairs = c.reshape(n * n, n)  # row (i, j): e_i e_j
     with np.errstate(over="ignore", invalid="ignore"):
-        # (e_i e_j) e_k against e_i (e_j e_k), both indexed [i, j, k, :]
-        left = algebra._times_basis(pairs).reshape(-1)
-        assoc = float(np.max(np.abs(left - (pairs @ c).reshape(-1))))
+        # (e_i e_j) e_k against e_i (e_j e_k), one n^3 slab [j, k, :] per i; np.max keeps a NaN
+        assoc = float(np.max([
+            np.max(np.abs(algebra._times_basis(c[i]) - (pairs @ c[i]).reshape(n, n, n)))
+            for i in range(n)
+        ]))
 
         # (e_i)** = e_i : star is antilinear, so applying it twice conjugates
         dstar = float(np.max(np.abs(s @ np.conj(s) - np.eye(n))))
@@ -284,17 +290,16 @@ class UnitalHull:
     def embed(self, a):
         return Element(self.algebra, self.embed_mat @ a.coeffs)
 
-    def restrict_coeffs(self, coeffs, parent, tol=DEFAULT_TOL):
-        """Pull hull coefficients back to A; error if outside A at tol."""
-        proj = self.embed_mat.conj().T @ coeffs
-        back = self.embed_mat @ proj
-        res = float(np.linalg.norm(back - coeffs))
-        if res > certificate_bound(tol) * max(1.0, float(np.linalg.norm(coeffs))):
-            raise IllConditioned("hull element does not lie in the base algebra", res)
-        return Element(parent, proj)
+    def restrict_coeffs(self, coeffs, tol=DEFAULT_TOL):
+        """Pull a stack of hull coefficient rows back to A's coefficients.
 
-    def one(self):
-        return Element(self.algebra, self.unit_coeffs)
+        Raises IllConditioned with the residual of the first row outside A at tol."""
+        proj = coeffs @ self.embed_mat.conj()
+        res = np.linalg.norm(proj @ self.embed_mat.T - coeffs, axis=-1)
+        outside = np.flatnonzero(res > certificate_bound(tol) * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)))
+        if outside.size:
+            raise IllConditioned("hull element does not lie in the base algebra", float(res[outside[0]]))
+        return proj
 
 
 def unital_hull(algebra, tol=DEFAULT_TOL):

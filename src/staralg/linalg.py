@@ -49,7 +49,8 @@ def nullspace(mat, tol):
     mat = np.atleast_2d(mat)
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(mat)
+    # only vh is read; a tall matrix's reduced SVD already gives all of it, without the square U
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s > relative_bound(tol, s[0])))
     return vh[rank:].conj().T
 
@@ -91,12 +92,13 @@ def cluster_points(points, tol):
     if not pts:
         return []
     thresh = relative_bound(tol, max(abs(p) for p in pts))
-    clusters = []  # list of lists
+    clusters = []  # [first point, sum, count]
     for p in sorted(pts, key=lambda z: (z.real, z.imag)):
         for c in clusters:
             if abs(p - c[0]) <= thresh:
-                c.append(p)
+                c[1] += p
+                c[2] += 1
                 break
         else:
-            clusters.append([p])
-    return [complex(np.mean(c)) for c in clusters]
+            clusters.append([p, p, 1])
+    return [total / count for _, total, count in clusters]

@@ -66,40 +66,35 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     algebras.
     """
     scale = max(1.0, b.norm())
-    normality = ((b.star() * b) - (b * b.star())).norm() / scale**2
+    both = np.stack([b.coeffs, b.star().coeffs])
+    squares = b.parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*
+    normality = float(np.linalg.norm(squares[1, 0] - squares[0, 1])) / scale**2
     require(normality, certificate_bound(tol), DecompositionFailed, "element is not normal")
     if b.norm() <= tol:
         return SpectralDecomposition(b, ())
 
     hull = unital_hull(b.parent, tol)
-    bh = hull.embed(b)
-    one = hull.one()
+    big = hull.algebra
     lams = distinct_eigenvalues(b, tol)
     zero = relative_bound(tol, max(abs(l) for l in lams))
+    keep = [j for j, lam in enumerate(lams) if abs(lam) > zero]
 
     # each idempotent is p_j(b) for the interpolation polynomial with
     # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
     # representation applied to the unit -- computed that way directly,
-    # which is far better conditioned than multiplying Lagrange factors
-    mat = bh.lmat()
-    evals, evecs = np.linalg.eig(mat)
+    # which is far better conditioned than multiplying Lagrange factors.
+    # Column j of mask selects the eigenvectors clustered at lams[keep[j]].
+    evals, evecs = np.linalg.eig(hull.embed(b).lmat())
     assign = np.argmin(np.abs(evals[:, None] - np.array(lams)[None, :]), axis=1)
-    evecs_inv = np.linalg.inv(evecs)
-    one_c = one.coeffs
+    mask = assign[:, None] == np.array(keep, dtype=int)[None, :]
+    ps = (evecs @ (mask * (np.linalg.inv(evecs) @ hull.unit_coeffs)[:, None])).T
+    ps = (ps + big.star_coeffs(ps)) * 0.5
+    # one idempotent-polishing step, p^2 (3 - 2p)
+    ps = big.row_products(big.row_products(ps, ps), hull.unit_coeffs * 3.0 - ps * 2.0)
+    if hull.adjoined:
+        ps = hull.restrict_coeffs(ps, tol)
 
-    terms = []
-    for j, lam in enumerate(lams):
-        if abs(lam) <= zero:
-            continue
-        sel = assign == j
-        coeffs = evecs[:, sel] @ (evecs_inv[sel, :] @ one_c)
-        p = Element(hull.algebra, coeffs)
-        p = 0.5 * (p + p.star())
-        p = p * p * (3.0 * one - 2.0 * p)  # one idempotent-polishing step
-        proj = hull.restrict_coeffs(p.coeffs, b.parent, tol) if hull.adjoined else p
-        terms.append((lam, proj))
-
-    dec = SpectralDecomposition(b, tuple(terms))
+    dec = SpectralDecomposition(b, tuple((lams[j], Element(b.parent, p)) for j, p in zip(keep, ps)))
     _certify(dec, tol)
     return dec
 
@@ -141,7 +136,7 @@ def positive_sqrt(x, tol=DEFAULT_TOL):
     if x.norm() <= tol:
         return x.parent.zero()
     dec = spectral_decompose(_selfadjoint_part(x), tol)
-    bound = certificate_bound(tol) * max(1.0, max(abs(l) for l, _ in dec.terms))
+    bound = certificate_bound(tol) * max(1.0, max((abs(l) for l, _ in dec.terms), default=0.0))
     for lam, _ in dec.terms:
         if abs(lam.imag) > bound or lam.real < -bound:
             raise NotPositive(f"negative/complex spectral value {lam}")

@@ -1,6 +1,7 @@
-"""The product kernel against the einsum contractions it replaced, and one home for it."""
+"""The product kernel and the batched decompositions against the code they replaced, and one home for it."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import staralg as sa
 from staralg import spectral, structure
+from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
 
 # -- the reference: the contractions as written before the kernel --------------
@@ -84,6 +86,7 @@ def test_kernel_matches_the_einsum_reference(alg):
     assert _close(alg.left_mat(xs), np.array([ref_left_mat(c, a) for a in xs]))
     assert _close(alg.right_mat(xs), np.array([ref_right_mat(c, a) for a in xs]))
     assert _close(alg.products(xs, ys), np.array([[ref_mul_coeffs(c, a, b) for b in ys] for a in xs]))
+    assert _close(alg.row_products(xs[:3], ys), np.array([ref_mul_coeffs(c, a, b) for a, b in zip(xs, ys)]))
 
 
 @pytest.mark.parametrize("alg", _random_algebras(), ids=_IDS)
@@ -183,6 +186,111 @@ def test_decomposition_certificate_matches_its_loop():
     spectral._certify(sa.SpectralDecomposition(e11 + 2.0 * e22, ((1.0, e11), (2.0, e22))), 1e-9)
     with pytest.raises(sa.DecompositionFailed, match="zero projection"):
         spectral._certify(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))), 1e-9)
+
+
+def test_validate_memory_is_cubic():
+    # one n^3 slab at a time takes about 2.4 MB on M6; the n^4 intermediates took 80.6 MB
+    alg = sa.matrix_algebra(6)
+    tracemalloc.start()
+    try:
+        sa.validate(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def ref_nullspace(mat, tol):
+    """``nullspace`` through the full SVD, square U included, as it was computed before."""
+    if mat.size == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(mat)
+    rank = int(np.sum(s > relative_bound(tol, s[0])))
+    return vh[rank:].conj().T
+
+
+def _nullspace_inputs():
+    rng = np.random.default_rng(7)
+    alg = sa.semisimple_instance([2, 2], 1, rng)
+    eye = np.eye(alg.dim)
+    p = sa.central_atoms(alg).atoms[0]
+    return {
+        "tall center stack": (alg.left_mat(eye) - alg.right_mat(eye)).reshape(-1, alg.dim),
+        "tall annihilator stack": np.concatenate([p.lmat(), (p * sa.random_element(alg, rng)).lmat()]),
+        "square full rank": sa.random_element(alg, rng).lmat(),
+        "square projection": p.lmat(),
+        "wide": _random_complex(rng, 3, 8),
+        "all zero": np.zeros((4, 6), dtype=complex),
+        "tall rank 2": _random_complex(rng, 9, 2) @ _random_complex(rng, 2, 5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_nullspace_inputs()))
+def test_nullspace_matches_the_full_svd(name):
+    mat, tol = _nullspace_inputs()[name], 1e-9
+    got, ref = nullspace(mat, tol), ref_nullspace(mat, tol)
+    assert got.shape == ref.shape
+    assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), rtol=0, atol=1e-12)
+    assert subspaces_equal(got, ref, 1e-10)
+    top = float(np.linalg.norm(mat, 2))
+    assert np.max(np.linalg.norm(mat @ got, axis=0), initial=0.0) <= relative_bound(tol, top) + 1e-13 * top
+
+
+def ref_spectral_terms(b, tol):
+    """``spectral_decompose``'s terms, one projection at a time in Element arithmetic, as it was computed before."""
+    hull = sa.unital_hull(b.parent, tol)
+    one = hull.algebra.element(hull.unit_coeffs)
+    lams = sa.distinct_eigenvalues(b, tol)
+    zero = relative_bound(tol, max(abs(l) for l in lams))
+    evals, evecs = np.linalg.eig(hull.embed(b).lmat())
+    assign = np.argmin(np.abs(evals[:, None] - np.array(lams)[None, :]), axis=1)
+    evecs_inv = np.linalg.inv(evecs)
+    terms = []
+    for j, lam in enumerate(lams):
+        if abs(lam) <= zero:
+            continue
+        sel = assign == j
+        p = hull.algebra.element(evecs[:, sel] @ (evecs_inv[sel, :] @ one.coeffs))
+        p = 0.5 * (p + p.star())
+        p = p * p * (3.0 * one - 2.0 * p)
+        terms.append((lam, hull.embed_mat.conj().T @ p.coeffs))
+    return terms
+
+
+def _normal_elements():
+    """Selfadjoint and complex-spectrum normal elements on scrambled shapes, and one non-unital algebra."""
+    rng = np.random.default_rng(13)
+    out = {}
+    for shape in (([3, 2], 0), ([2, 2], 2), ([2], 3)):
+        alg = sa.semisimple_instance(*shape, rng)
+        h = sa.random_selfadjoint(alg, rng)
+        out[f"{shape} selfadjoint"] = h
+        out[f"{shape} normal"] = h + 1j * (h * h)
+    part = sa.semisimple_instance([2], 1, rng)
+    alg = sa.direct_sum(part, sa.nilpotent_line())
+    assert not alg.is_unital()
+    out["non-unital"] = alg.element(np.append(sa.random_selfadjoint(part, rng).coeffs, 0.0))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_normal_elements()))
+def test_spectral_decompose_matches_its_loop(name):
+    b = _normal_elements()[name]
+    got, ref = sa.spectral_decompose(b).terms, ref_spectral_terms(b, 1e-9)
+    assert len(got) == len(ref) >= 2
+    for (lam, p), (ref_lam, ref_p) in zip(got, ref):
+        assert abs(lam - ref_lam) <= 1e-10 * max(1.0, abs(ref_lam))
+        assert np.linalg.norm(p.coeffs - ref_p) <= 1e-10 * max(1.0, np.linalg.norm(ref_p))
+
+
+def test_restrict_coeffs_reports_the_first_row_outside_a():
+    hull = sa.unital_hull(sa.nilpotent_line())
+    assert hull.adjoined  # the adjoined unit is coefficient 0
+    rows = np.array([[0.0, 2.0], [0.5, 1.0], [2.0, 0.0]], dtype=complex)
+    np.testing.assert_array_equal(hull.restrict_coeffs(rows[:1]), [[2.0]])
+    with pytest.raises(sa.IllConditioned, match=r"\(residual 5\.000e-01\)") as info:
+        hull.restrict_coeffs(rows)
+    assert info.value.residual == 0.5
 
 
 def test_mul_is_stored_contiguous():

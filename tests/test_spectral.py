@@ -94,6 +94,14 @@ def test_positive_sqrt(m2):
     assert all(p.real > -1e-9 and abs(p.imag) < 1e-9 for p in sp.points)
 
 
+def test_positive_sqrt_below_the_zero_cutoff(m2):
+    # every eigenvalue falls below the zero cut-off while the norm exceeds tol
+    x = 0.9e-9 * m2.one()
+    assert x.norm() > 1e-9 and sa.spectral_decompose(x).terms == ()
+    y = sa.positive_sqrt(x)
+    assert y.norm() == 0.0
+
+
 def test_positive_sqrt_rejects_negative(m2):
     with pytest.raises(sa.NotPositive):
         sa.positive_sqrt(m2.element([-1, 0, 0, -1]))

@@ -44,6 +44,11 @@ def test_validate_fails_without_raising_on_overflow():
     for value in (1e154, 1e200):
         report = sa.validate(sa.StarAlgebra(np.full((2, 2, 2), value, dtype=complex), np.eye(2)))
         assert report.passed is False
+    # associative, but the sums overflow only for i >= 1: a NaN after a finite defect still fails
+    late = np.full((3, 3, 3), 1e154, dtype=complex)
+    late[0] = late[:, 0] = 0.0
+    report = sa.validate(sa.StarAlgebra(late, np.eye(3)))
+    assert np.isnan(report.associativity_defect) and report.passed is False
     for bad in ({"mul": np.full((1, 1, 1), np.nan)}, {"star": np.array([[np.inf]])},
                 {"unit": np.array([np.nan])}):
         args = {"mul": np.ones((1, 1, 1)), "star": np.eye(1)} | bad
