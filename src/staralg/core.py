@@ -1,9 +1,13 @@
 """Finite-dimensional complex *-algebras presented by structure constants.
 
-An algebra of dimension n is stored as a tensor ``mul`` with
+An algebra of dimension n is given by a tensor ``mul`` with
 ``e_i e_j = sum_k mul[i, j, k] e_k`` and an involution matrix ``star`` with
 ``(e_i)* = sum_k star[k, i] e_k``; on coefficient vectors the involution acts
 as ``v -> star @ conj(v)``.
+
+``mul`` is the input format: only the product kernel, ``_times_basis`` and
+``right_mat``, reads it. Every other site takes the basis products from the
+kernel as ``_times_basis(I)`` or ``products(I, I)``, in ``mul``'s layout.
 """
 
 from __future__ import annotations
@@ -131,9 +135,10 @@ def _cached(algebra, fn, *args):
 def _unit_solution(algebra):
     """Least-squares two-sided unit and its relative residual."""
     n = algebra.dim
+    c = algebra._times_basis(np.eye(n))  # [i, j, :] holds e_i e_j
     lhs = np.concatenate([
-        algebra.mul.reshape(n, n * n).T,                       # rows (j,k): sum_i u_i c[i,j,k]
-        algebra.mul.transpose(1, 0, 2).reshape(n, n * n).T,   # rows (j,k): sum_i u_i c[j,i,k]
+        c.reshape(n, n * n).T,                       # rows (j,k): sum_i u_i c[i,j,k]
+        c.transpose(1, 0, 2).reshape(n, n * n).T,   # rows (j,k): sum_i u_i c[j,i,k]
     ])
     rhs = np.concatenate([np.eye(n).reshape(n * n), np.eye(n).reshape(n * n)]).astype(complex)
     u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -224,7 +229,7 @@ def validate(algebra, tol=DEFAULT_TOL):
 
     A NaN defect fails, and so does a product size that overflows; neither raises."""
     n = algebra.dim
-    c = algebra.mul
+    c = algebra._times_basis(np.eye(n))
     s = algebra.star
     pairs = c.reshape(n * n, n)  # row (i, j): e_i e_j
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,11 +267,9 @@ def unitize(algebra):
     """
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    c[0, 0, 0] = 1.0
-    for i in range(n):
-        c[0, i + 1, i + 1] = 1.0
-        c[i + 1, 0, i + 1] = 1.0
-    c[1:, 1:, 1:] = algebra.mul
+    c[0] = np.eye(n + 1)     # 1 e_j = e_j
+    c[:, 0] = np.eye(n + 1)  # e_i 1 = e_i
+    c[1:, 1:, 1:] = algebra._times_basis(np.eye(n))
     s = np.zeros((n + 1, n + 1), dtype=complex)
     s[0, 0] = 1.0
     s[1:, 1:] = algebra.star
@@ -319,10 +322,10 @@ def _unital_hull(algebra, tol):
 
 def _trace_form(algebra, tol):
     """F[i, j] = tr(L_i L_j) over the basis of the unital hull; use via _cached."""
-    c = unital_hull(algebra, tol).algebra.mul
-    n = c.shape[0]
+    hull = unital_hull(algebra, tol).algebra
+    c = hull._times_basis(np.eye(hull.dim))
     # L_i[a, b] = c[i, b, a], so tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
-    return c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
+    return c.reshape(hull.dim, -1) @ c.transpose(0, 2, 1).reshape(hull.dim, -1).T
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -375,20 +378,17 @@ def _coeffs_json(values):
     return [[float(z.real), float(z.imag)] for z in values]
 
 
+def _entries_json(array):
+    """The nonzero entries of an array as JSON ``[*index, re, im]`` rows, in C order."""
+    nz = np.abs(array) > 0
+    return [[*map(int, index), *z] for index, z in zip(np.argwhere(nz), _coeffs_json(array[nz]))]
+
+
 def algebra_to_json(algebra, tol=DEFAULT_TOL):
     """Sparse JSON form; see README for the schema."""
-    n = algebra.dim
-    mul_entries = []
-    for i, j, k in zip(*np.nonzero(np.abs(algebra.mul) > 0)):
-        v = algebra.mul[i, j, k]
-        mul_entries.append([int(i), int(j), int(k), float(v.real), float(v.imag)])
-    star_entries = []
-    for k, i in zip(*np.nonzero(np.abs(algebra.star) > 0)):
-        v = algebra.star[k, i]
-        star_entries.append([int(i), int(k), float(v.real), float(v.imag)])
-    out = {"dim": n, "mul": mul_entries, "star": star_entries}
-    u = algebra.unit_vector(tol)
-    out["unital"] = u is not None
+    out = {"dim": algebra.dim, "mul": _entries_json(algebra._times_basis(np.eye(algebra.dim))),
+           "star": [[i, k, re, im] for k, i, re, im in _entries_json(algebra.star)],  # star[k, i] as [i, k]
+           "unital": algebra.is_unital(tol)}
     if algebra.unit is not None:
         out["unit"] = _coeffs_json(algebra.unit)
     if algebra.labels is not None:
@@ -396,20 +396,35 @@ def algebra_to_json(algebra, tol=DEFAULT_TOL):
     return out
 
 
+def _from_entries(shape, entries, name):
+    """Dense array from JSON ``[*index, re, im]`` entries; an index given twice is an error."""
+    out = np.zeros(shape, dtype=complex)
+    seen = set()
+    for *index, re, im in entries:
+        # ravel_multi_index rejects a wrong arity, non-integer indices and the negative ones out[index] would wrap
+        flat = int(np.ravel_multi_index(index, shape))
+        if flat in seen:
+            raise MalformedInput(f"bad algebra JSON: two {name} entries for index {index}")
+        seen.add(flat)
+        out.flat[flat] = re + 1j * im
+    return out
+
+
 def algebra_from_json(data):
     try:
-        n = int(data["dim"])
-        c = np.zeros((n, n, n), dtype=complex)
-        # ravel_multi_index rejects non-integer and out-of-range indices that c[i, j, k] would wrap
-        for i, j, k, re, im in data["mul"]:
-            c.flat[np.ravel_multi_index((i, j, k), c.shape)] = re + 1j * im
-        s = np.zeros((n, n), dtype=complex)
-        for i, k, re, im in data["star"]:
-            s.flat[np.ravel_multi_index((k, i), s.shape)] = re + 1j * im
+        n = data["dim"]
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # int() reads 1.5 and true as 1
+            raise MalformedInput(f"bad algebra JSON: dim must be an integer, got {n!r}")
+        c = _from_entries((n, n, n), data["mul"], "mul")
+        s = np.ascontiguousarray(_from_entries((n, n), data["star"], "star").T)
         unit = None
         if data.get("unit") is not None:
             unit = np.array([re + 1j * im for re, im in data["unit"]], dtype=complex)
-        labels = tuple(data["labels"]) if data.get("labels") else None
+        labels = data.get("labels")
+        if labels is not None:
+            if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+                raise MalformedInput(f"bad algebra JSON: labels must be a list of strings, got {labels!r}")
+            labels = tuple(labels)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad algebra JSON: {exc}") from exc
     return StarAlgebra(c, s, unit=unit, labels=labels)

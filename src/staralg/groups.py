@@ -170,12 +170,10 @@ def build_group_algebra(group):
     """C[G]: basis indexed by group elements, involution g -> g^{-1} with conjugation."""
     n = group.order
     c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c[i, j, group.cayley[i, j]] = 1.0
+    i, j = np.indices((n, n))
+    c[i, j, group.cayley] = 1.0  # g_i g_j = g_cayley[i, j]
     s = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        s[group.inverse[i], i] = 1.0
+    s[group.inverse, np.arange(n)] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[group.identity] = 1.0
     labels = group.labels if group.labels else tuple(f"g{i}" for i in range(n))

@@ -43,25 +43,14 @@ def from_matrix_basis(mats, tol=1e-12):
 
 def matrix_algebra(n):
     """Full matrix algebra M_n with matrix-unit basis E_pq (row-major order)."""
-    dim = n * n
-
-    def idx(p, q):
-        return p * n + q
-
+    dim = n * n  # E_pq has index p n + q
+    p, q, s = np.indices((n, n, n))
     c = np.zeros((dim, dim, dim), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if q == r:
-                        c[idx(p, q), idx(r, s), idx(p, s)] = 1.0
+    c[p * n + q, q * n + s, p * n + s] = 1.0  # E_pq E_qs = E_ps
+    e = np.arange(dim)
     st = np.zeros((dim, dim), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            st[idx(q, p), idx(p, q)] = 1.0
-    unit = np.zeros(dim, dtype=complex)
-    for p in range(n):
-        unit[idx(p, p)] = 1.0
+    st[e % n * n + e // n, e] = 1.0  # E_pq* = E_qp
+    unit = np.eye(n, dtype=complex).reshape(dim)  # the sum of the E_pp
     labels = tuple(f"E{p}{q}" for p in range(n) for q in range(n))
     return StarAlgebra(c, st, unit=unit, labels=labels)
 
@@ -77,8 +66,8 @@ def diagonal_algebra(n):
 def direct_sum(a, b):
     n, m = a.dim, b.dim
     c = np.zeros((n + m, n + m, n + m), dtype=complex)
-    c[:n, :n, :n] = a.mul
-    c[n:, n:, n:] = b.mul
+    c[:n, :n, :n] = a.products(np.eye(n), np.eye(n))
+    c[n:, n:, n:] = b.products(np.eye(m), np.eye(m))
     s = np.zeros((n + m, n + m), dtype=complex)
     s[:n, :n] = a.star
     s[n:, n:] = b.star

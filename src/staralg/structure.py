@@ -160,6 +160,7 @@ class CentralDecomposition:
     center_basis: list
     atoms: list
     blocks: list  # the ideal zA of each atom z, as a SubAlgebra with unit z
+    commutative: list  # whether each block is commutative
 
     @property
     def block_dims(self):
@@ -219,7 +220,9 @@ def _central_atoms(algebra, tol, seed):
 
     blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
-    return CentralDecomposition(zbasis, [atoms[i] for i in order], [blocks[i] for i in order])
+    blocks = [blocks[i] for i in order]
+    return CentralDecomposition(zbasis, [atoms[i] for i in order], blocks,
+                                [_is_commutative(b, tol) for b in blocks])
 
 
 def _split_projections(one, is_atom, draw, tries, tol, failure_message):
@@ -295,7 +298,8 @@ def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL, unit_coeffs=None):
 def _is_commutative(sub, tol):
     if sub.dim == 1:
         return True
-    c = sub.algebra.mul
+    eye = np.eye(sub.dim)
+    c = sub.algebra.products(eye, eye)
     bound = certificate_bound(tol) * max(1.0, float(np.max(np.abs(c))))
     return float(np.max(np.abs(c - c.transpose(1, 0, 2)))) <= bound
 
@@ -309,8 +313,8 @@ def abelian_split(algebra, tol=DEFAULT_TOL, seed=0):
     """
     dec = central_atoms(algebra, tol, seed)
     h = algebra.zero()
-    for z, block in zip(dec.atoms, dec.blocks):
-        if _is_commutative(block, tol):
+    for z, commutative in zip(dec.atoms, dec.commutative):
+        if commutative:
             h = h + z
     return h, colspace(h.lmat(), tol).shape[1]
 
@@ -486,8 +490,8 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=0):
         h, abelian_dim = abelian_split(algebra, tol, seed)
         h_json = _coeffs_json(h.coeffs)
         worst_units = 0.0
-        for z, block in zip(dec.atoms, dec.blocks):
-            if _is_commutative(block, tol):
+        for z, block, commutative in zip(dec.atoms, dec.blocks, dec.commutative):
+            if commutative:
                 abelian_atoms.append(_coeffs_json(z.coeffs))
                 continue
             units, residual = block_star_isomorphism(block.algebra, tol, seed)

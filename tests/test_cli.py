@@ -95,9 +95,15 @@ _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"
     (_NAN_STAR, ["analyze"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "unit": [[float("inf"), 0.0]]},
      ["validate"]),
+    ({"dim": 1.5, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]]}, ["analyze"]),
+    ({"dim": True, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]]}, ["analyze"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0], [0, 0, 0, 2.0, 0.0]], "star": [[0, 0, 1.0, 0.0]]}, ["validate"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0], [0, 0, 1.0, 0.0]]}, ["validate"]),
+    ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "labels": "x"}, ["validate"]),
 ], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
         "ragged-table", "mul-index-negative", "star-index-negative", "labels-length",
-        "star-nan-validate", "star-nan-analyze", "unit-inf"])
+        "star-nan-validate", "star-nan-analyze", "unit-inf", "dim-float", "dim-bool",
+        "mul-duplicate", "star-duplicate", "labels-string"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))

@@ -1,5 +1,6 @@
 """The product kernel and the batched decompositions against the code they replaced, and one home for it."""
 
+import ast
 import re
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import staralg as sa
-from staralg import spectral, structure
+from staralg import core, groups, spectral, structure
 from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
 
@@ -127,6 +128,75 @@ def _loop_compress(algebra, u):
     return out, worst
 
 
+# -- the sites that read ``mul`` before the kernel was its only reader, as they were written
+
+def ref_unit_solution(c):
+    n = c.shape[0]
+    lhs = np.concatenate([c.reshape(n, n * n).T, c.transpose(1, 0, 2).reshape(n, n * n).T])
+    rhs = np.concatenate([np.eye(n).reshape(n * n), np.eye(n).reshape(n * n)]).astype(complex)
+    u, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return u, float(np.linalg.norm(lhs @ u - rhs)) / np.sqrt(2 * n)
+
+
+def ref_trace_form(c):
+    n = c.shape[0]
+    return c.reshape(n, n * n) @ c.transpose(0, 2, 1).reshape(n, n * n).T
+
+
+def ref_unitize_mul(c):
+    n = c.shape[0]
+    out = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    out[0, 0, 0] = 1.0
+    for i in range(n):
+        out[0, i + 1, i + 1] = 1.0
+        out[i + 1, 0, i + 1] = 1.0
+    out[1:, 1:, 1:] = c
+    return out
+
+
+def ref_direct_sum_mul(c, d):
+    n, m = c.shape[0], d.shape[0]
+    out = np.zeros((n + m, n + m, n + m), dtype=complex)
+    out[:n, :n, :n] = c
+    out[n:, n:, n:] = d
+    return out
+
+
+def ref_json_mul(c):
+    return [[int(i), int(j), int(k), float(c[i, j, k].real), float(c[i, j, k].imag)]
+            for i, j, k in zip(*np.nonzero(np.abs(c) > 0))]
+
+
+def ref_validate(alg, tol=1e-9):
+    """``validate``'s defects and verdict, with ``c`` read from ``alg.mul``."""
+    n, c, s = alg.dim, alg.mul, alg.star
+    pairs = c.reshape(n * n, n)
+    assoc = float(np.max([
+        np.max(np.abs(alg._times_basis(c[i]) - (pairs @ c[i]).reshape(n, n, n))) for i in range(n)
+    ]))
+    dstar = float(np.max(np.abs(s @ np.conj(s) - np.eye(n))))
+    lhs = alg.star_coeffs(pairs).reshape(n, n, n).transpose(1, 0, 2)
+    inv = float(np.max([dstar, np.max(np.abs(lhs - alg.products(s.T, s.T)))]))
+    unit_defect = 0.0
+    if alg.unit is not None:
+        sides = np.stack([alg.left_mat(alg.unit), alg.right_mat(alg.unit)]) - np.eye(n)
+        unit_defect = float(np.max(np.linalg.norm(sides, axis=1)))
+    size = float(np.max(np.abs(c)))
+    bound = relative_bound(tol, size * size)
+    return assoc, inv, unit_defect, bool(np.isfinite(bound)) and all(d <= bound for d in (assoc, inv, unit_defect))
+
+
+def ref_group_algebra(group):
+    n = group.order
+    c = np.zeros((n, n, n), dtype=complex)
+    s = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        s[group.inverse[i], i] = 1.0
+        for j in range(n):
+            c[i, j, group.cayley[i, j]] = 1.0
+    return c, s
+
+
 def test_batched_sites_match_their_loops():
     rng = np.random.default_rng(3)
     alg = sa.semisimple_instance([3], 1, rng)
@@ -154,6 +224,30 @@ def test_batched_sites_match_their_loops():
     stack = np.concatenate([ref_left_mat(alg.mul, e) - ref_right_mat(alg.mul, e) for e in eye])
     ref = sa.linalg.nullspace(stack, 1e-9)
     assert _close(center @ center.conj().T, ref @ ref.conj().T)
+
+    # the sites that take basis products from the kernel give what reading mul gave, bit for bit
+    s4 = groups.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    for g in (s4, groups.quaternion_group()):
+        c, s = ref_group_algebra(g)
+        built = groups.build_group_algebra(g).algebra
+        assert np.array_equal(built.mul, c) and np.array_equal(built.star, s)
+    cs4 = groups.build_group_algebra(s4).algebra
+    adjoined = set()
+    for alg in _random_algebras() + [cs4]:
+        c = alg.mul
+        u, res = core._unit_solution(alg)
+        ref_u, ref_res = ref_unit_solution(c)
+        assert np.array_equal(u, ref_u) and res == ref_res
+        hull = sa.unital_hull(alg)
+        adjoined.add(hull.adjoined)
+        assert np.array_equal(core._trace_form(alg, 1e-9), ref_trace_form(hull.algebra.mul))
+        assert np.array_equal(sa.unitize(alg).mul, ref_unitize_mul(c))
+        assert np.array_equal(sa.direct_sum(alg, cs4).mul, ref_direct_sum_mul(c, cs4.mul))
+        assert sa.algebra_to_json(alg)["mul"] == ref_json_mul(c)
+        report = sa.validate(alg)
+        got = (report.associativity_defect, report.involution_defect, report.unit_defect, report.passed)
+        assert got == ref_validate(alg)
+    assert adjoined == {False, True}  # the trace form over a unital algebra and over an adjoined hull
 
 
 def _loop_certificate_residual(dec):
@@ -297,6 +391,29 @@ def test_mul_is_stored_contiguous():
     mul = np.zeros((3, 3, 3), dtype=complex).transpose(1, 2, 0)
     alg = sa.StarAlgebra(mul, np.eye(3))
     assert alg.mul.flags["C_CONTIGUOUS"]
+
+
+_MUL_READERS = {"StarAlgebra.__post_init__", "StarAlgebra.dim", "StarAlgebra._times_basis",
+                 "StarAlgebra.right_mat"}
+
+
+def _mul_attributes(node, scope=()):
+    """``(qualified name of the enclosing definition, line)`` of every ``.mul`` attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _mul_attributes(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "mul":
+            yield ".".join(scope), child.lineno
+        yield from _mul_attributes(child, scope)
+
+
+def test_structure_constants_have_one_reader():
+    hits = [f"{path.name}:{lineno}: {name or '<module>'}"
+            for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+            for name, lineno in _mul_attributes(ast.parse(path.read_text()))
+            if not (path.name == "core.py" and name in _MUL_READERS)]
+    assert not hits, "mul read outside the product kernel:\n" + "\n".join(hits)
 
 
 def test_no_einsum_in_the_package():
