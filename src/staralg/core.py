@@ -396,11 +396,19 @@ def algebra_to_json(algebra, tol=DEFAULT_TOL):
     return out
 
 
+def _no_bools(entry, name):
+    """A JSON row, unless it holds ``true`` or ``false``, which numpy and ``complex`` read as 1 and 0."""
+    if any(isinstance(x, bool) for x in entry):
+        raise MalformedInput(f"bad algebra JSON: boolean in {name} entry {entry!r}")
+    return entry
+
+
 def _from_entries(shape, entries, name):
     """Dense array from JSON ``[*index, re, im]`` entries; an index given twice is an error."""
     out = np.zeros(shape, dtype=complex)
     seen = set()
-    for *index, re, im in entries:
+    for entry in entries:
+        *index, re, im = _no_bools(entry, name)
         # ravel_multi_index rejects a wrong arity, non-integer indices and the negative ones out[index] would wrap
         flat = int(np.ravel_multi_index(index, shape))
         if flat in seen:
@@ -419,7 +427,8 @@ def algebra_from_json(data):
         s = np.ascontiguousarray(_from_entries((n, n), data["star"], "star").T)
         unit = None
         if data.get("unit") is not None:
-            unit = np.array([re + 1j * im for re, im in data["unit"]], dtype=complex)
+            pairs = [_no_bools(z, "unit") for z in data["unit"]]
+            unit = np.array([re + 1j * im for re, im in pairs], dtype=complex)
         labels = data.get("labels")
         if labels is not None:
             if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):

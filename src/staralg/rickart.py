@@ -10,7 +10,7 @@ from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, nullspace, require, require_each,
                      subspaces_equal)
-from .spectral import left_projection, right_projection
+from .spectral import _decomposition_scope, left_projection, right_projection
 
 
 @dataclass(frozen=True)
@@ -215,38 +215,44 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
     default 8 samples, so it reuses the cached pass when one ran at the same
     (tol, seed). Implementation guard: the sampled annihilator-generator
     witnesses check the code, not the theorem.
+
+    The call opens a decomposition scope (see ``staralg.spectral``), or joins
+    an enclosing ``analyze``'s, so the guard's RP(e_i) reuse the pass's
+    decompositions. The memo is dropped when the call returns: kept on the
+    algebra, it would grow with every later query.
     """
-    rng = np.random.default_rng(seed)
-    if not algebra.is_unital(tol):
-        return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})
-    wr = check_weakly_rickart(algebra, tol=tol, seed=seed)
-    if not wr.passed:
-        return CheckReport("baer", False, wr.worst_residual, seed,
-                           witness={"reason": "not weakly Rickart", "inner": wr.witness})
+    with _decomposition_scope():
+        rng = np.random.default_rng(seed)
+        if not algebra.is_unital(tol):
+            return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})
+        wr = check_weakly_rickart(algebra, tol=tol, seed=seed)
+        if not wr.passed:
+            return CheckReport("baer", False, wr.worst_residual, seed,
+                               witness={"reason": "not weakly Rickart", "inner": wr.witness})
 
-    n = algebra.dim
-    failures = 0
-    tested = 0
-    singles = algebra.basis()
-    if singleton_limit is not None:
-        singles = singles[:singleton_limit]
-    subsets = [[s] for s in singles]
-    pair_pool = min(pair_samples, n * (n - 1) // 2 if n > 1 else 0)
-    for _ in range(pair_pool):
-        i, j = rng.choice(n, size=2, replace=False)
-        subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
-    for _ in range(subset_samples):
-        k = int(rng.integers(1, n + 1))
-        subsets.append([random_element(algebra, rng) for _ in range(k)])
+        n = algebra.dim
+        failures = 0
+        tested = 0
+        singles = algebra.basis()
+        if singleton_limit is not None:
+            singles = singles[:singleton_limit]
+        subsets = [[s] for s in singles]
+        pair_pool = min(pair_samples, n * (n - 1) // 2 if n > 1 else 0)
+        for _ in range(pair_pool):
+            i, j = rng.choice(n, size=2, replace=False)
+            subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
+        for _ in range(subset_samples):
+            k = int(rng.integers(1, n + 1))
+            subsets.append([random_element(algebra, rng) for _ in range(k)])
 
-    for s in subsets:
-        tested += 1
-        result = annihilator(s, "right", tol)
-        if not result.is_principal_projection_ideal:
-            failures += 1
-    passed = failures == 0
-    return CheckReport("baer", passed, wr.worst_residual, seed,
-                       details={"witness_subsets": tested, "generator_failures": failures})
+        for s in subsets:
+            tested += 1
+            result = annihilator(s, "right", tol)
+            if not result.is_principal_projection_ideal:
+                failures += 1
+        passed = failures == 0
+        return CheckReport("baer", passed, wr.worst_residual, seed,
+                           details={"witness_subsets": tested, "generator_failures": failures})
 
 
 def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):

@@ -7,10 +7,23 @@ the clustered eigenvalues of the regular representation, so it stays inside
 the generated subalgebra by construction. Right projections,
 quasi-inverses, positive square roots and the EP witness are all read off the
 decomposition of a*a.
+
+While an ``analyze`` or ``check_baer`` call runs, each decomposition is
+computed once: ``spectral_decompose`` looks its input up in a memo keyed by
+``(parent, coefficient bytes, tol)``, so the Baer guard reuses the right
+projections the weakly-Rickart pass made, and equal inputs (g*g = 1 for every
+group element, e_ij* e_ij = e_jj in M_k) share one decomposition. The memo
+lives in a context variable, is opened by the outermost such call (an inner
+call shares it) and is dropped when that call returns. It is not kept in
+``algebra._cache``: on a long-lived algebra it would grow with every query,
+and a query outside a run computes afresh. Each caller's own certificates,
+such as ``a RP(a) = a``, still run on every call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +71,42 @@ def _certify(dec, tol):
             "decomposition certificates fail; the involution is likely not proper")
 
 
+# (parent, coefficient bytes, tol) -> SpectralDecomposition while a scope is open
+_MEMO = contextvars.ContextVar("staralg_decompositions", default=None)
+
+
+@contextlib.contextmanager
+def _decomposition_scope():
+    """Share decompositions among the calls inside; an inner scope reuses the outer memo."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def spectral_decompose(b, tol=DEFAULT_TOL):
     """Write a normal element as a sum of scaled orthogonal projections.
 
     The zero eigenvalue is omitted. Raises DecompositionFailed when the
     certificates cannot be met, which is the expected signal on non-proper
-    algebras.
+    algebras. Inside a decomposition scope an input seen before returns the
+    stored result; a failure is not stored.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _spectral_decompose(b, tol)
+    # the parent itself, not id(): a freed algebra's id can be reused
+    key = (b.parent, b.coeffs.tobytes(), tol)
+    if key not in memo:
+        memo[key] = _spectral_decompose(b, tol)
+    return memo[key]
+
+
+def _spectral_decompose(b, tol):
     scale = max(1.0, b.norm())
     both = np.stack([b.coeffs, b.star().coeffs])
     squares = b.parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
-from .spectral import _gram_matrix, spectral_decompose
+from .spectral import _decomposition_scope, _gram_matrix, spectral_decompose
 
 
 # -- radical and the basic checks ---------------------------------------------
@@ -447,90 +447,91 @@ class StructureReport:
 
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     """Run every checker and certify the block structure on Baer instances."""
-    report = validate(algebra, tol)
-    if not report.passed:
-        raise ValidationFailed(report)
+    with _decomposition_scope():
+        report = validate(algebra, tol)
+        if not report.passed:
+            raise ValidationFailed(report)
 
-    unital = algebra.is_unital(tol)
-    proper_rep = check_proper(algebra, tol, seed)
-    rad = radical(algebra, tol)
-    semisimple = not rad
-    herm_rep = check_hermitian(algebra, tol, seed)
-    wr_rep = check_weakly_rickart(algebra, tol=tol, seed=seed)
+        unital = algebra.is_unital(tol)
+        proper_rep = check_proper(algebra, tol, seed)
+        rad = radical(algebra, tol)
+        semisimple = not rad
+        herm_rep = check_hermitian(algebra, tol, seed)
+        wr_rep = check_weakly_rickart(algebra, tol=tol, seed=seed)
 
-    expected = proper_rep.passed
-    if (herm_rep.passed and semisimple) != expected or wr_rep.passed != expected:
-        raise InternalInconsistency(
-            f"equivalence coherence violated: proper={proper_rep.passed} "
-            f"hermitian={herm_rep.passed} semisimple={semisimple} "
-            f"weakly_rickart={wr_rep.passed}"
-        )
-
-    residuals = {
-        "associativity_defect": report.associativity_defect,
-        "involution_defect": report.involution_defect,
-        "gram_min_eig": proper_rep.details.get("gram_min_eig"),
-        "weakly_rickart_worst": wr_rep.worst_residual,
-    }
-    witness = proper_rep.witness
-
-    baer = False
-    h_json = None
-    blocks = []
-    abelian_dim = 0
-    isomorphisms = []
-    abelian_atoms = []
-    if unital and wr_rep.passed:
-        baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
-        baer = baer_rep.passed
-        residuals["baer_generator_failures"] = baer_rep.details.get("generator_failures", 0)
-
-    if baer:
-        dec = central_atoms(algebra, tol, seed)
-        h, abelian_dim = abelian_split(algebra, tol, seed)
-        h_json = _coeffs_json(h.coeffs)
-        worst_units = 0.0
-        for z, block, commutative in zip(dec.atoms, dec.blocks, dec.commutative):
-            if commutative:
-                abelian_atoms.append(_coeffs_json(z.coeffs))
-                continue
-            units, residual = block_star_isomorphism(block.algebra, tol, seed)
-            n = len(units)
-            blocks.append(n)
-            worst_units = max(worst_units, residual)
-            isomorphisms.append({
-                "size": n,
-                "atom": _coeffs_json(z.coeffs),
-                "matrix_units": [
-                    [_coeffs_json(block.embed(units[p][q]).coeffs) for q in range(n)]
-                    for p in range(n)
-                ],
-            })
-        blocks.sort()
-        if sum(n * n for n in blocks) + abelian_dim != algebra.dim:
+        expected = proper_rep.passed
+        if (herm_rep.passed and semisimple) != expected or wr_rep.passed != expected:
             raise InternalInconsistency(
-                f"block dimensions {blocks} + abelian {abelian_dim} != dim {algebra.dim}"
+                f"equivalence coherence violated: proper={proper_rep.passed} "
+                f"hermitian={herm_rep.passed} semisimple={semisimple} "
+                f"weakly_rickart={wr_rep.passed}"
             )
-        if any(n < 2 for n in blocks):
-            raise InternalInconsistency("non-abelian summand contains a 1x1 block")
-        residuals["matrix_unit_worst"] = worst_units
 
-    return StructureReport(
-        dim=algebra.dim,
-        unital=unital,
-        proper=proper_rep.passed,
-        hermitian=herm_rep.passed,
-        semisimple=semisimple,
-        radical_dim=len(rad),
-        weakly_rickart=wr_rep.passed,
-        baer=baer,
-        abelian_projection_h=h_json,
-        block_sizes_nonabelian=blocks,
-        abelian_dim=abelian_dim,
-        block_isomorphisms=isomorphisms,
-        abelian_atoms=abelian_atoms,
-        residuals=residuals,
-        witness=witness,
-        tol=tol,
-        seed=seed,
-    )
+        residuals = {
+            "associativity_defect": report.associativity_defect,
+            "involution_defect": report.involution_defect,
+            "gram_min_eig": proper_rep.details.get("gram_min_eig"),
+            "weakly_rickart_worst": wr_rep.worst_residual,
+        }
+        witness = proper_rep.witness
+
+        baer = False
+        h_json = None
+        blocks = []
+        abelian_dim = 0
+        isomorphisms = []
+        abelian_atoms = []
+        if unital and wr_rep.passed:
+            baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
+            baer = baer_rep.passed
+            residuals["baer_generator_failures"] = baer_rep.details.get("generator_failures", 0)
+
+        if baer:
+            dec = central_atoms(algebra, tol, seed)
+            h, abelian_dim = abelian_split(algebra, tol, seed)
+            h_json = _coeffs_json(h.coeffs)
+            worst_units = 0.0
+            for z, block, commutative in zip(dec.atoms, dec.blocks, dec.commutative):
+                if commutative:
+                    abelian_atoms.append(_coeffs_json(z.coeffs))
+                    continue
+                units, residual = block_star_isomorphism(block.algebra, tol, seed)
+                n = len(units)
+                blocks.append(n)
+                worst_units = max(worst_units, residual)
+                isomorphisms.append({
+                    "size": n,
+                    "atom": _coeffs_json(z.coeffs),
+                    "matrix_units": [
+                        [_coeffs_json(block.embed(units[p][q]).coeffs) for q in range(n)]
+                        for p in range(n)
+                    ],
+                })
+            blocks.sort()
+            if sum(n * n for n in blocks) + abelian_dim != algebra.dim:
+                raise InternalInconsistency(
+                    f"block dimensions {blocks} + abelian {abelian_dim} != dim {algebra.dim}"
+                )
+            if any(n < 2 for n in blocks):
+                raise InternalInconsistency("non-abelian summand contains a 1x1 block")
+            residuals["matrix_unit_worst"] = worst_units
+
+        return StructureReport(
+            dim=algebra.dim,
+            unital=unital,
+            proper=proper_rep.passed,
+            hermitian=herm_rep.passed,
+            semisimple=semisimple,
+            radical_dim=len(rad),
+            weakly_rickart=wr_rep.passed,
+            baer=baer,
+            abelian_projection_h=h_json,
+            block_sizes_nonabelian=blocks,
+            abelian_dim=abelian_dim,
+            block_isomorphisms=isomorphisms,
+            abelian_atoms=abelian_atoms,
+            residuals=residuals,
+            witness=witness,
+            tol=tol,
+            seed=seed,
+        )

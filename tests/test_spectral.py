@@ -1,12 +1,17 @@
 """Spectral decompositions, RP/LP, quasi-inverse, positive sqrt, EP witness, C*-norm."""
 
+import contextlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernel import _random_algebras
 
 import staralg as sa
-from staralg.instances import semisimple_instance
+from staralg import rickart, spectral, structure
+from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
 
 
 @pytest.fixture
@@ -187,3 +192,119 @@ def test_cstar_identity_random(seed):
     alg = sa.matrix_algebra(2)
     a = sa.random_element(alg, np.random.default_rng(seed))
     assert sa.cstar_norm(a.star() * a) == pytest.approx(sa.cstar_norm(a) ** 2, rel=1e-7)
+
+
+# -- one decomposition per input while analyze runs ----------------------------
+
+def _group_algebra(group):
+    return sa.build_group_algebra(group).algebra
+
+
+def _count_solves(monkeypatch):
+    """Record every numpy.linalg.eig call; spectral_decompose is its one caller."""
+    solves = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: solves.append(m.shape) or eig(m))
+    return solves
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    lambda: _group_algebra(sa.symmetric_group_3()),
+], ids=["M3", "C[S3]"])
+def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
+    solves = _count_solves(monkeypatch)
+    inputs = []
+    decompose = spectral.spectral_decompose
+
+    def recorded(b, tol=sa.DEFAULT_TOL):
+        inputs.append((b.parent, b.coeffs.tobytes(), tol))
+        return decompose(b, tol)
+
+    for module in (spectral, structure):
+        monkeypatch.setattr(module, "spectral_decompose", recorded)
+    sa.analyze(make())
+    assert len(solves) == len(set(inputs)) < len(inputs)
+
+
+def test_the_memo_ends_with_its_analyze_call(monkeypatch):
+    alg = sa.matrix_algebra(3)
+    sa.analyze(alg)
+    assert spectral._MEMO.get() is None
+    assert not any(isinstance(v, spectral.SpectralDecomposition) for v in alg._cache.values())
+    assert not any(key[0] in (spectral.spectral_decompose, spectral._spectral_decompose) for key in alg._cache)
+    solves = _count_solves(monkeypatch)
+    a = alg.element(np.arange(9.0))
+    first, second = sa.right_projection(a), sa.right_projection(a)
+    assert len(solves) == 2
+    np.testing.assert_array_equal(first.coeffs, second.coeffs)
+
+
+def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
+    """The guard's singletons ask for RP(e_i) again; none of its misses repeats one of the pass."""
+    alg = sa.matrix_algebra(3)
+    phase = ["other"]
+    made = {"other": [], "pass": [], "guard": []}
+    asked_in_guard = set()
+
+    def in_phase(name, fn):
+        def run(*args, **kwargs):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = outer
+        return run
+
+    monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
+    monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
+    solve, decompose = spectral._spectral_decompose, spectral.spectral_decompose
+
+    def solved(b, tol):
+        made[phase[0]].append(b.coeffs.tobytes())
+        return solve(b, tol)
+
+    def asked(b, tol=sa.DEFAULT_TOL):
+        if phase[0] == "guard":
+            asked_in_guard.add(b.coeffs.tobytes())
+        return decompose(b, tol)
+
+    monkeypatch.setattr(spectral, "_spectral_decompose", solved)
+    monkeypatch.setattr(spectral, "spectral_decompose", asked)
+    assert sa.analyze(alg).baer
+    basis_inputs = {spectral._selfadjoint_part(e.star() * e).coeffs.tobytes() for e in alg.basis()}
+    assert basis_inputs <= set(made["pass"])
+    assert len(basis_inputs & asked_in_guard) >= 3  # the guard's singletons e_0, e_1, e_2
+    assert not set(made["guard"]) & set(made["pass"])
+    every = made["other"] + made["pass"] + made["guard"]
+    assert len(every) == len(set(every))
+
+
+def _memo_corpus():
+    """Fresh instances on every call, so no per-algebra cache carries over."""
+    return _random_algebras() + [
+        sa.matrix_algebra(4),
+        _group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+        _group_algebra(sa.dihedral_group(6)),
+        swap_mutant(1),
+        nilpotent_mutant(2),
+    ]
+
+
+def _report_json(alg, seed):
+    try:
+        return json.dumps(sa.analyze(alg, seed=seed).to_dict())
+    except sa.ValidationFailed as exc:  # the random constants are not associative
+        return repr(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_reports_are_byte_identical_without_the_memo(monkeypatch, seed):
+    solves = _count_solves(monkeypatch)
+    with_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
+    solved_with_memo = len(solves)
+    for module in (structure, rickart):
+        monkeypatch.setattr(module, "_decomposition_scope", contextlib.nullcontext)
+    without_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
+    assert len(solves) - solved_with_memo > solved_with_memo
+    assert without_memo == with_memo
