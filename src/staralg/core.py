@@ -13,7 +13,7 @@ kernel as ``_times_basis(I)`` or ``products(I, I)``, in ``mul``'s layout.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -214,14 +214,7 @@ class ValidationReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "dim": self.dim,
-            "associativity_defect": self.associativity_defect,
-            "involution_defect": self.involution_defect,
-            "unit_defect": self.unit_defect,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def validate(algebra, tol=DEFAULT_TOL):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ def group_from_cayley(table, labels=None):
         t = np.asarray(table, dtype=int)
     except (TypeError, ValueError) as exc:
         raise GroupTableError(f"table is not a rectangular integer array: {exc}") from exc
-    if not np.array_equal(t, table):
+    # numpy reads true and false as 1 and 0, so a table of booleans would pass array_equal
+    if not np.array_equal(t, table) or any(isinstance(x, bool) for x in np.asarray(table, dtype=object).flat):
         raise GroupTableError("table entries are not integers")
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 1:
         raise GroupTableError(f"table has shape {t.shape}, expected square")
@@ -76,13 +78,21 @@ def group_from_cayley(table, labels=None):
     return FiniteGroup(t, identity, inverse, tuple(labels) if labels else None)
 
 
+def _integer(x, name):
+    """``x`` as an int when it is an integral number such as 3 or 3.0; a bool, 1.9 or 3.7 is an error."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()):
+        raise GroupTableError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def group_from_permutations(degree, generators, cap=10000):
     """Closure of permutation generators; errors past `cap` (possibly infinite group)."""
+    degree, cap = _integer(degree, "degree"), _integer(cap, "cap")
     if cap < 1:
         raise GroupTableError("cap must be >= 1")
     gens = []
     for g in generators:
-        g = tuple(int(x) for x in g)
+        g = tuple(_integer(x, "generator entry") for x in g)
         if sorted(g) != list(range(degree)):
             raise GroupTableError(f"{g} is not a permutation of degree {degree}")
         gens.append(g)
@@ -160,12 +170,6 @@ def quaternion_group():
 
 # -- group algebras -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupAlgebraBuild:
-    group: FiniteGroup
-    algebra: StarAlgebra
-
-
 def build_group_algebra(group):
     """C[G]: basis indexed by group elements, involution g -> g^{-1} with conjugation."""
     n = group.order
@@ -177,7 +181,7 @@ def build_group_algebra(group):
     unit = np.zeros(n, dtype=complex)
     unit[group.identity] = 1.0
     labels = group.labels if group.labels else tuple(f"g{i}" for i in range(n))
-    return GroupAlgebraBuild(group, StarAlgebra(c, s, unit=unit, labels=labels))
+    return StarAlgebra(c, s, unit=unit, labels=labels)
 
 
 def certify_group_theorem(group, tol=DEFAULT_TOL, seed=0):
@@ -187,8 +191,7 @@ def certify_group_theorem(group, tol=DEFAULT_TOL, seed=0):
     a proper, semisimple Baer *-algebra with sum n_k^2 = |G| and exactly one
     block per conjugacy class.
     """
-    build = build_group_algebra(group)
-    report = analyze(build.algebra, tol=tol, seed=seed)
+    report = analyze(build_group_algebra(group), tol=tol, seed=seed)
     if not (report.proper and report.semisimple and report.baer):
         raise InternalInconsistency(
             f"group algebra of a finite group failed checks: proper={report.proper} "
@@ -216,9 +219,7 @@ def group_from_json(data):
         if kind == "cayley":
             return group_from_cayley(data["table"])
         if kind == "perm":
-            return group_from_permutations(
-                int(data["degree"]), data["generators"], cap=int(data.get("cap", 10000))
-            )
+            return group_from_permutations(data["degree"], data["generators"], cap=data.get("cap", 10000))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GroupTableError(f"bad group JSON: {exc!r}") from exc
     raise GroupTableError(f"unknown group JSON type {kind!r}")

@@ -77,15 +77,6 @@ def direct_sum(a, b):
     return StarAlgebra(c, s, unit=unit)
 
 
-def swap_algebra():
-    """C + C with the coordinate-swap involution: semisimple but not proper."""
-    c = np.zeros((2, 2, 2), dtype=complex)
-    c[0, 0, 0] = 1.0
-    c[1, 1, 1] = 1.0
-    s = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return StarAlgebra(c, s, unit=np.array([1.0, 1.0]))
-
-
 def nilpotent_line():
     """The non-unital algebra C x with x^2 = 0 and x* = x."""
     c = np.zeros((1, 1, 1), dtype=complex)
@@ -142,8 +133,8 @@ def semisimple_instance(block_sizes, abelian_dim, rng):
     return from_matrix_basis(mats)
 
 
-def swap_mutant(pairs, rng=None):
-    """C^(2*pairs) with the involution swapping each coordinate pair (non-proper)."""
+def swap_mutant(pairs):
+    """C^(2*pairs) with the involution swapping each coordinate pair: semisimple, not proper."""
     n = 2 * pairs
     c = np.zeros((n, n, n), dtype=complex)
     for i in range(n):

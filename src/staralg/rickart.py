@@ -39,7 +39,6 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class AnnihilatorResult:
-    side: str
     subspace_basis: list          # Elements, orthonormal coefficient vectors
     generator: Element | None
     is_principal_projection_ideal: bool
@@ -80,28 +79,22 @@ def meet(e, f, tol=DEFAULT_TOL):
     return g
 
 
-def _stacked_kernel(elements, side, tol):
-    mats = [a.lmat() if side == "right" else a.rmat() for a in elements]
-    return nullspace(np.concatenate(mats, axis=0), tol)
+def annihilator(elements, tol=DEFAULT_TOL):
+    """Right annihilator {x : a x = 0 for every a in the set}, with projection generator.
 
-
-def annihilator(elements, side="right", tol=DEFAULT_TOL):
-    """Right (or left) annihilator of a finite set, with projection generator.
-
-    The subspace is the exact kernel of the stacked multiplication operators.
-    The generator search uses the complement of the join of the right (left)
-    projections of the input elements when the algebra is unital and proper,
-    falling back to the generic right-ideal search.
+    The subspace is the exact kernel of the stacked left-multiplication
+    operators. The generator search uses the complement of the join of the
+    right projections of the input elements when the algebra is unital and
+    proper, falling back to the generic right-ideal search. Left annihilators
+    follow through the involution: ann_l(S) = ann_r(S*)*.
     """
     if not elements:
         raise NotARightIdeal("annihilator of the empty set is not defined")
     algebra = elements[0].parent
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     for a in elements[1:]:
         elements[0]._check(a)
 
-    kernel = _stacked_kernel(elements, side, tol)
+    kernel = nullspace(np.concatenate([a.lmat() for a in elements], axis=0), tol)
     basis = [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
     generator = None
@@ -110,36 +103,33 @@ def annihilator(elements, side="right", tol=DEFAULT_TOL):
         try:
             j = algebra.zero()
             for a in elements:
-                p = right_projection(a, tol) if side == "right" else left_projection(a, tol)
-                j = join(j, p, tol)
+                j = join(j, right_projection(a, tol), tol)
             f = Element(algebra, unit) - j
-            if _generates(f, kernel, side, tol):
+            if _generates(f, kernel, tol):
                 generator = f
         except DecompositionFailed:
             generator = None
     if generator is None and kernel.shape[1] == 0:
         generator = algebra.zero()
     if generator is None:
-        generator = _ideal_generator(algebra, basis, side, tol)
-    return AnnihilatorResult(side, basis, generator, generator is not None)
+        generator = _ideal_generator(algebra, basis, tol)
+    return AnnihilatorResult(basis, generator, generator is not None)
 
 
-def _generates(f, subspace, side, tol):
-    """span(fA) == span(subspace) (right side; Af for the left side)."""
-    mat = f.lmat() if side == "right" else f.rmat()
-    return subspaces_equal(colspace(mat, tol), subspace, membership_bound(tol))
+def _generates(f, subspace, tol):
+    """span(fA) == span(subspace)."""
+    return subspaces_equal(colspace(f.lmat(), tol), subspace, membership_bound(tol))
 
 
-def _ideal_generator(algebra, basis, side, tol):
+def _ideal_generator(algebra, basis, tol):
     try:
         f = algebra.zero()
         for x in basis:
-            p = left_projection(x, tol) if side == "right" else right_projection(x, tol)
-            f = join(f, p, tol)
+            f = join(f, left_projection(x, tol), tol)
     except DecompositionFailed:
         return None
     subspace = np.stack([x.coeffs for x in basis], axis=1)
-    return f if _generates(f, colspace(subspace, tol), side, tol) else None
+    return f if _generates(f, colspace(subspace, tol), tol) else None
 
 
 def projection_generator(ideal_basis, tol=DEFAULT_TOL):
@@ -160,21 +150,24 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
     if span.shape[1] == 0:
         return algebra.zero()
     basis = [Element(algebra, span[:, i]) for i in range(span.shape[1])]
-    return _ideal_generator(algebra, basis, "right", tol)
+    return _ideal_generator(algebra, basis, tol)
 
 
-def check_weakly_rickart(algebra, samples=8, tol=DEFAULT_TOL, seed=0):
-    """Construct RP(a) for basis and sampled elements and verify both axioms.
+def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
+    """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    Cached per (samples, tol, seed)."""
-    return _cached(algebra, _weakly_rickart_pass, samples, tol, seed)
+    Cached per (tol, seed). The pass opens a decomposition scope, or joins an
+    enclosing ``analyze`` or ``check_baer`` call's, so equal inputs share one
+    decomposition."""
+    with _decomposition_scope():
+        return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
-def _weakly_rickart_pass(algebra, samples, tol, seed):
+def _weakly_rickart_pass(algebra, tol, seed):
     rng = np.random.default_rng(seed)
     bound = certificate_bound(tol)
     worst = 0.0
-    tested = algebra.basis() + [random_element(algebra, rng) for _ in range(samples)]
+    tested = algebra.basis() + [random_element(algebra, rng) for _ in range(8)]
     for a in tested:
         if a.norm() <= tol:
             continue
@@ -211,10 +204,10 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
 
     In finite dimension the projection lattice of a Rickart *-algebra is
     automatically complete, so the reduction to 'unital and weakly Rickart'
-    is exact. The weakly-Rickart part is ``check_weakly_rickart`` at its
-    default 8 samples, so it reuses the cached pass when one ran at the same
-    (tol, seed). Implementation guard: the sampled annihilator-generator
-    witnesses check the code, not the theorem.
+    is exact. The weakly-Rickart part is ``check_weakly_rickart``, so it
+    reuses the cached pass when one ran at the same (tol, seed).
+    Implementation guard: the sampled annihilator-generator witnesses check
+    the code, not the theorem.
 
     The call opens a decomposition scope (see ``staralg.spectral``), or joins
     an enclosing ``analyze``'s, so the guard's RP(e_i) reuse the pass's
@@ -247,7 +240,7 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
 
         for s in subsets:
             tested += 1
-            result = annihilator(s, "right", tol)
+            result = annihilator(s, tol)
             if not result.is_principal_projection_ideal:
                 failures += 1
         passed = failures == 0

@@ -8,11 +8,12 @@ the generated subalgebra by construction. Right projections,
 quasi-inverses, positive square roots and the EP witness are all read off the
 decomposition of a*a.
 
-While an ``analyze`` or ``check_baer`` call runs, each decomposition is
-computed once: ``spectral_decompose`` looks its input up in a memo keyed by
-``(parent, coefficient bytes, tol)``, so the Baer guard reuses the right
-projections the weakly-Rickart pass made, and equal inputs (g*g = 1 for every
-group element, e_ij* e_ij = e_jj in M_k) share one decomposition. The memo
+While an ``analyze``, ``check_baer`` or ``check_weakly_rickart`` call runs,
+each decomposition is computed once: ``spectral_decompose`` looks its input
+up in a memo keyed by ``(parent, coefficient bytes, tol)``, so the Baer guard
+reuses the right projections the weakly-Rickart pass made, and equal inputs
+(g*g = 1 for every group element, e_ij* e_ij = e_jj in M_k) share one
+decomposition. The memo
 lives in a context variable, is opened by the outermost such call (an inner
 call shares it) and is dropped when that call returns. It is not kept in
 ``algebra._cache``: on a long-lived algebra it would grow with every query,

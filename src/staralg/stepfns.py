@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import StarAlgebra
 from .errors import MalformedInput, ParentMismatch
+from .instances import diagonal_algebra
 
 
 @dataclass(frozen=True)
@@ -240,11 +240,8 @@ def sf_constant(backend, value):
     return StepFunction(backend, _normalize(backend, [(backend.universe, ExactComplex.of(value))]))
 
 
-def sf_indicator(backend, subset, value=1):
-    comp = backend.complement(subset)
-    return StepFunction(backend, _normalize(
-        backend, [(subset, ExactComplex.of(value)), (comp, ZERO)]
-    ))
+def sf_indicator(backend, subset):
+    return StepFunction(backend, _normalize(backend, [(subset, ONE), (backend.complement(subset), ZERO)]))
 
 
 def _combine(f, g, op):
@@ -266,10 +263,6 @@ def sf_add(f, g):
 
 def sf_mul(f, g):
     return _combine(f, g, lambda a, b: a * b)
-
-
-def sf_sub(f, g):
-    return _combine(f, g, lambda a, b: a - b)
 
 
 def sf_star(f):
@@ -341,11 +334,7 @@ def export_finite_backend(backend):
     """The finite-backend algebra as structure constants (point-mass basis)."""
     if not isinstance(backend, FiniteSubsets):
         raise MalformedInput("only finite backends export to structure constants")
-    n = backend.n
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        c[i, i, i] = 1.0
-    return StarAlgebra(c, np.eye(n, dtype=complex), unit=np.ones(n, dtype=complex))
+    return diagonal_algebra(backend.n)
 
 
 def step_to_coeffs(f):

@@ -3,7 +3,7 @@ matrix-unit block isomorphisms, and the composite structure report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,8 +111,7 @@ def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
     """A / rad as a StarAlgebra on the orthogonal complement of the radical."""
     r = np.stack([x.coeffs for x in rad_basis], axis=1)
     u = nullspace(r.conj().T, tol)
-    quotient, _ = _compress(algebra, u, algebra.unit_vector(tol))
-    return quotient, u
+    return _compress(algebra, u, algebra.unit_vector(tol))[0]
 
 
 def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
@@ -126,8 +125,7 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
         # radical quotient is the zero algebra, vacuously proper
         inner = CheckReport("proper", True, 0.0, seed)
     elif rad_basis:
-        quotient, _ = quotient_by_radical(algebra, rad_basis, tol)
-        inner = check_proper(quotient, tol, seed)
+        inner = check_proper(quotient_by_radical(algebra, rad_basis, tol), tol, seed)
     else:
         inner = check_proper(algebra, tol, seed)
 
@@ -157,7 +155,6 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
 
 @dataclass(frozen=True)
 class CentralDecomposition:
-    center_basis: list
     atoms: list
     blocks: list  # the ideal zA of each atom z, as a SubAlgebra with unit z
     commutative: list  # whether each block is commutative
@@ -221,7 +218,7 @@ def _central_atoms(algebra, tol, seed):
     blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
     blocks = [blocks[i] for i in order]
-    return CentralDecomposition(zbasis, [atoms[i] for i in order], blocks,
+    return CentralDecomposition([atoms[i] for i in order], blocks,
                                 [_is_commutative(b, tol) for b in blocks])
 
 
@@ -424,25 +421,8 @@ class StructureReport:
     seed: int
 
     def to_dict(self):
-        return {
-            "dim": self.dim,
-            "unital": self.unital,
-            "proper": self.proper,
-            "hermitian": self.hermitian,
-            "semisimple": self.semisimple,
-            "radical_dim": self.radical_dim,
-            "weakly_rickart": self.weakly_rickart,
-            "baer": self.baer,
-            "abelian_projection_h": self.abelian_projection_h,
-            "blocks": self.block_sizes_nonabelian,
-            "abelian_dim": self.abelian_dim,
-            "block_isomorphisms": self.block_isomorphisms,
-            "abelian_atoms": self.abelian_atoms,
-            "residuals": self.residuals,
-            "witness": self.witness,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        """The fields in order, with ``block_sizes_nonabelian`` under the key ``"blocks"``."""
+        return {("blocks" if k == "block_sizes_nonabelian" else k): v for k, v in asdict(self).items()}
 
 
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):

@@ -123,11 +123,11 @@ def test_criterion_4_group_algebras():
 
 def test_criterion_5_degenerate_instances():
     """Non-proper and non-semisimple instances are flagged with usable witnesses."""
-    r = sa.analyze(sa.swap_algebra())
+    r = sa.analyze(swap_mutant(1))
     ok = not r.proper and r.witness is not None
     if ok:
         coeffs = [complex(re, im) for re, im in r.witness["element"]]
-        a = sa.swap_algebra().element(coeffs)
+        a = swap_mutant(1).element(coeffs)
         ok = a.norm() > 1e-3 and (a.star() * a).norm() <= 1e-8
 
     r2 = sa.analyze(sa.unitized_nilpotent())
@@ -187,7 +187,7 @@ def test_criterion_7_exact_commutative_oracle():
                     worst = max(worst, float(np.max(np.abs(
                         got[key].coeffs - step_to_coeffs(ind)))))
 
-            ann = sa.annihilator([a], "right")
+            ann = sa.annihilator([a])
             exact_gen = step_to_coeffs(sf_annihilator([f]))
             worst = max(worst, float(np.max(np.abs(ann.generator.coeffs - exact_gen))))
     _report("criterion 7: float pipeline matches exact commutative oracle",

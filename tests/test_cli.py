@@ -103,11 +103,18 @@ _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"
     ({"dim": 2, "mul": [[True, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0], [1, 1, 1.0, 0.0]]}, ["validate"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, True, False]]}, ["validate"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "unit": [[True, False]]}, ["validate"]),
+    ({"type": "perm", "degree": 3, "generators": [[1.9, 0, 2]]}, ["group"]),
+    ({"type": "perm", "degree": 3.7, "generators": [[1, 0, 2]]}, ["group"]),
+    ({"type": "perm", "degree": 3, "generators": [[1, 0, 2]], "cap": 2.5}, ["group"]),
+    ({"type": "perm", "degree": True, "generators": [[0]]}, ["group"]),
+    ({"type": "perm", "degree": 3, "generators": [[True, False, 2]]}, ["group"]),
+    ({"type": "cayley", "table": [[0, True], [True, 0]]}, ["group"]),
 ], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
         "ragged-table", "mul-index-negative", "star-index-negative", "labels-length",
         "star-nan-validate", "star-nan-analyze", "unit-inf", "dim-float", "dim-bool",
         "mul-duplicate", "star-duplicate", "labels-string", "mul-index-bool", "star-number-bool",
-        "unit-bool"])
+        "unit-bool", "perm-entry-float", "perm-degree-float", "perm-cap-float", "perm-degree-bool",
+        "perm-entry-bool", "cayley-bool"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))

@@ -1,6 +1,8 @@
 """Data model, arithmetic, validation, unitization, spectra."""
 
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
+from staralg import groups
 from staralg.core import algebra_from_json, algebra_to_json
+from staralg.instances import swap_mutant
 
 
 @pytest.fixture
@@ -21,6 +25,26 @@ def test_validate_matrix_algebra(m2):
     assert report.passed
     assert report.associativity_defect == 0.0
     assert report.involution_defect == 0.0
+    assert list(report.to_dict()) == [
+        "dim", "associativity_defect", "involution_defect", "unit_defect", "tol", "passed"]
+
+
+def test_public_names_carry_only_used_options():
+    """Each option has a caller that sets it; a second spelling of a constructor is gone."""
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(sa.annihilator) == ["elements", "tol"]
+    assert params(sa.check_weakly_rickart) == ["algebra", "tol", "seed"]
+    assert params(sa.sf_indicator) == ["backend", "subset"]
+    assert params(swap_mutant) == ["pairs"]
+    for name in ("swap_algebra", "sf_sub"):
+        assert not hasattr(sa, name)
+    assert not hasattr(groups, "GroupAlgebraBuild")
+    assert isinstance(sa.build_group_algebra(sa.cyclic_group(2)), sa.StarAlgebra)
+    assert [f.name for f in fields(sa.AnnihilatorResult)] == [
+        "subspace_basis", "generator", "is_principal_projection_ideal"]
+    assert [f.name for f in fields(sa.CentralDecomposition)] == ["atoms", "blocks", "commutative"]
 
 
 def test_validate_rejects_broken_associativity():

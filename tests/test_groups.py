@@ -45,6 +45,19 @@ def test_group_from_cayley_rejects_bad_tables():
         sa.group_from_cayley([[1, 0], [0, 2]])  # out of range
     with pytest.raises(sa.GroupTableError):
         sa.group_from_cayley([[0, 1.9], [1, 0.2]])  # not integers; truncation would give C2
+    with pytest.raises(sa.GroupTableError):
+        sa.group_from_cayley([[0, True], [True, 0]])  # booleans; numpy would read C2
+    # the permutation form takes the same rule: truncation would give (0 1) of degree 3, cap 2
+    for bad in ({"degree": 3, "generators": [[1.9, 0, 2]]},
+                {"degree": 3.7, "generators": [[1, 0, 2]]},
+                {"degree": 3, "generators": [[1, 0, 2]], "cap": 2.5},
+                {"degree": True, "generators": [[0]]},
+                {"degree": 3, "generators": [[True, False, 2]]}):
+        with pytest.raises(sa.GroupTableError):
+            group_from_json({"type": "perm", **bad})
+    # integral floats stay accepted
+    assert group_from_json({"type": "perm", "degree": 3.0, "generators": [[1.0, 0, 2]], "cap": 10.0}).order == 2
+    assert sa.group_from_cayley([[0, 1.0], [1, 0]]).order == 2
 
 
 def test_group_from_permutations_closure_cap():
@@ -53,8 +66,7 @@ def test_group_from_permutations_closure_cap():
 
 
 def test_group_algebra_structure():
-    build = build_group_algebra(sa.cyclic_group(3))
-    alg = build.algebra
+    alg = build_group_algebra(sa.cyclic_group(3))
     assert alg.is_unital()
     rep = sa.validate(alg)
     assert rep.passed

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
-from staralg.instances import semisimple_instance
+from staralg.instances import semisimple_instance, swap_mutant
 from staralg.rickart import orthogonal_family
 
 
@@ -21,7 +21,7 @@ def _as_matrix(a):
 
 def test_annihilator_of_e11(m2):
     # [DERIVED] right annihilator of E_11 in M_2 is span{E_21, E_22} = E_22 M_2
-    result = sa.annihilator([m2.element([1, 0, 0, 0])], "right")
+    result = sa.annihilator([m2.element([1, 0, 0, 0])])
     assert result.dim == 2
     assert result.is_principal_projection_ideal
     assert np.allclose(_as_matrix(result.generator), [[0, 0], [0, 1]])
@@ -31,22 +31,28 @@ def test_annihilator_of_e11(m2):
 
 
 def test_annihilator_left_side(m2):
-    # [DERIVED] left annihilator of E_11 is M_2 E_22 = span{E_12, E_22}
-    result = sa.annihilator([m2.element([1, 0, 0, 0])], "left")
-    assert result.dim == 2
-    assert np.allclose(_as_matrix(result.generator), [[0, 0], [0, 1]])
+    # [DERIVED] the left annihilator {x : x E_11 = 0} is M_2 E_22 = span{E_12, E_22};
+    # it is ann_r({E_11*})*, the involution of a right annihilator
+    e11 = m2.element([1, 0, 0, 0])
+    result = sa.annihilator([e11.star()])
+    left = [x.star() for x in result.subspace_basis]
+    assert len(left) == 2
+    for x in left:
+        assert (x * e11).norm() < 1e-12
+        assert np.allclose(_as_matrix(x)[:, 0], 0)  # first column zero <=> x E_11 = 0
+    assert np.allclose(_as_matrix(result.generator.star()), [[0, 0], [0, 1]])  # M_2 E_22 = M_2 f*
 
 
 def test_annihilator_of_invertible_is_zero(m2):
     one = m2.element([1, 0, 0, 1])
-    result = sa.annihilator([one], "right")
+    result = sa.annihilator([one])
     assert result.dim == 0
     assert result.generator.norm() < 1e-12
 
 
 def test_annihilator_of_whole_set(m2):
     # annihilator of {E_11, E_21} is still E_22 M_2; of the basis it is 0
-    result = sa.annihilator([m2.basis_element(i) for i in range(4)], "right")
+    result = sa.annihilator([m2.basis_element(i) for i in range(4)])
     assert result.dim == 0
 
 
@@ -103,7 +109,7 @@ def test_check_weakly_rickart_passes_on_matrix_algebra(m2):
 
 
 def test_check_weakly_rickart_fails_on_swap_algebra():
-    report = sa.check_weakly_rickart(sa.swap_algebra())
+    report = sa.check_weakly_rickart(swap_mutant(1))
     assert not report.passed
     assert report.witness is not None
 
@@ -159,7 +165,7 @@ def test_join_is_lub_random(seed):
 def test_annihilator_kernel_is_exact(seed):
     alg = sa.matrix_algebra(2)
     a = sa.random_element(alg, np.random.default_rng(seed))
-    result = sa.annihilator([a], "right")
+    result = sa.annihilator([a])
     for x in result.subspace_basis:
         assert (a * x).norm() < 1e-9 * max(1.0, a.norm())
     if result.generator is not None and result.dim:

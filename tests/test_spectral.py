@@ -51,7 +51,7 @@ def test_spectral_decompose_rejects_nonnormal(m2):
 def test_spectral_decompose_fails_on_swap_algebra():
     # the swap involution is not proper; (1,0) is "selfadjoint-able" but has
     # no orthogonal spectral resolution
-    alg = sa.swap_algebra()
+    alg = swap_mutant(1)
     a = alg.element([1.0, 1.0j]) + alg.element([1.0, 1.0j]).star()
     with pytest.raises(sa.DecompositionFailed):
         dec = sa.spectral_decompose(a)
@@ -148,7 +148,7 @@ def test_cstar_norm_basis_independent():
 @pytest.mark.parametrize("make", [
     lambda: sa.matrix_algebra(3),
     sa.nilpotent_line,
-    sa.swap_algebra,
+    pytest.param(lambda: swap_mutant(1), id="swap_algebra"),  # C + C with the swap involution
     sa.unitized_nilpotent,
     lambda: semisimple_instance([3, 2], 1, np.random.default_rng(8)),
 ])
@@ -172,7 +172,7 @@ def test_gram_matrix_matches_per_pair_traces(make):
 
 def test_cstar_norm_rejects_improper():
     with pytest.raises(sa.NoCStarNorm):
-        sa.cstar_norm(sa.swap_algebra().element([1.0, 0.0]))
+        sa.cstar_norm(swap_mutant(1).element([1.0, 0.0]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -196,10 +196,6 @@ def test_cstar_identity_random(seed):
 
 # -- one decomposition per input while analyze runs ----------------------------
 
-def _group_algebra(group):
-    return sa.build_group_algebra(group).algebra
-
-
 def _count_solves(monkeypatch):
     """Record every numpy.linalg.eig call; spectral_decompose is its one caller."""
     solves = []
@@ -210,10 +206,16 @@ def _count_solves(monkeypatch):
 
 @pytest.mark.parametrize("make", [
     lambda: sa.matrix_algebra(3),
-    lambda: _group_algebra(sa.symmetric_group_3()),
+    lambda: sa.build_group_algebra(sa.symmetric_group_3()),
 ], ids=["M3", "C[S3]"])
 def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    solves = _count_solves(monkeypatch)
+    solves, inputs = _count_solves(monkeypatch), _record_inputs(monkeypatch)
+    sa.analyze(make())
+    assert len(solves) == len(set(inputs)) < len(inputs)
+
+
+def _record_inputs(monkeypatch):
+    """Record the (parent, coefficients, tol) key of every spectral_decompose call."""
     inputs = []
     decompose = spectral.spectral_decompose
 
@@ -223,7 +225,17 @@ def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
 
     for module in (spectral, structure):
         monkeypatch.setattr(module, "spectral_decompose", recorded)
-    sa.analyze(make())
+    return inputs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    lambda: sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+], ids=["M3", "C[S4]"])
+def test_check_weakly_rickart_alone_runs_the_solver_once_per_distinct_input(monkeypatch, make):
+    """Called outside analyze, the pass opens its own decomposition scope."""
+    solves, inputs = _count_solves(monkeypatch), _record_inputs(monkeypatch)
+    assert sa.check_weakly_rickart(make()).passed
     assert len(solves) == len(set(inputs)) < len(inputs)
 
 
@@ -284,8 +296,8 @@ def _memo_corpus():
     """Fresh instances on every call, so no per-algebra cache carries over."""
     return _random_algebras() + [
         sa.matrix_algebra(4),
-        _group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
-        _group_algebra(sa.dihedral_group(6)),
+        sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+        sa.build_group_algebra(sa.dihedral_group(6)),
         swap_mutant(1),
         nilpotent_mutant(2),
     ]
