@@ -62,6 +62,8 @@ class StarAlgebra:
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.dim,):
             raise MalformedInput(f"coefficient vector length {coeffs.shape} != dim {self.dim}")
+        if not np.isfinite(coeffs).all():
+            raise MalformedInput("coefficients must be finite")
         return Element(self, coeffs)
 
     def basis_element(self, i):
@@ -294,7 +296,7 @@ class UnitalHull:
         res = np.linalg.norm(proj @ self.embed_mat.T - coeffs, axis=-1)
         outside = np.flatnonzero(res > certificate_bound(tol) * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)))
         if outside.size:
-            raise IllConditioned("hull element does not lie in the base algebra", float(res[outside[0]]))
+            raise IllConditioned("hull element does not lie in the base algebra", float(res.flat[outside[0]]))
         return proj
 
 

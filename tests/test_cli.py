@@ -75,12 +75,20 @@ def test_spectral_wrong_length(m2_file, capsys):
     assert main(["spectral", m2_file, "--element", "1,0"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_spectral_rejects_non_finite_coefficients(m2_file, capsys, value):
+    assert main(["spectral", m2_file, "--element", f"1,0 {value},0 0,0 0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coefficients must be finite" in err
+
+
 _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"), 0.0]]}
 
 
 @pytest.mark.parametrize("payload, argv", [
     (None, ["spectral", "--element", "1"]),
     (None, ["spectral", "--element", "x,y"]),
+    (None, ["spectral", "--element", "1,0 nan,0 0,0 0,0"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "unit": [["a", "b"]]},
      ["validate"]),
     ({"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, 1.0, 0.0]], "labels": 5},
@@ -109,7 +117,7 @@ _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"
     ({"type": "perm", "degree": True, "generators": [[0]]}, ["group"]),
     ({"type": "perm", "degree": 3, "generators": [[True, False, 2]]}, ["group"]),
     ({"type": "cayley", "table": [[0, True], [True, 0]]}, ["group"]),
-], ids=["element-arity", "element-number", "unit-number", "labels-list", "no-table",
+], ids=["element-arity", "element-number", "element-nan", "unit-number", "labels-list", "no-table",
         "ragged-table", "mul-index-negative", "star-index-negative", "labels-length",
         "star-nan-validate", "star-nan-analyze", "unit-inf", "dim-float", "dim-bool",
         "mul-duplicate", "star-duplicate", "labels-string", "mul-index-bool", "star-number-bool",

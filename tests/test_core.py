@@ -20,6 +20,12 @@ def m2():
     return sa.matrix_algebra(2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_element_rejects_non_finite_coefficients(m2, value):
+    with pytest.raises(sa.MalformedInput, match="coefficients must be finite"):
+        m2.element([1.0, value, 0.0, 0.0])
+
+
 def test_validate_matrix_algebra(m2):
     report = sa.validate(m2)
     assert report.passed

@@ -251,7 +251,7 @@ def test_batched_sites_match_their_loops():
 
 
 def _loop_certificate_residual(dec):
-    """``spectral._certify``'s residual, one product at a time."""
+    """``spectral._certificates``'s residual for one decomposition, one product at a time."""
     ps, b = dec.projections(), dec.source
     worst = max(max((p - p.star()).norm(), (p - p * p).norm()) for p in ps)
     for i, p in enumerate(ps):
@@ -259,6 +259,14 @@ def _loop_certificate_residual(dec):
             if i != j:
                 worst = max(worst, (p * q).norm())
     return max(worst, (b - dec.map_values(lambda lam: lam)).norm() / max(1.0, b.norm()))
+
+
+def _certify(*decs):
+    """``spectral._certificates`` on a stack of decompositions with equally many terms."""
+    parent, k = decs[0].source.parent, len(decs)
+    ps = np.array([[p.coeffs for p in dec.projections()] for dec in decs]).reshape(k, -1, parent.dim)
+    lams = np.array([[lam for lam, _ in dec.terms] for dec in decs], dtype=complex).reshape(k, -1)
+    return spectral._certificates(parent, np.array([dec.source.coeffs for dec in decs]), ps, lams, 1e-9)
 
 
 def test_decomposition_certificate_matches_its_loop():
@@ -270,16 +278,25 @@ def test_decomposition_certificate_matches_its_loop():
         "idempotent": [(1.0, 2.0 * e11)],
         "orthogonal": [(1.0, e11), (2.0, q)],
     }
+    decs = {}
     for name, terms in broken.items():
         dec = sa.SpectralDecomposition(e11, tuple(terms))
-        dec = sa.SpectralDecomposition(dec.map_values(lambda lam: lam), dec.terms)
+        decs[name] = dec = sa.SpectralDecomposition(dec.map_values(lambda lam: lam), dec.terms)
         expected = _loop_certificate_residual(dec)
         assert expected > 0.5, name
-        with pytest.raises(sa.DecompositionFailed, match=re.escape(f"(residual {expected:.3e})")):
-            spectral._certify(dec, 1e-9)
-    spectral._certify(sa.SpectralDecomposition(e11 + 2.0 * e22, ((1.0, e11), (2.0, e22))), 1e-9)
-    with pytest.raises(sa.DecompositionFailed, match="zero projection"):
-        spectral._certify(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))), 1e-9)
+        [failure] = _certify(dec)
+        assert isinstance(failure, sa.DecompositionFailed)
+        assert str(failure).endswith(f"(residual {expected:.3e})")
+    good = sa.SpectralDecomposition(e12 + e21, ((1.0, q), (-1.0, e11 + e22 - q)))
+    assert _certify(good) == [None]
+    [zero] = _certify(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))))
+    assert isinstance(zero, sa.DecompositionFailed) and "zero projection" in str(zero)
+    # per row of a stack: a failing row leaves the rows beside it as they are alone
+    stacked = _certify(decs["selfadjoint"], sa.SpectralDecomposition(e11, ((1.0, e11),)), decs["idempotent"])
+    assert [str(f) if f else None for f in stacked] == [
+        str(_certify(decs["selfadjoint"])[0]), None, str(_certify(decs["idempotent"])[0])]
+    assert [str(f) if f else None for f in _certify(decs["orthogonal"], good)] == [
+        str(_certify(decs["orthogonal"])[0]), None]
 
 
 def test_validate_memory_is_cubic():
@@ -385,6 +402,18 @@ def test_restrict_coeffs_reports_the_first_row_outside_a():
     with pytest.raises(sa.IllConditioned, match=r"\(residual 5\.000e-01\)") as info:
         hull.restrict_coeffs(rows)
     assert info.value.residual == 0.5
+
+
+def test_restricting_a_stack_fails_only_the_rows_outside_a():
+    hull = sa.unital_hull(sa.nilpotent_line())
+    ps = np.array([[[0.0, 2.0]], [[0.5, 1.0]], [[0.0, 3.0]]], dtype=complex)  # row 1 holds the adjoined unit
+    errors = [None, None, None]
+    out = spectral._restricted(hull, ps, 1e-9, errors, [0, 1, 2])
+    np.testing.assert_array_equal(out[[0, 2]], [[[2.0]], [[3.0]]])
+    assert errors[0] is None and errors[2] is None
+    with pytest.raises(sa.IllConditioned) as alone:
+        hull.restrict_coeffs(ps[1])
+    assert isinstance(errors[1], sa.IllConditioned) and str(errors[1]) == str(alone.value)
 
 
 def test_mul_is_stored_contiguous():

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
-from staralg.instances import semisimple_instance, swap_mutant
-from staralg.rickart import orthogonal_family
+from staralg.core import _coeffs_json
+from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
+from staralg.linalg import certificate_bound, nullspace
+from staralg.rickart import CheckReport, orthogonal_family
 
 
 @pytest.fixture
@@ -112,6 +114,48 @@ def test_check_weakly_rickart_fails_on_swap_algebra():
     report = sa.check_weakly_rickart(swap_mutant(1))
     assert not report.passed
     assert report.witness is not None
+
+
+def _weakly_rickart_loop(algebra, tol=sa.DEFAULT_TOL, seed=0):
+    """The weakly-Rickart pass with one right_projection and one kernel vector at a time."""
+    rng = np.random.default_rng(seed)
+    bound = certificate_bound(tol)
+    worst = 0.0
+    tested = algebra.basis() + [sa.random_element(algebra, rng) for _ in range(8)]
+    for a in tested:
+        if a.norm() <= tol:
+            continue
+        try:
+            e = sa.right_projection(a, tol)
+        except sa.DecompositionFailed as exc:
+            return CheckReport("weakly_rickart", False, float("inf"), seed,
+                               witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)})
+        res1 = (a * e - a).norm() / max(1.0, a.norm())
+        worst = max(worst, res1)
+        kernel = nullspace(a.lmat(), tol)
+        for i in range(kernel.shape[1]):
+            res2 = float(np.linalg.norm(e.lmat() @ kernel[:, i]))
+            worst = max(worst, res2)
+            if res2 > bound:
+                return CheckReport("weakly_rickart", False, res2, seed,
+                                   witness={"element": _coeffs_json(a.coeffs),
+                                            "kernel_vector": _coeffs_json(kernel[:, i])})
+        if res1 > bound:
+            return CheckReport("weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)})
+    return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda k=k: swap_mutant(k), id=f"swap_mutant({k})") for k in (1, 2, 3)),
+    *(pytest.param(lambda k=k: nilpotent_mutant(k), id=f"nilpotent_mutant({k})") for k in range(4)),
+    pytest.param(lambda: sa.matrix_algebra(3), id="M3"),
+])
+def test_weakly_rickart_pass_matches_its_loop(make):
+    """The stacked pass reports what one right projection at a time reports: the same first failure."""
+    got = sa.check_weakly_rickart(make()).to_dict()
+    ref = _weakly_rickart_loop(make()).to_dict()
+    assert got.pop("worst_residual") == pytest.approx(ref.pop("worst_residual"), rel=1e-12)
+    assert got == ref
 
 
 def test_check_baer_matrix_algebra(m2):

@@ -197,10 +197,15 @@ def test_cstar_identity_random(seed):
 # -- one decomposition per input while analyze runs ----------------------------
 
 def _count_solves(monkeypatch):
-    """Record every numpy.linalg.eig call; spectral_decompose is its one caller."""
+    """Record each matrix numpy.linalg.eig solves, once per matrix of a stack; the solver is its one caller."""
     solves = []
     eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: solves.append(m.shape) or eig(m))
+
+    def counted(m):
+        solves.extend([m.shape[-2:]] * int(np.prod(m.shape[:-2])))
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
     return solves
 
 
@@ -215,16 +220,15 @@ def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
 
 
 def _record_inputs(monkeypatch):
-    """Record the (parent, coefficients, tol) key of every spectral_decompose call."""
+    """Record the (parent, coefficients, tol) key of every element asked of the memo, row by row."""
     inputs = []
-    decompose = spectral.spectral_decompose
+    decompose = spectral._decompositions
 
-    def recorded(b, tol=sa.DEFAULT_TOL):
-        inputs.append((b.parent, b.coeffs.tobytes(), tol))
-        return decompose(b, tol)
+    def recorded(bs, tol):
+        inputs.extend((b.parent, b.coeffs.tobytes(), tol) for b in bs)
+        return decompose(bs, tol)
 
-    for module in (spectral, structure):
-        monkeypatch.setattr(module, "spectral_decompose", recorded)
+    monkeypatch.setattr(spectral, "_decompositions", recorded)
     return inputs
 
 
@@ -270,19 +274,19 @@ def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
 
     monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
     monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
-    solve, decompose = spectral._spectral_decompose, spectral.spectral_decompose
+    solve, decompose = spectral._spectral_decompose, spectral._decompositions
 
-    def solved(b, tol):
-        made[phase[0]].append(b.coeffs.tobytes())
-        return solve(b, tol)
+    def solved(bs, tol):
+        made[phase[0]].extend(b.coeffs.tobytes() for b in bs)
+        return solve(bs, tol)
 
-    def asked(b, tol=sa.DEFAULT_TOL):
+    def asked(bs, tol):
         if phase[0] == "guard":
-            asked_in_guard.add(b.coeffs.tobytes())
-        return decompose(b, tol)
+            asked_in_guard.update(b.coeffs.tobytes() for b in bs)
+        return decompose(bs, tol)
 
     monkeypatch.setattr(spectral, "_spectral_decompose", solved)
-    monkeypatch.setattr(spectral, "spectral_decompose", asked)
+    monkeypatch.setattr(spectral, "_decompositions", asked)
     assert sa.analyze(alg).baer
     basis_inputs = {spectral._selfadjoint_part(e.star() * e).coeffs.tobytes() for e in alg.basis()}
     assert basis_inputs <= set(made["pass"])
@@ -320,3 +324,120 @@ def test_reports_are_byte_identical_without_the_memo(monkeypatch, seed):
     without_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
     assert len(solves) - solved_with_memo > solved_with_memo
     assert without_memo == with_memo
+
+
+# -- one stacked solver --------------------------------------------------------
+
+def _assert_same_entry(got, alone):
+    """A row of a stack matches its stack-of-one solve: terms within 1e-12 relative, or the same exception."""
+    if isinstance(alone, Exception):
+        assert type(got) is type(alone) and str(got) == str(alone)
+        return
+    assert isinstance(got, sa.SpectralDecomposition) and len(got.terms) == len(alone.terms)
+    for (lam, p), (ref_lam, ref_p) in zip(got.terms, alone.terms):
+        assert abs(lam - ref_lam) <= 1e-12 * max(1.0, abs(ref_lam))
+        assert (p - ref_p).norm() <= 1e-12 * max(1.0, ref_p.norm())
+
+
+def _mixed_stacks():
+    """Two stacks: M2 + swap_mutant(1) (unital), and a non-unital algebra solved in its unitization."""
+    rng = np.random.default_rng(21)
+    m2 = sa.matrix_algebra(2)
+    alg = sa.direct_sum(m2, swap_mutant(1))
+    h = sa.random_selfadjoint(m2, rng)
+    swap = alg.element([0, 0, 0, 0, 1.0, 1.0j])
+    rows = [
+        alg.element(np.append(h.coeffs, [0, 0])),                   # normal, real spectrum
+        alg.element(np.append((h + 1j * (h * h)).coeffs, [0, 0])),  # normal, complex spectrum
+        alg.element([0, 1.0, 0, 0, 0, 0]),                          # E12: not normal
+        alg.zero(),
+        swap + swap.star(),                                         # normal; its certificates fail
+        alg.element([1e200, 0, 0, 0, 0, 0]),                        # b* b overflows
+        alg.one(),
+        alg.element(np.append(h.coeffs, [0, 0])),                   # the first row again
+        alg.element([0, 0, 0, 0, 1.0, 0]),                          # a swap-part projection: fails
+    ]
+    part = semisimple_instance([2], 1, rng)
+    nonunital = sa.direct_sum(part, sa.nilpotent_line())
+    assert not nonunital.is_unital()
+    g = sa.random_selfadjoint(part, rng)
+    nrows = [
+        nonunital.element(np.append(g.coeffs, 0.0)),
+        nonunital.element(np.append((g * g).coeffs, 0.0)),
+        nonunital.basis_element(nonunital.dim - 1),  # x with x^2 = 0: no terms, so b = 0 fails
+        nonunital.zero(),
+        nonunital.element(np.append(g.coeffs, 0.0)),
+    ]
+    return [rows, nrows]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_stacked_solver_matches_one_at_a_time():
+    for rows in _mixed_stacks():
+        stacked = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+        alone = [spectral._spectral_decompose([b], sa.DEFAULT_TOL)[0] for b in rows]
+        for got, ref in zip(stacked, alone):
+            _assert_same_entry(got, ref)
+        assert any(isinstance(e, Exception) for e in stacked)
+        assert any(isinstance(e, sa.SpectralDecomposition) and e.terms for e in stacked)
+        # the rows that succeed come out the same without the rows that fail beside them
+        ok = [i for i, e in enumerate(stacked) if not isinstance(e, Exception)]
+        for i, e in zip(ok, spectral._spectral_decompose([rows[i] for i in ok], sa.DEFAULT_TOL)):
+            for (lam, p), (ref_lam, ref_p) in zip(e.terms, stacked[i].terms, strict=True):
+                assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
+    overflow = _mixed_stacks()[0][5]
+    with pytest.raises(sa.DecompositionFailed, match=r"not normal \(residual nan\)"):
+        sa.spectral_decompose(overflow)
+
+
+def test_a_row_lapack_rejects_fails_alone(monkeypatch):
+    """A stacked LAPACK call that raises is redone row by row; only the offending row keeps the error."""
+    rng = np.random.default_rng(5)
+    alg = sa.matrix_algebra(3)
+    rows = [sa.random_selfadjoint(alg, rng) for _ in range(4)]
+    clean = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+    bad = rows[2].lmat()
+    eigvals = np.linalg.eigvals
+
+    def picky(m):
+        if np.any(np.all(m == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", picky)
+    out = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+    assert isinstance(out[2], np.linalg.LinAlgError) and str(out[2]) == "Eigenvalues did not converge"
+    with pytest.raises(np.linalg.LinAlgError):
+        sa.spectral_decompose(rows[2])
+    for i in (0, 1, 3):
+        for (lam, p), (ref_lam, ref_p) in zip(out[i].terms, clean[i].terms, strict=True):
+            assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
+
+
+def test_right_projections_match_one_at_a_time():
+    for rows in _mixed_stacks():
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = spectral.right_projections(rows)
+            alone = [spectral.right_projections([a])[0] for a in rows]
+        for got, ref in zip(stacked, alone):
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+            else:
+                assert np.array_equal(got.coeffs, ref.coeffs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_the_memo_stores_each_success_once_and_no_failure():
+    rows = _mixed_stacks()[0]
+    with spectral._decomposition_scope():
+        first = spectral._decompositions(rows, sa.DEFAULT_TOL)
+        memo = dict(spectral._MEMO.get())
+        again = spectral._decompositions(rows[::-1], sa.DEFAULT_TOL)[::-1]
+    solved = {b.coeffs.tobytes() for b, e in zip(rows, first) if isinstance(e, sa.SpectralDecomposition)}
+    assert {key[1] for key in memo} == solved and len(memo) == len(solved) < len(rows) - 1
+    assert all(isinstance(dec, sa.SpectralDecomposition) for dec in memo.values())
+    for e, f in zip(first, again):
+        if isinstance(e, Exception):
+            assert type(f) is type(e) and str(f) == str(e)  # solved again, not stored
+        else:
+            assert f is e
