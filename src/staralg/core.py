@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, MalformedInput, ParentMismatch
-from .linalg import certificate_bound, cluster_points, relative_bound
+from .errors import MalformedInput, ParentMismatch
+from .linalg import cluster_points, relative_bound
 
 DEFAULT_TOL = 1e-9
 
@@ -197,9 +197,6 @@ class Element:
     def rmat(self):
         return self.parent.right_mat(self.coeffs)
 
-    def is_zero(self, tol=DEFAULT_TOL):
-        return self.norm() <= tol
-
     def __repr__(self):
         return f"Element({np.array2string(self.coeffs, precision=4, suppress_small=True)})"
 
@@ -253,12 +250,14 @@ def validate(algebra, tol=DEFAULT_TOL):
     return ValidationReport(algebra.dim, assoc, inv, unit_defect, tol, passed)
 
 
-# -- unitization and the unital hull ------------------------------------------
+# -- unitization --------------------------------------------------------------
 
 def unitize(algebra):
     """Standard unitization: adjoin a unit at index 0, embed A as indices 1..n.
 
-    Always adjoins a new unit, even on unital input.
+    Always adjoins a new unit, even on unital input. ``_unitization``'s
+    callers rely on this layout: A's coefficients padded with one leading
+    zero are its image, and the last ``dim`` coordinates are A's block.
     """
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
@@ -276,51 +275,27 @@ def unitize(algebra):
     return StarAlgebra(c, s, unit=unit, labels=labels)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitalHull:
-    """A unital algebra containing A: either A itself or its unitization."""
+def _unitization(algebra, tol):
+    """A itself when it has a unit at tol, else ``unitize(A)``; use via _cached.
 
-    algebra: StarAlgebra
-    embed_mat: np.ndarray  # (hull_dim, dim)
-    adjoined: bool
-    unit_coeffs: np.ndarray
-
-    def embed(self, a):
-        return Element(self.algebra, self.embed_mat @ a.coeffs)
-
-    def restrict_coeffs(self, coeffs, tol=DEFAULT_TOL):
-        """Pull a stack of hull coefficient rows back to A's coefficients.
-
-        Raises IllConditioned with the residual of the first row outside A at tol."""
-        proj = coeffs @ self.embed_mat.conj()
-        res = np.linalg.norm(proj @ self.embed_mat.T - coeffs, axis=-1)
-        outside = np.flatnonzero(res > certificate_bound(tol) * np.maximum(1.0, np.linalg.norm(coeffs, axis=-1)))
-        if outside.size:
-            raise IllConditioned("hull element does not lie in the base algebra", float(res.flat[outside[0]]))
-        return proj
+    Either way A is the last ``dim`` coordinates; an adjoined unit is coordinate 0."""
+    return algebra if algebra.is_unital(tol) else unitize(algebra)
 
 
-def unital_hull(algebra, tol=DEFAULT_TOL):
-    """A itself when a unit exists; otherwise the unitization (cached per tol)."""
-    return _cached(algebra, _unital_hull, tol)
+def _padded(coeffs, pad):
+    """A vector or stack of A's coefficients in ``_unitization(A)``: ``pad`` leading zeros.
 
-
-def _unital_hull(algebra, tol):
-    u = algebra.unit_vector(tol)
-    if u is not None:
-        return UnitalHull(algebra, np.eye(algebra.dim, dtype=complex), False, u)
-    big = unitize(algebra)
-    emb = np.zeros((algebra.dim + 1, algebra.dim), dtype=complex)
-    emb[1:, :] = np.eye(algebra.dim)
-    return UnitalHull(big, emb, True, big.unit)
+    np.concatenate, not np.pad, whose argument handling costs ten times more
+    on the solver's small stacks."""
+    return np.concatenate([np.zeros(np.shape(coeffs)[:-1] + (pad,), dtype=complex), coeffs], axis=-1)
 
 
 def _trace_form(algebra, tol):
-    """F[i, j] = tr(L_i L_j) over the basis of the unital hull; use via _cached."""
-    hull = unital_hull(algebra, tol).algebra
-    c = hull._times_basis(np.eye(hull.dim))
+    """F[i, j] = tr(L_i L_j) over the basis of ``_unitization(A)``; use via _cached."""
+    big = _cached(algebra, _unitization, tol)
+    c = big._times_basis(np.eye(big.dim))
     # L_i[a, b] = c[i, b, a], so tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
-    return c.reshape(hull.dim, -1) @ c.transpose(0, 2, 1).reshape(hull.dim, -1).T
+    return c.reshape(big.dim, -1) @ c.transpose(0, 2, 1).reshape(big.dim, -1).T
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -332,25 +307,24 @@ class Spectrum:
 
 
 def distinct_eigenvalues(a, tol=DEFAULT_TOL):
-    """Clustered eigenvalues of the regular representation in the unital hull.
+    """Clustered eigenvalues of the regular representation of ``_unitization(A)``.
 
     This set equals the root set of the minimal polynomial of `a` but is
     computed through an eigenvalue solver, which is far better conditioned
     than polynomial coefficient root-finding at moderate dimensions.
     """
-    hull = unital_hull(a.parent, tol)
-    m = hull.embed(a).lmat()
+    big = _cached(a.parent, _unitization, tol)
+    m = big.left_mat(_padded(a.coeffs, big.dim - a.parent.dim))
     vals = np.linalg.eigvals(m)
     return cluster_points([complex(v) for v in vals], tol)
 
 
 def spectrum(a, tol=DEFAULT_TOL):
-    """Spectrum of `a`; 0 is adjoined for non-unital parents."""
-    pts = distinct_eigenvalues(a, tol)
-    forced = unital_hull(a.parent, tol).adjoined
-    if forced and not any(abs(p) <= relative_bound(tol, max(abs(q) for q in pts)) for p in pts):
-        pts.append(0j)  # defensive; the hull representation always has kernel
-    return Spectrum(tuple(pts), forced)
+    """Spectrum of `a`, taken in the unitization when the parent has no unit.
+
+    Then 0 is always a point: L_a has an exactly zero unit row, so the
+    eigenvalue solver isolates an exact 0."""
+    return Spectrum(tuple(distinct_eigenvalues(a, tol)), not a.parent.is_unital(tol))
 
 
 # -- random elements ----------------------------------------------------------

@@ -75,6 +75,8 @@ def group_from_cayley(table, labels=None):
         if len(inv) != 1 or t[inv[0], g] != identity:
             raise GroupTableError(f"element {g} has no two-sided inverse")
         inverse[g] = inv[0]
+    if labels and len(labels) != n:
+        raise GroupTableError(f"{len(labels)} labels for a group of order {n}")
     return FiniteGroup(t, identity, inverse, tuple(labels) if labels else None)
 
 
@@ -88,6 +90,8 @@ def _integer(x, name):
 def group_from_permutations(degree, generators, cap=10000):
     """Closure of permutation generators; errors past `cap` (possibly infinite group)."""
     degree, cap = _integer(degree, "degree"), _integer(cap, "cap")
+    if degree < 0:
+        raise GroupTableError(f"degree must be >= 0, got {degree}")
     if cap < 1:
         raise GroupTableError("cap must be >= 1")
     gens = []

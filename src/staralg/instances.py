@@ -10,7 +10,11 @@ from .errors import MalformedInput
 from .linalg import certificate_bound, relative_bound, require_each
 
 
-def from_matrix_basis(mats, tol=1e-12):
+# the closure check's tolerance: the expansions are exact up to rounding
+_SPAN_TOL = 1e-12
+
+
+def from_matrix_basis(mats):
     """Structure constants of the span of `mats` inside M_d, star = conjugate transpose.
 
     The matrices must be linearly independent and their span closed under
@@ -25,7 +29,7 @@ def from_matrix_basis(mats, tol=1e-12):
         v = stack.reshape(len(stack), d * d).T
         x, *_ = np.linalg.lstsq(basis, v, rcond=None)
         require_each(np.linalg.norm(basis @ x - v, axis=0),
-                     certificate_bound(tol) * np.maximum(1.0, np.linalg.norm(v, axis=0)),
+                     certificate_bound(_SPAN_TOL) * np.maximum(1.0, np.linalg.norm(v, axis=0)),
                      MalformedInput, "matrix span is not closed under the operation")
         return x
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _trace_form, unital_hull
+from .core import DEFAULT_TOL, Element, _cached, _padded, _trace_form, _unitization
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, relative_bound, require
 
@@ -171,21 +171,18 @@ def _lapack(fn, mats, errors):
         return fn(mats)
 
 
-def _restricted(hull, ps, tol, errors, rows):
-    """``hull.restrict_coeffs`` on a stack of rows' projections (g, J, m).
+def _outside_a(ps, tol, errors, rows):
+    """Fail each row of unitization coefficients (g, J, 1 + n) whose projections leave A.
 
-    When some projection lies outside A, each row is restricted alone and a
-    failing row keeps its IllConditioned in ``errors``."""
-    try:
-        return hull.restrict_coeffs(ps, tol)
-    except IllConditioned:
-        out = np.zeros(ps.shape[:-1] + hull.embed_mat.shape[1:], dtype=complex)
-        for r, i in enumerate(rows):
-            try:
-                out[r] = hull.restrict_coeffs(ps[r], tol)
-            except IllConditioned as exc:
-                errors[i] = errors[i] or exc
-        return out
+    A projection leaves A when its part along the adjoined unit, coordinate
+    0, exceeds certificate_bound(tol) relative to its norm; its row keeps the
+    IllConditioned, with the residual of its first such projection, in ``errors``."""
+    res = _norms(ps[..., :1])
+    outside = res > certificate_bound(tol) * np.maximum(1.0, _norms(ps))
+    for i, row_res, row_outside in zip(rows, res, outside):
+        if row_outside.any():
+            exc = IllConditioned("hull element does not lie in the base algebra", float(row_res[row_outside][0]))
+            errors[i] = errors[i] or exc
 
 
 def _certificates(parent, bs, ps, lams, tol):
@@ -240,18 +237,18 @@ def _solve_stack(bs, tol):
     if not live:
         return out
 
-    hull = unital_hull(parent, tol)
-    big = hull.algebra
-    rows = coeffs[live] @ hull.embed_mat.T if hull.adjoined else coeffs[live]
+    big = _cached(parent, _unitization, tol)
+    pad = big.dim - parent.dim  # 1 when a unit was adjoined at coordinate 0
+    one = big.unit if pad else parent.unit_vector(tol)
     errors = [None] * len(live)
-    mats = _rowwise(big.left_mat, rows)
+    mats = _rowwise(big.left_mat, _padded(coeffs[live], pad))
     vals = _lapack(np.linalg.eigvals, mats, errors)
     # each idempotent is p_j(b) for the interpolation polynomial with
     # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
     # representation applied to the unit -- computed that way directly,
     # which is far better conditioned than multiplying Lagrange factors.
     evals, evecs = _lapack(np.linalg.eig, mats, errors)
-    weights = _lapack(np.linalg.inv, evecs, errors) @ hull.unit_coeffs
+    weights = _lapack(np.linalg.inv, evecs, errors) @ one
 
     # per row: the clustered eigenvalues kept (nonzero) and the mask whose
     # column j selects the eigenvectors clustered at the j-th kept one;
@@ -271,9 +268,10 @@ def _solve_stack(bs, tol):
             ps = (evecs[group] @ (np.array([masks[r] for r in group]) * weights[group][:, :, None])).swapaxes(1, 2)
             ps = (ps + big.star_coeffs(ps)) * 0.5
             # one idempotent-polishing step, p^2 (3 - 2p)
-            ps = big.row_products(big.row_products(ps, ps), hull.unit_coeffs * 3.0 - ps * 2.0)
-            if hull.adjoined:
-                ps = _restricted(hull, ps, tol, errors, group)
+            ps = big.row_products(big.row_products(ps, ps), one * 3.0 - ps * 2.0)
+            if pad:
+                _outside_a(ps, tol, errors, group)
+                ps = ps[..., pad:]
 
             owners = [live[r] for r in group]
             lams = np.array([kept[r] for r in group], dtype=complex).reshape(len(group), size)
@@ -372,12 +370,13 @@ def ep_witness(a, tol=DEFAULT_TOL):
 
 
 def _gram_matrix(algebra, tol):
-    """Hermitian form <a, b> = trace of left multiplication by b* a in the hull.
+    """Hermitian form <a, b> = trace of left multiplication by b* a in ``_unitization(A)``.
 
-    With E the hull embedding and F the hull trace form, tr(L_{e_i* e_j}) is
-    ((E star)^T F E)[i, j], since L is linear. Use via _cached."""
-    emb = unital_hull(algebra, tol).embed_mat
-    g = (emb @ algebra.star).T @ _cached(algebra, _trace_form, tol) @ emb
+    Row i of the padded star^T holds e_i* in the unitization's coordinates,
+    so with F its trace form and L linear, tr(L_{e_i* e_j}) is
+    (star^T F)[i, pad + j]: A's columns of the form. Use via _cached."""
+    pad = _cached(algebra, _unitization, tol).dim - algebra.dim
+    g = (_padded(algebra.star.T, pad) @ _cached(algebra, _trace_form, tol))[:, pad:]
     return 0.5 * (g + g.conj().T)
 
 

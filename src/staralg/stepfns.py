@@ -347,11 +347,6 @@ def step_to_coeffs(f):
     return out
 
 
-def coeffs_to_step(backend, coeffs, tol=0.0):
-    cells = []
-    for i, z in enumerate(coeffs):
-        z = complex(z)
-        if tol:
-            z = complex(round(z.real / tol) * tol, round(z.imag / tol) * tol)
-        cells.append((backend.subset([i]), ExactComplex.of(z)))
+def coeffs_to_step(backend, coeffs):
+    cells = [(backend.subset([i]), ExactComplex.of(complex(z))) for i, z in enumerate(coeffs)]
     return StepFunction(backend, _normalize(backend, cells))

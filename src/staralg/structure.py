@@ -13,11 +13,12 @@ from .core import (
     StarAlgebra,
     _cached,
     _coeffs_json,
+    _padded,
     _trace_form,
+    _unitization,
     random_element,
     random_selfadjoint,
     spectrum,
-    unital_hull,
     validate,
 )
 from .errors import (
@@ -35,7 +36,7 @@ from .spectral import _decomposition_scope, _gram_matrix, spectral_decompose
 # -- radical and the basic checks ---------------------------------------------
 
 def radical(algebra, tol=DEFAULT_TOL):
-    """Jacobson radical via the trace-form kernel of the unital hull.
+    """Jacobson radical via the trace-form kernel of ``_unitization(A)``.
 
     Valid over characteristic zero; every returned basis element is verified
     nilpotent through its regular representation. Cached per tol.
@@ -44,10 +45,10 @@ def radical(algebra, tol=DEFAULT_TOL):
 
 
 def _radical(algebra, tol):
-    hull = unital_hull(algebra, tol)
-    nh = hull.algebra.dim
+    big = _cached(algebra, _unitization, tol)
+    pad = big.dim - algebra.dim  # 1 when a unit was adjoined at coordinate 0
     kernel = nullspace(_cached(algebra, _trace_form, tol), tol)
-    if hull.adjoined:
+    if pad:
         require(float(np.max(np.abs(kernel[0]), initial=0.0)), membership_bound(tol),
                 InternalInconsistency, "radical vector leaves the base algebra")
         kernel = kernel[1:]
@@ -57,16 +58,16 @@ def _radical(algebra, tol):
     out = []
     for i in range(mat.shape[1]):
         x = Element(algebra, mat[:, i])
-        m = hull.embed(x).lmat()
+        m = big.left_mat(_padded(x.coeffs, pad))
         s = max(1.0, float(np.linalg.norm(m, 2)))
-        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, nh), 2)), certificate_bound(tol),
+        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, big.dim), 2)), certificate_bound(tol),
                 InternalInconsistency, "trace-form kernel element is not nilpotent")
         out.append(x)
     return out
 
 
 def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
-    """Properness via positive definiteness of <a,b> = tr(L_{b*a}) on the hull.
+    """Properness via positive definiteness of <a,b> = tr(L_{b*a}) in ``_unitization(A)``.
 
     On failure the report carries a witness minimizing |a*a| over basis
     elements and the non-positive eigenspace of the Gram matrix. On success,
@@ -111,7 +112,7 @@ def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
     """A / rad as a StarAlgebra on the orthogonal complement of the radical."""
     r = np.stack([x.coeffs for x in rad_basis], axis=1)
     u = nullspace(r.conj().T, tol)
-    return _compress(algebra, u, algebra.unit_vector(tol))[0]
+    return _compress(algebra, u)[0]
 
 
 def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
@@ -156,7 +157,7 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
 @dataclass(frozen=True)
 class CentralDecomposition:
     atoms: list
-    blocks: list  # the ideal zA of each atom z, as a SubAlgebra with unit z
+    blocks: list  # the ideal zA of each atom z, as a SubAlgebra whose unit is z
     commutative: list  # whether each block is commutative
 
     @property
@@ -215,7 +216,7 @@ def _central_atoms(algebra, tol, seed):
     require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
             "central atoms are not orthogonal")
 
-    blocks = [subalgebra_from_span(algebra, z.lmat(), tol, unit_coeffs=z.coeffs) for z in atoms]
+    blocks = [subalgebra_from_span(algebra, z.lmat(), tol) for z in atoms]
     order = np.argsort([-b.dim for b in blocks], kind="stable")
     blocks = [blocks[i] for i in order]
     return CentralDecomposition([atoms[i] for i in order], blocks,
@@ -269,25 +270,24 @@ class SubAlgebra:
         return Element(self.parent, self.inclusion @ a.coeffs)
 
 
-def _compress(algebra, u, unit_coeffs):
+def _compress(algebra, u):
     """A compressed to the span of the orthonormal columns of u.
 
-    Returns the StarAlgebra with structure constants u^H (u_i u_j),
-    involution u^H star conj(u) and unit u^H unit_coeffs (None stays None),
-    and the worst norm of a product's component outside span(u).
+    Returns the StarAlgebra with structure constants u^H (u_i u_j) and
+    involution u^H star conj(u), and the worst norm of a product's component
+    outside span(u). It declares no unit: its readers find one with unit_vector.
     """
     prods = algebra.products(u.T, u.T)
     c = prods @ np.conj(u)
     worst = float(np.max(np.linalg.norm(c @ u.T - prods, axis=-1)))
     s = u.conj().T @ algebra.star @ np.conj(u)
-    unit = None if unit_coeffs is None else u.conj().T @ unit_coeffs
-    return StarAlgebra(c, s, unit=unit), worst
+    return StarAlgebra(c, s), worst
 
 
-def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL, unit_coeffs=None):
+def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL):
     """Sub-StarAlgebra on an orthonormalized basis of a nonzero, *-closed, closed span."""
     u = colspace(vectors, tol)
-    sub, worst = _compress(parent, u, unit_coeffs)
+    sub, worst = _compress(parent, u)
     require(worst, membership_bound(tol), MalformedInput, "span is not multiplicatively closed")
     return SubAlgebra(parent, sub, u)
 
@@ -455,18 +455,22 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=0):
         }
         witness = proper_rep.witness
 
-        baer = False
+        # unital and weakly Rickart is exactly Baer in finite dimension (see check_baer)
+        baer = unital and wr_rep.passed
         h_json = None
         blocks = []
         abelian_dim = 0
         isomorphisms = []
         abelian_atoms = []
-        if unital and wr_rep.passed:
-            baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
-            baer = baer_rep.passed
-            residuals["baer_generator_failures"] = baer_rep.details.get("generator_failures", 0)
-
         if baer:
+            baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
+            failures = baer_rep.details["generator_failures"]
+            residuals["baer_generator_failures"] = failures
+            if not baer_rep.passed:
+                raise InternalInconsistency(
+                    f"unital and weakly Rickart, but {failures} of {baer_rep.details['witness_subsets']} "
+                    "sampled annihilators have no projection generator"
+                )
             dec = central_atoms(algebra, tol, seed)
             h, abelian_dim = abelian_split(algebra, tol, seed)
             h_json = _coeffs_json(h.coeffs)

@@ -117,12 +117,13 @@ _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"
     ({"type": "perm", "degree": True, "generators": [[0]]}, ["group"]),
     ({"type": "perm", "degree": 3, "generators": [[True, False, 2]]}, ["group"]),
     ({"type": "cayley", "table": [[0, True], [True, 0]]}, ["group"]),
+    ({"type": "perm", "degree": -3, "generators": [[]]}, ["group"]),
 ], ids=["element-arity", "element-number", "element-nan", "unit-number", "labels-list", "no-table",
         "ragged-table", "mul-index-negative", "star-index-negative", "labels-length",
         "star-nan-validate", "star-nan-analyze", "unit-inf", "dim-float", "dim-bool",
         "mul-duplicate", "star-duplicate", "labels-string", "mul-index-bool", "star-number-bool",
         "unit-bool", "perm-entry-float", "perm-degree-float", "perm-cap-float", "perm-degree-bool",
-        "perm-entry-bool", "cayley-bool"])
+        "perm-entry-bool", "cayley-bool", "perm-degree-negative"])
 def test_malformed_input_is_an_error_line(tmp_path, capsys, payload, argv):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload or algebra_to_json(sa.matrix_algebra(2))))

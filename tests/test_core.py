@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
-from staralg import groups
+from staralg import core, groups, structure
 from staralg.core import algebra_from_json, algebra_to_json
 from staralg.instances import swap_mutant
 
@@ -51,6 +51,13 @@ def test_public_names_carry_only_used_options():
     assert [f.name for f in fields(sa.AnnihilatorResult)] == [
         "subspace_basis", "generator", "is_principal_projection_ideal"]
     assert [f.name for f in fields(sa.CentralDecomposition)] == ["atoms", "blocks", "commutative"]
+    assert params(sa.from_matrix_basis) == ["mats"]
+    assert params(sa.coeffs_to_step) == ["backend", "coeffs"]
+    assert not hasattr(sa.Element, "is_zero")
+    for name in ("unital_hull", "UnitalHull"):
+        assert not hasattr(sa, name) and not hasattr(core, name)
+    assert params(structure.subalgebra_from_span) == ["parent", "vectors", "tol"]
+    assert params(structure._compress) == ["algebra", "u"]
 
 
 def test_validate_rejects_broken_associativity():
@@ -116,12 +123,6 @@ def test_unitize_adjoins_a_unit():
     x = alg.basis_element(1)
     assert ((one * x) - x).norm() < 1e-14
     assert ((x * x)).norm() < 1e-14  # x stays nilpotent
-
-
-def test_unital_hull_of_unital_algebra_is_itself(m2):
-    hull = sa.unital_hull(m2)
-    assert not hull.adjoined
-    assert hull.algebra is m2
 
 
 def test_spectrum_symmetric_off_diagonal(m2):

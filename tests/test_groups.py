@@ -47,12 +47,15 @@ def test_group_from_cayley_rejects_bad_tables():
         sa.group_from_cayley([[0, 1.9], [1, 0.2]])  # not integers; truncation would give C2
     with pytest.raises(sa.GroupTableError):
         sa.group_from_cayley([[0, True], [True, 0]])  # booleans; numpy would read C2
+    with pytest.raises(sa.GroupTableError):
+        sa.group_from_cayley([[0]], labels=["a", "b"])  # two labels for one element
     # the permutation form takes the same rule: truncation would give (0 1) of degree 3, cap 2
     for bad in ({"degree": 3, "generators": [[1.9, 0, 2]]},
                 {"degree": 3.7, "generators": [[1, 0, 2]]},
                 {"degree": 3, "generators": [[1, 0, 2]], "cap": 2.5},
                 {"degree": True, "generators": [[0]]},
-                {"degree": 3, "generators": [[True, False, 2]]}):
+                {"degree": 3, "generators": [[True, False, 2]]},
+                {"degree": -3, "generators": [[]]}):  # range(-3) is empty, so [] would pass as a permutation
         with pytest.raises(sa.GroupTableError):
             group_from_json({"type": "perm", **bad})
     # integral floats stay accepted

@@ -154,6 +154,20 @@ def ref_unitize_mul(c):
     return out
 
 
+def ref_unitization(alg, tol=1e-9):
+    """A unital algebra holding alg, its embedding matrix and its unit's coefficients.
+
+    Built with ``sa.unitize`` and a 0/1 embedding matrix, apart from the
+    code under test, which pads and slices instead."""
+    u = alg.unit_vector(tol)
+    if u is not None:
+        return alg, np.eye(alg.dim, dtype=complex), u
+    big = sa.unitize(alg)
+    emb = np.zeros((alg.dim + 1, alg.dim), dtype=complex)
+    emb[1:, :] = np.eye(alg.dim)
+    return big, emb, big.unit
+
+
 def ref_direct_sum_mul(c, d):
     n, m = c.shape[0], d.shape[0]
     out = np.zeros((n + m, n + m, n + m), dtype=complex)
@@ -215,7 +229,7 @@ def test_batched_sites_match_their_loops():
         assert 1e-7 < expected and abs(got - expected) <= 1e-12, name  # units have norm ~1
 
     u = np.linalg.qr(_random_complex(rng, alg.dim, 4))[0]  # a span that is not closed
-    sub, worst = structure._compress(alg, u, None)
+    sub, worst = structure._compress(alg, u)
     ref_c, ref_worst = _loop_compress(alg, u)
     assert _close(sub.mul, ref_c) and abs(worst - ref_worst) <= 1e-12 * max(1.0, ref_worst)
 
@@ -238,16 +252,16 @@ def test_batched_sites_match_their_loops():
         u, res = core._unit_solution(alg)
         ref_u, ref_res = ref_unit_solution(c)
         assert np.array_equal(u, ref_u) and res == ref_res
-        hull = sa.unital_hull(alg)
-        adjoined.add(hull.adjoined)
-        assert np.array_equal(core._trace_form(alg, 1e-9), ref_trace_form(hull.algebra.mul))
+        big, _, _ = ref_unitization(alg)
+        adjoined.add(big is not alg)
+        assert np.array_equal(core._trace_form(alg, 1e-9), ref_trace_form(big.mul))
         assert np.array_equal(sa.unitize(alg).mul, ref_unitize_mul(c))
         assert np.array_equal(sa.direct_sum(alg, cs4).mul, ref_direct_sum_mul(c, cs4.mul))
         assert sa.algebra_to_json(alg)["mul"] == ref_json_mul(c)
         report = sa.validate(alg)
         got = (report.associativity_defect, report.involution_defect, report.unit_defect, report.passed)
         assert got == ref_validate(alg)
-    assert adjoined == {False, True}  # the trace form over a unital algebra and over an adjoined hull
+    assert adjoined == {False, True}  # the trace form over a unital algebra and over a unitization
 
 
 def _loop_certificate_residual(dec):
@@ -349,11 +363,11 @@ def test_nullspace_matches_the_full_svd(name):
 
 def ref_spectral_terms(b, tol):
     """``spectral_decompose``'s terms, one projection at a time in Element arithmetic, as it was computed before."""
-    hull = sa.unital_hull(b.parent, tol)
-    one = hull.algebra.element(hull.unit_coeffs)
+    big, emb, unit = ref_unitization(b.parent, tol)
+    one = big.element(unit)
     lams = sa.distinct_eigenvalues(b, tol)
     zero = relative_bound(tol, max(abs(l) for l in lams))
-    evals, evecs = np.linalg.eig(hull.embed(b).lmat())
+    evals, evecs = np.linalg.eig(big.left_mat(emb @ b.coeffs))
     assign = np.argmin(np.abs(evals[:, None] - np.array(lams)[None, :]), axis=1)
     evecs_inv = np.linalg.inv(evecs)
     terms = []
@@ -361,10 +375,10 @@ def ref_spectral_terms(b, tol):
         if abs(lam) <= zero:
             continue
         sel = assign == j
-        p = hull.algebra.element(evecs[:, sel] @ (evecs_inv[sel, :] @ one.coeffs))
+        p = big.element(evecs[:, sel] @ (evecs_inv[sel, :] @ one.coeffs))
         p = 0.5 * (p + p.star())
         p = p * p * (3.0 * one - 2.0 * p)
-        terms.append((lam, hull.embed_mat.conj().T @ p.coeffs))
+        terms.append((lam, emb.conj().T @ p.coeffs))
     return terms
 
 
@@ -394,26 +408,33 @@ def test_spectral_decompose_matches_its_loop(name):
         assert np.linalg.norm(p.coeffs - ref_p) <= 1e-10 * max(1.0, np.linalg.norm(ref_p))
 
 
-def test_restrict_coeffs_reports_the_first_row_outside_a():
-    hull = sa.unital_hull(sa.nilpotent_line())
-    assert hull.adjoined  # the adjoined unit is coefficient 0
-    rows = np.array([[0.0, 2.0], [0.5, 1.0], [2.0, 0.0]], dtype=complex)
-    np.testing.assert_array_equal(hull.restrict_coeffs(rows[:1]), [[2.0]])
-    with pytest.raises(sa.IllConditioned, match=r"\(residual 5\.000e-01\)") as info:
-        hull.restrict_coeffs(rows)
-    assert info.value.residual == 0.5
+def test_a_row_whose_projection_leaves_a_fails_alone(monkeypatch):
+    """On a non-unital parent, a row whose projection keeps a part along the adjoined unit fails alone."""
+    rng = np.random.default_rng(9)
+    part = sa.semisimple_instance([2], 1, rng)
+    alg = sa.direct_sum(part, sa.nilpotent_line())
+    assert not alg.is_unital()
+    rows = [alg.element(np.append(sa.random_selfadjoint(part, rng).coeffs, 0.0)) for _ in range(4)]
+    clean = spectral._spectral_decompose(rows[:2] + rows[3:], sa.DEFAULT_TOL)
+    bad = sa.unitize(alg).left_mat(np.pad(rows[2].coeffs, (1, 0)))  # row 2's L_b; the unit is coordinate 0
+    eig = np.linalg.eig
 
+    def leaky(mats):
+        evals, evecs = eig(mats)
+        for m, vecs in zip(mats, evecs):
+            if np.allclose(m, bad, rtol=0.0, atol=1e-12):
+                vecs[0] += 0.3  # every eigenvector, and so every projection, gains a unit part
+        return evals, evecs
 
-def test_restricting_a_stack_fails_only_the_rows_outside_a():
-    hull = sa.unital_hull(sa.nilpotent_line())
-    ps = np.array([[[0.0, 2.0]], [[0.5, 1.0]], [[0.0, 3.0]]], dtype=complex)  # row 1 holds the adjoined unit
-    errors = [None, None, None]
-    out = spectral._restricted(hull, ps, 1e-9, errors, [0, 1, 2])
-    np.testing.assert_array_equal(out[[0, 2]], [[[2.0]], [[3.0]]])
-    assert errors[0] is None and errors[2] is None
-    with pytest.raises(sa.IllConditioned) as alone:
-        hull.restrict_coeffs(ps[1])
-    assert isinstance(errors[1], sa.IllConditioned) and str(errors[1]) == str(alone.value)
+    monkeypatch.setattr(np.linalg, "eig", leaky)
+    with pytest.raises(sa.IllConditioned, match="does not lie in the base algebra") as alone:
+        sa.spectral_decompose(rows[2])
+    out = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+    assert isinstance(out[2], sa.IllConditioned) and str(out[2]) == str(alone.value)
+    assert out[2].residual == alone.value.residual
+    for got, ref in zip(out[:2] + out[3:], clean, strict=True):
+        for (lam, p), (ref_lam, ref_p) in zip(got.terms, ref.terms, strict=True):
+            assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
 
 
 def test_mul_is_stored_contiguous():
@@ -443,6 +464,30 @@ def test_structure_constants_have_one_reader():
             for name, lineno in _mul_attributes(ast.parse(path.read_text()))
             if not (path.name == "core.py" and name in _MUL_READERS)]
     assert not hits, "mul read outside the product kernel:\n" + "\n".join(hits)
+
+
+def _unitize_calls_and_hull_names(node, scope=()):
+    """``(enclosing definition, line, what)`` for each ``unitize(...)`` call and each removed hull name under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _unitize_calls_and_hull_names(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "unitize":
+            yield ".".join(scope), child.lineno, "unitize"
+        name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+        if name in ("embed_mat", "restrict_coeffs", "adjoined"):
+            yield ".".join(scope), child.lineno, name
+        yield from _unitize_calls_and_hull_names(child, scope)
+
+
+def test_a_unit_is_adjoined_in_one_place():
+    """Only ``core._unitization`` (and the stock unitized instance) adjoins a unit; no hull wrapper is left."""
+    allowed = {("core.py", "_unitization"), ("instances.py", "unitized_nilpotent")}
+    hits = [f"{path.name}:{lineno}: {what} in {name or '<module>'}"
+            for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+            for name, lineno, what in _unitize_calls_and_hull_names(ast.parse(path.read_text()))
+            if what != "unitize" or (path.name, name) not in allowed]
+    assert not hits, "a unit adjoined, or a hull name used, outside _unitization:\n" + "\n".join(hits)
 
 
 def test_no_einsum_in_the_package():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel import _random_algebras
+from test_kernel import _random_algebras, ref_unitization
 
 import staralg as sa
 from staralg import rickart, spectral, structure
@@ -158,11 +158,11 @@ def test_gram_matrix_matches_per_pair_traces(make):
     from staralg.spectral import _gram_matrix
 
     alg = make()
-    hull = sa.unital_hull(alg)
-    lmats = [e.lmat() for e in hull.algebra.basis()]
+    big, emb, _ = ref_unitization(alg)
+    lmats = [e.lmat() for e in big.basis()]
     form = np.array([[np.trace(li @ lj) for lj in lmats] for li in lmats])
-    left = [hull.embed(e).lmat() for e in alg.basis()]
-    star_left = [hull.embed(e.star()).lmat() for e in alg.basis()]
+    left = [big.left_mat(emb @ e.coeffs) for e in alg.basis()]
+    star_left = [big.left_mat(emb @ e.star().coeffs) for e in alg.basis()]
     g = np.array([[np.trace(si @ lj) for lj in left] for si in star_left])
     g = 0.5 * (g + g.conj().T)
     scale = max(1.0, float(np.max(np.abs(form))))

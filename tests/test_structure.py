@@ -1,10 +1,13 @@
 """Radical, properness, hermitian check, central atoms, block isomorphisms, analyze."""
 
+import json
+
 import numpy as np
 import pytest
 
 import staralg as sa
 from staralg import rickart, structure
+from staralg.cli import main
 from staralg.instances import (
     diagonal_algebra,
     direct_sum,
@@ -147,6 +150,20 @@ def test_analyze_nilpotent_mutant():
     r = sa.analyze(nilpotent_mutant(1))
     assert not r.proper and r.hermitian and not r.semisimple
     assert r.radical_dim == 1 and not r.baer
+
+
+def test_analyze_raises_when_the_baer_guard_fails_on_a_baer_algebra(monkeypatch, tmp_path, capsys):
+    """Unital and weakly Rickart is Baer in finite dimension, so a failing guard is an inconsistency."""
+    def non_principal(elements, tol=sa.DEFAULT_TOL):
+        return rickart.AnnihilatorResult([], None, False)
+
+    monkeypatch.setattr(rickart, "annihilator", non_principal)
+    with pytest.raises(sa.InternalInconsistency, match="9 of 9 sampled annihilators"):
+        sa.analyze(matrix_algebra(2))
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(sa.algebra_to_json(matrix_algebra(2))))
+    assert main(["analyze", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_analyze_rejects_malformed():
