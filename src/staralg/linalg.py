@@ -17,7 +17,7 @@ def certificate_bound(tol):
 
 
 def membership_bound(tol):
-    """Bound on a vector's distance to a subspace it must lie in (closure, corners)."""
+    """Bound on a vector's distance to a subspace it must lie in (right ideals, corners)."""
     return np.sqrt(tol)
 
 

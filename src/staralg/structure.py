@@ -25,7 +25,6 @@ from .errors import (
     DecompositionFailed,
     DegenerateRandomness,
     InternalInconsistency,
-    MalformedInput,
     ValidationFailed,
 )
 from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
@@ -109,10 +108,16 @@ def _star_squares(algebra, vs, tol):
 
 
 def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
-    """A / rad as a StarAlgebra on the orthogonal complement of the radical."""
+    """A / rad as a StarAlgebra on the orthogonal complement of the radical.
+
+    With u the orthonormal columns spanning that complement, the structure
+    constants are u^H (u_i u_j) and the involution u^H star conj(u). It declares
+    no unit: its readers find one with unit_vector.
+    """
     r = np.stack([x.coeffs for x in rad_basis], axis=1)
     u = nullspace(r.conj().T, tol)
-    return _compress(algebra, u)[0]
+    s = u.conj().T @ algebra.star @ np.conj(u)
+    return StarAlgebra(algebra.products(u.T, u.T) @ np.conj(u), s)
 
 
 def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
@@ -156,13 +161,15 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
 
 @dataclass(frozen=True)
 class CentralDecomposition:
-    atoms: list
-    blocks: list  # the ideal zA of each atom z, as a SubAlgebra whose unit is z
-    commutative: list  # whether each block is commutative
+    """The central atoms z of a C*-algebra and the dimension of each ideal zA.
 
-    @property
-    def block_dims(self):
-        return [b.dim for b in self.blocks]
+    ``block_dims`` holds rank L_z, largest first, in the order of ``atoms``.
+    In a C*-algebra an atom z is a primitive central projection, so zA is a
+    simple C*-algebra, zA = M_k with dimension k^2; zA is commutative exactly
+    when k = 1, that is when its dimension is 1.
+    """
+    atoms: list
+    block_dims: list
 
 
 def center(algebra, tol=DEFAULT_TOL):
@@ -183,6 +190,10 @@ def central_atoms(algebra, tol=DEFAULT_TOL, seed=0):
     Repeatedly splits non-primitive central projections with spectral
     decompositions of random central selfadjoint elements. Cached per
     (tol, seed).
+
+    Assumes a C*-algebra, as ``analyze`` calls it only on Baer input: there
+    each ideal zA is a full matrix algebra, so its dimension alone tells
+    whether it is commutative (see ``CentralDecomposition``).
     """
     return _cached(algebra, _central_atoms, tol, seed)
 
@@ -216,11 +227,9 @@ def _central_atoms(algebra, tol, seed):
     require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
             "central atoms are not orthogonal")
 
-    blocks = [subalgebra_from_span(algebra, z.lmat(), tol) for z in atoms]
-    order = np.argsort([-b.dim for b in blocks], kind="stable")
-    blocks = [blocks[i] for i in order]
-    return CentralDecomposition([atoms[i] for i in order], blocks,
-                                [_is_commutative(b, tol) for b in blocks])
+    dims = [colspace(z.lmat(), tol).shape[1] for z in atoms]
+    order = np.argsort([-d for d in dims], kind="stable")
+    return CentralDecomposition([atoms[i] for i in order], [dims[i] for i in order])
 
 
 def _split_projections(one, is_atom, draw, tries, tol, failure_message):
@@ -254,127 +263,79 @@ def _split_projections(one, is_atom, draw, tries, tol, failure_message):
     raise DegenerateRandomness(failure_message)
 
 
-# -- subalgebra extraction ----------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class SubAlgebra:
-    parent: StarAlgebra
-    algebra: StarAlgebra
-    inclusion: np.ndarray  # (parent_dim, sub_dim), orthonormal columns
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    def embed(self, a):
-        return Element(self.parent, self.inclusion @ a.coeffs)
-
-
-def _compress(algebra, u):
-    """A compressed to the span of the orthonormal columns of u.
-
-    Returns the StarAlgebra with structure constants u^H (u_i u_j) and
-    involution u^H star conj(u), and the worst norm of a product's component
-    outside span(u). It declares no unit: its readers find one with unit_vector.
-    """
-    prods = algebra.products(u.T, u.T)
-    c = prods @ np.conj(u)
-    worst = float(np.max(np.linalg.norm(c @ u.T - prods, axis=-1)))
-    s = u.conj().T @ algebra.star @ np.conj(u)
-    return StarAlgebra(c, s), worst
-
-
-def subalgebra_from_span(parent, vectors, tol=DEFAULT_TOL):
-    """Sub-StarAlgebra on an orthonormalized basis of a nonzero, *-closed, closed span."""
-    u = colspace(vectors, tol)
-    sub, worst = _compress(parent, u)
-    require(worst, membership_bound(tol), MalformedInput, "span is not multiplicatively closed")
-    return SubAlgebra(parent, sub, u)
-
-
-def _is_commutative(sub, tol):
-    if sub.dim == 1:
-        return True
-    eye = np.eye(sub.dim)
-    c = sub.algebra.products(eye, eye)
-    bound = certificate_bound(tol) * max(1.0, float(np.max(np.abs(c))))
-    return float(np.max(np.abs(c - c.transpose(1, 0, 2)))) <= bound
-
-
 def abelian_split(algebra, tol=DEFAULT_TOL, seed=0):
     """The unique central projection h with hA commutative, (1-h)A properly non-Abelian.
 
-    Returns ``(h, dim hA)``. The dimension is the rank of left multiplication
-    by h, computed apart from the central blocks so that ``analyze``'s
-    dimension count cross-checks them.
+    Returns ``(h, dim hA)``: h is the sum of the central atoms whose ideal zA
+    has dimension 1. The dimension is the rank of left multiplication by h,
+    computed apart from the central blocks so that ``analyze``'s dimension
+    count cross-checks them.
     """
     dec = central_atoms(algebra, tol, seed)
     h = algebra.zero()
-    for z, commutative in zip(dec.atoms, dec.commutative):
-        if commutative:
+    for z, dim in zip(dec.atoms, dec.block_dims):
+        if dim == 1:
             h = h + z
     return h, colspace(h.lmat(), tol).shape[1]
 
 
 # -- matrix units for a simple block ------------------------------------------
 
-def _minimal_projections(block, tol, rng):
-    # a zero-dimensional corner counts as an atom too
-    return _split_projections(
-        block.one(tol),
-        lambda p: _corner_span(block, p, tol).shape[1] <= 1,
-        lambda: random_selfadjoint(block, rng),
-        6 * block.dim + 16, tol,
-        "minimal-projection refinement did not terminate",
-    )
-
-
-def matrix_unit_residual(block, units, tol=DEFAULT_TOL):
-    """Worst defect of the matrix-unit relations for a candidate system."""
+def matrix_unit_residual(atom, units):
+    """Worst defect of the matrix-unit relations for a candidate system of the corner zA, z = atom."""
+    algebra = atom.parent
     n = len(units)
     u = np.array([[x.coeffs for x in row] for row in units])  # [p, q, :]
-    flat = u.reshape(n * n, block.dim)
+    flat = u.reshape(n * n, algebra.dim)
     # [p, q, r, s, :] = u_pq u_rs - delta_qr u_ps
-    prods = block.products(flat, flat).reshape(n, n, n, n, -1)
+    prods = algebra.products(flat, flat).reshape(n, n, n, n, -1)
     prods -= np.eye(n)[:, :, None, None] * u[:, None, None]
     return float(np.max([
-        np.max(np.linalg.norm(block.star_coeffs(flat).reshape(u.shape) - u.transpose(1, 0, 2), axis=-1)),
+        np.max(np.linalg.norm(algebra.star_coeffs(flat).reshape(u.shape) - u.transpose(1, 0, 2), axis=-1)),
         np.max(np.linalg.norm(prods, axis=-1)),
-        np.linalg.norm(np.trace(u) - block.one(tol).coeffs),
+        np.linalg.norm(np.trace(u) - atom.coeffs),
     ]))
 
 
-def block_star_isomorphism(block, tol=DEFAULT_TOL, seed=0):
-    """Matrix-unit system certifying that a simple block is M_n.
+def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
+    """Matrix-unit system certifying that the corner zA of a central projection z = atom is M_n.
 
-    Returns an n x n list of elements u[p][q] with u[p][q]u[r][s] =
-    delta_qr u[p][s], u[p][q]* = u[q][p] and sum u[p][p] = unit, together
-    with its certified ``matrix_unit_residual``.
+    Works in A itself; for a simple algebra pass ``alg.one()``. Returns an
+    n x n list of elements u[p][q] of A with u[p][q]u[r][s] = delta_qr u[p][s],
+    u[p][q]* = u[q][p] and sum u[p][p] = z, together with its certified
+    ``matrix_unit_residual``. Raises InternalInconsistency unless
+    dim zA = n^2, as for a commutative corner of dimension above 1.
     """
+    dim = colspace(atom.lmat(), tol).shape[1]
     rng = np.random.default_rng(seed)
     last_exc = None
     for attempt in range(5):
         try:
-            return _matrix_units_once(block, tol, rng)
+            return _matrix_units_once(atom, dim, tol, rng)
         except (DegenerateRandomness, DecompositionFailed) as exc:
             last_exc = exc
     raise DegenerateRandomness(f"matrix-unit construction kept failing: {last_exc}")
 
 
-def _matrix_units_once(block, tol, rng):
-    one = block.one(tol)
-    projections = _minimal_projections(block, tol, rng)
+def _matrix_units_once(atom, dim, tol, rng):
+    algebra = atom.parent
+    # the minimal projections under z; a zero-dimensional corner counts as an atom too
+    projections = _split_projections(
+        atom, lambda p: _corner_span(algebra, p, tol).shape[1] <= 1,
+        lambda: random_selfadjoint(algebra, rng), 6 * dim + 16, tol,
+        "minimal-projection refinement did not terminate",
+    )
     n = len(projections)
-    if n * n != block.dim:
+    if n * n != dim:
         raise InternalInconsistency(
-            f"{n} minimal projections in a block of dimension {block.dim}; block is not simple"
+            f"{n} minimal projections in a block of dimension {dim}; block is not simple"
         )
     if n == 1:
-        return [[one]], matrix_unit_residual(block, [[one]], tol)
+        return [[atom]], matrix_unit_residual(atom, [[atom]])
 
     e1 = projections[0]
     for _ in range(8):
-        b = random_element(block, rng)
+        b = random_element(algebra, rng)
         xs = [e1 * b * ep for ep in projections]
         if all(x.norm() > membership_bound(tol) for x in xs[1:]):
             break
@@ -392,8 +353,8 @@ def _matrix_units_once(block, tol, rng):
         row.append((1.0 / np.sqrt(t.real)) * x)
 
     rows = np.array([x.coeffs for x in row])
-    units = [[Element(block, v) for v in line] for line in block.products(block.star_coeffs(rows), rows)]
-    worst = matrix_unit_residual(block, units, tol)
+    units = [[Element(algebra, v) for v in line] for line in algebra.products(algebra.star_coeffs(rows), rows)]
+    worst = matrix_unit_residual(atom, units)
     require(worst, certificate_bound(tol), DecompositionFailed, "matrix-unit relations fail")
     return units, worst
 
@@ -475,21 +436,18 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=0):
             h, abelian_dim = abelian_split(algebra, tol, seed)
             h_json = _coeffs_json(h.coeffs)
             worst_units = 0.0
-            for z, block, commutative in zip(dec.atoms, dec.blocks, dec.commutative):
-                if commutative:
+            for z, dim in zip(dec.atoms, dec.block_dims):
+                if dim == 1:
                     abelian_atoms.append(_coeffs_json(z.coeffs))
                     continue
-                units, residual = block_star_isomorphism(block.algebra, tol, seed)
+                units, residual = block_star_isomorphism(z, tol, seed)
                 n = len(units)
                 blocks.append(n)
                 worst_units = max(worst_units, residual)
                 isomorphisms.append({
                     "size": n,
                     "atom": _coeffs_json(z.coeffs),
-                    "matrix_units": [
-                        [_coeffs_json(block.embed(units[p][q]).coeffs) for q in range(n)]
-                        for p in range(n)
-                    ],
+                    "matrix_units": [[_coeffs_json(x.coeffs) for x in row] for row in units],
                 })
             blocks.sort()
             if sum(n * n for n in blocks) + abelian_dim != algebra.dim:

@@ -50,14 +50,16 @@ def test_public_names_carry_only_used_options():
     assert isinstance(sa.build_group_algebra(sa.cyclic_group(2)), sa.StarAlgebra)
     assert [f.name for f in fields(sa.AnnihilatorResult)] == [
         "subspace_basis", "generator", "is_principal_projection_ideal"]
-    assert [f.name for f in fields(sa.CentralDecomposition)] == ["atoms", "blocks", "commutative"]
+    assert [f.name for f in fields(sa.CentralDecomposition)] == ["atoms", "block_dims"]
     assert params(sa.from_matrix_basis) == ["mats"]
     assert params(sa.coeffs_to_step) == ["backend", "coeffs"]
     assert not hasattr(sa.Element, "is_zero")
     for name in ("unital_hull", "UnitalHull"):
         assert not hasattr(sa, name) and not hasattr(core, name)
-    assert params(structure.subalgebra_from_span) == ["parent", "vectors", "tol"]
-    assert params(structure._compress) == ["algebra", "u"]
+    for name in ("SubAlgebra", "subalgebra_from_span", "_is_commutative", "_compress"):
+        assert not hasattr(structure, name)
+    assert params(sa.block_star_isomorphism) == ["atom", "tol", "seed"]
+    assert params(structure.matrix_unit_residual) == ["atom", "units"]
 
 
 def test_validate_rejects_broken_associativity():

@@ -10,6 +10,7 @@ import pytest
 
 import staralg as sa
 from staralg import core, groups, spectral, structure
+from staralg.instances import nilpotent_mutant
 from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
 
@@ -100,13 +101,14 @@ def test_validate_defects_match_the_einsum_reference(alg):
         assert abs(g - e) <= 1e-12 * max(scale, e)
 
 
-def _loop_matrix_unit_residual(block, units):
+def _loop_matrix_unit_residual(atom, units):
     """``matrix_unit_residual`` as one product at a time, the reference for the batched form."""
-    n, c, one = len(units), np.array(block.mul), block.one().coeffs
+    alg = atom.parent
+    n, c, one = len(units), np.array(alg.mul), atom.coeffs
     worst = 0.0
     for p in range(n):
         for q in range(n):
-            worst = max(worst, float(np.linalg.norm(block.star @ np.conj(units[p][q]) - units[q][p])))
+            worst = max(worst, float(np.linalg.norm(alg.star @ np.conj(units[p][q]) - units[q][p])))
             for r in range(n):
                 for s in range(n):
                     expect = units[p][s] if q == r else 0.0
@@ -116,16 +118,13 @@ def _loop_matrix_unit_residual(block, units):
 
 
 def _loop_compress(algebra, u):
-    """``_compress``'s constants and closure residual, one product at a time."""
+    """The constants of A compressed to span(u), as ``quotient_by_radical`` forms them, one product at a time."""
     k, c = u.shape[1], np.array(algebra.mul)
     out = np.zeros((k, k, k), dtype=complex)
-    worst = 0.0
     for i in range(k):
         for j in range(k):
-            prod = ref_mul_coeffs(c, u[:, i], u[:, j])
-            out[i, j] = u.conj().T @ prod
-            worst = max(worst, float(np.linalg.norm(u @ out[i, j] - prod)))
-    return out, worst
+            out[i, j] = u.conj().T @ ref_mul_coeffs(c, u[:, i], u[:, j])
+    return out
 
 
 # -- the sites that read ``mul`` before the kernel was its only reader, as they were written
@@ -214,24 +213,24 @@ def ref_group_algebra(group):
 def test_batched_sites_match_their_loops():
     rng = np.random.default_rng(3)
     alg = sa.semisimple_instance([3], 1, rng)
-    block = sa.central_atoms(alg).blocks[0].algebra
-    units, _ = structure.block_star_isomorphism(block)
+    atom = sa.central_atoms(alg).atoms[0]
+    units, _ = structure.block_star_isomorphism(atom)
     exact = [[x.coeffs for x in row] for row in units]
     scale = [1.0, 2.0, 4.0]
     broken = {  # each system breaks the relations named
-        "all": [[v + 1e-6 * _random_complex(rng, block.dim) for v in row] for row in exact],
+        "all": [[v + 1e-6 * _random_complex(rng, alg.dim) for v in row] for row in exact],
         "star only": [[scale[p] / scale[q] * exact[p][q] for q in range(3)] for p in range(3)],
         "unit sum only": [row[:2] for row in exact[:2]],
     }
     for name, system in broken.items():
-        expected = _loop_matrix_unit_residual(block, system)
-        got = structure.matrix_unit_residual(block, [[block.element(v) for v in row] for row in system])
+        expected = _loop_matrix_unit_residual(atom, system)
+        got = structure.matrix_unit_residual(atom, [[alg.element(v) for v in row] for row in system])
         assert 1e-7 < expected and abs(got - expected) <= 1e-12, name  # units have norm ~1
 
-    u = np.linalg.qr(_random_complex(rng, alg.dim, 4))[0]  # a span that is not closed
-    sub, worst = structure._compress(alg, u)
-    ref_c, ref_worst = _loop_compress(alg, u)
-    assert _close(sub.mul, ref_c) and abs(worst - ref_worst) <= 1e-12 * max(1.0, ref_worst)
+    mutant = nilpotent_mutant(2)
+    rad = sa.radical(mutant)
+    u = nullspace(np.stack([x.coeffs for x in rad], axis=1).conj().T, 1e-9)  # the complement of the radical
+    assert _close(sa.quotient_by_radical(mutant, rad, 1e-9).mul, _loop_compress(mutant, u))
 
     center = np.array([z.coeffs for z in sa.center(alg)]).T
     eye = np.eye(alg.dim)

@@ -9,13 +9,17 @@ import staralg as sa
 from staralg import rickart, structure
 from staralg.cli import main
 from staralg.instances import (
+    _block_matrix_basis,
     diagonal_algebra,
     direct_sum,
+    from_matrix_basis,
     matrix_algebra,
     nilpotent_mutant,
+    random_unitary,
     semisimple_instance,
     swap_mutant,
 )
+from staralg.linalg import certificate_bound
 from staralg.structure import (
     abelian_split,
     block_star_isomorphism,
@@ -105,16 +109,24 @@ def test_abelian_split():
 
 def test_block_star_isomorphism_matrix_algebra():
     alg = matrix_algebra(3)
-    units, residual = block_star_isomorphism(alg, seed=0)
+    units, residual = block_star_isomorphism(alg.one(), seed=0)
     assert len(units) == 3
-    assert residual == matrix_unit_residual(alg, units) < 1e-9
+    assert residual == matrix_unit_residual(alg.one(), units) < 1e-9
 
 
 def test_block_star_isomorphism_scrambled():
     rng = np.random.default_rng(17)
     alg = semisimple_instance([3], 0, rng)
-    units, residual = block_star_isomorphism(alg, seed=0)
-    assert residual == matrix_unit_residual(alg, units) < 1e-8
+    units, residual = block_star_isomorphism(alg.one(), seed=0)
+    assert residual == matrix_unit_residual(alg.one(), units) < 1e-8
+
+
+def test_block_star_isomorphism_rejects_a_commutative_corner():
+    """A corner of dimension 2 splits into 2 minimal projections, and 2 * 2 != 2: it is no M_n."""
+    with pytest.raises(sa.InternalInconsistency, match="block is not simple"):
+        block_star_isomorphism(diagonal_algebra(2).one())
+    units, residual = block_star_isomorphism(matrix_algebra(1).one())
+    assert len(units) == 1 and residual < 1e-12
 
 
 def test_refinement_gives_up_when_nothing_splits(monkeypatch):
@@ -123,7 +135,7 @@ def test_refinement_gives_up_when_nothing_splits(monkeypatch):
     with pytest.raises(sa.DegenerateRandomness):
         sa.central_atoms(direct_sum(matrix_algebra(2), diagonal_algebra(2)))
     with pytest.raises(sa.DegenerateRandomness):
-        block_star_isomorphism(matrix_algebra(2))
+        block_star_isomorphism(matrix_algebra(2).one())
 
 
 def test_analyze_matrix_algebra_report():
@@ -186,6 +198,55 @@ def test_analyze_block_accounting():
     assert all(n >= 2 for n in r.block_sizes_nonabelian)
 
 
+def test_analyze_certifies_blocks_on_a_badly_scaled_basis():
+    """M2 + M2 + C mixed with singular values from 1/s to s, s^2 = 1e3: a valid unital input.
+
+    Each block's unit is its central atom, taken as it is: on this basis a
+    least-squares unit of a block's own constants misses tol.
+    """
+    rng = np.random.default_rng(1)  # semisimple_instance's draws, with the singular values fixed
+    mats = _block_matrix_basis([2, 2], 1)
+    d = mats[0].shape[0]
+    u = random_unitary(d, rng)
+    mats = [u @ m @ u.conj().T for m in mats]
+    n = len(mats)
+    a, b = random_unitary(n, rng), random_unitary(n, rng)
+    s = np.sqrt(1e3)
+    stack = np.stack([m.reshape(-1) for m in mats], axis=1) @ (a @ np.diag(np.geomspace(1 / s, s, n)) @ b)
+    alg = from_matrix_basis([stack[:, i].reshape(d, d) for i in range(n)])
+    r = sa.analyze(alg)
+    assert r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
+    assert r.residuals["matrix_unit_worst"] <= certificate_bound(r.tol)
+
+
+def test_reported_matrix_units_hold_in_the_algebra():
+    """The units in the JSON report are elements of A: relations, sums to atoms, and cross-block products."""
+    alg = semisimple_instance([2, 2, 3], 1, np.random.default_rng(3))
+    d = sa.analyze(alg, seed=4).to_dict()
+    bound = certificate_bound(d["tol"])
+
+    def coeffs(pairs):
+        return np.array([complex(re, im) for re, im in pairs])
+
+    systems = []
+    for iso in d["block_isomorphisms"]:
+        k = iso["size"]
+        units = np.array([[coeffs(v) for v in row] for row in iso["matrix_units"]])  # [p, q, :]
+        flat = units.reshape(k * k, alg.dim)
+        prods = alg.products(flat, flat).reshape(k, k, k, k, -1)
+        expected = np.einsum("qr,psx->pqrsx", np.eye(k), units)  # u_pq u_rs = delta_qr u_ps
+        assert np.max(np.linalg.norm(prods - expected, axis=-1)) <= bound
+        stars = alg.star_coeffs(flat).reshape(units.shape)
+        assert np.max(np.linalg.norm(stars - units.transpose(1, 0, 2), axis=-1)) <= bound
+        assert np.linalg.norm(np.trace(units) - coeffs(iso["atom"])) <= bound
+        systems.append(flat)
+    assert sorted(len(flat) for flat in systems) == [4, 4, 9]
+    for i, x in enumerate(systems):
+        for y in systems[i + 1:]:
+            assert np.max(np.linalg.norm(alg.products(x, y), axis=-1)) <= bound
+            assert np.max(np.linalg.norm(alg.products(y, x), axis=-1)) <= bound
+
+
 def _count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""
     calls = []
@@ -202,15 +263,14 @@ def _count_calls(monkeypatch, module, name):
 def test_analyze_computes_each_fact_once(monkeypatch):
     wr_passes = _count_calls(monkeypatch, rickart, "_weakly_rickart_pass")
     proper_searches = _count_calls(monkeypatch, structure, "_check_proper")
-    spans = _count_calls(monkeypatch, structure, "subalgebra_from_span")
+    isomorphisms = _count_calls(monkeypatch, structure, "block_star_isomorphism")
     residuals = _count_calls(monkeypatch, structure, "matrix_unit_residual")
     alg = semisimple_instance([2, 2], 1, np.random.default_rng(7))
     r = sa.analyze(alg)
     assert r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
-    dec = sa.central_atoms(alg)
     assert len(wr_passes) == 1      # check_baer reuses analyze's pass
     assert len(proper_searches) == 1  # check_hermitian reuses it on a semisimple algebra
-    assert len(spans) == len(dec.atoms)  # one ideal zA per atom
+    assert len(isomorphisms) == len(r.block_sizes_nonabelian)  # one corner zA per non-abelian block
     assert len(residuals) == len(r.block_sizes_nonabelian)
 
 
