@@ -298,6 +298,21 @@ def _trace_form(algebra, tol):
     return c.reshape(big.dim, -1) @ c.transpose(0, 2, 1).reshape(big.dim, -1).T
 
 
+def _trace_functional(algebra):
+    """tau_i = tr L_{e_i} over A itself; for an idempotent z, tau . z = rank L_z. Use via _cached."""
+    return np.trace(algebra._times_basis(np.eye(algebra.dim)), axis1=1, axis2=2)
+
+
+def _trace_ranks(algebra, zs):
+    """For each row z of ``zs``: the integer nearest tau . z, which is rank L_z when z is an
+    idempotent, and the distance of tau . z from it relative to max(1, |tau| |z|)."""
+    tau = _cached(algebra, _trace_functional)
+    traces = (zs * tau).sum(axis=-1)
+    ranks = np.round(traces.real)
+    scale = np.maximum(1.0, np.linalg.norm(tau) * np.linalg.norm(zs, axis=-1))
+    return ranks.astype(int), np.abs(traces - ranks) / scale
+
+
 # -- spectrum -----------------------------------------------------------------
 
 @dataclass(frozen=True)

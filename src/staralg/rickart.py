@@ -8,9 +8,9 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
-from .linalg import (certificate_bound, colspace, membership_bound, nullspace, require, require_each,
-                     subspaces_equal)
-from .spectral import _decomposition_scope, _raised, left_projection, right_projection, right_projections
+from .linalg import (certificate_bound, colspace, membership_bound, nullspace, relative_bound, require,
+                     require_each, subspaces_equal)
+from .spectral import _raised, _right_projection_scope, left_projection, right_projection, right_projections
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,9 @@ def annihilator(elements, tol=DEFAULT_TOL):
     unit = algebra.unit_vector(tol)
     if unit is not None:
         try:
-            j = algebra.zero()
-            for e in right_projections(elements, tol):
+            first, *rest = right_projections(elements, tol)
+            j = _raised(first)  # 0 v e = e exactly
+            for e in rest:
                 j = join(j, _raised(e), tol)
             f = Element(algebra, unit) - j
             if _generates(f, kernel, tol):
@@ -156,10 +157,10 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    Cached per (tol, seed). The pass opens a decomposition scope, or joins an
-    enclosing ``analyze`` or ``check_baer`` call's, so equal inputs share one
-    decomposition."""
-    with _decomposition_scope():
+    Cached per (tol, seed). The pass opens a right-projection scope, or joins
+    an enclosing ``analyze`` or ``check_baer`` call's, so a later caller in
+    the same run reuses its right projections."""
+    with _right_projection_scope():
         return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
@@ -169,7 +170,9 @@ def _weakly_rickart_pass(algebra, tol, seed):
     worst = 0.0
     tested = algebra.basis() + [random_element(algebra, rng) for _ in range(8)]
     live = [a for a in tested if a.norm() > tol]
-    for a, e in zip(live, right_projections(live, tol)):
+    # the kernels of every L_a from one stacked SVD, each as ``nullspace`` would give it
+    _, sing, vhs = np.linalg.svd(np.array([a.lmat() for a in live]), full_matrices=False)
+    for a, e, s, vh in zip(live, right_projections(live, tol), sing, vhs):
         if isinstance(e, DecompositionFailed):
             return CheckReport(
                 "weakly_rickart", False, float("inf"), seed,
@@ -178,7 +181,7 @@ def _weakly_rickart_pass(algebra, tol, seed):
         e = _raised(e)
         res1 = (a * e - a).norm() / max(1.0, a.norm())
         worst = max(worst, res1)
-        kernel = nullspace(a.lmat(), tol)
+        kernel = vh[int(np.sum(s > relative_bound(tol, s[0]))):].conj().T
         res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
         over = np.flatnonzero(res2 > bound)
         if over.size:
@@ -206,12 +209,12 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
     Implementation guard: the sampled annihilator-generator witnesses check
     the code, not the theorem.
 
-    The call opens a decomposition scope (see ``staralg.spectral``), or joins
-    an enclosing ``analyze``'s, so the guard's RP(e_i) reuse the pass's
-    decompositions. The memo is dropped when the call returns: kept on the
+    The call opens a right-projection scope (see ``staralg.spectral``), or
+    joins an enclosing ``analyze``'s, so the guard's RP(e_i) reuse the pass's
+    right projections. The memo is dropped when the call returns: kept on the
     algebra, it would grow with every later query.
     """
-    with _decomposition_scope():
+    with _right_projection_scope():
         rng = np.random.default_rng(seed)
         if not algebra.is_unital(tol):
             return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})

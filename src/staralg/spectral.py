@@ -4,9 +4,8 @@ A normal element of a proper algebra decomposes as ``b = sum lambda_j e_j``
 with distinct nonzero scalars and nonzero orthogonal projections lying in the
 subalgebra generated by b. Each projection is an interpolation idempotent on
 the clustered eigenvalues of the regular representation, so it stays inside
-the generated subalgebra by construction. Right projections,
-quasi-inverses, positive square roots and the EP witness are all read off the
-decomposition of a*a.
+the generated subalgebra by construction. Quasi-inverses, positive square
+roots and the EP witness are read off the decomposition of a*a.
 
 There is one solver, ``_spectral_decompose``, and it takes a stack of
 elements of one parent. Each stage runs once per stack (a stack whose
@@ -15,25 +14,32 @@ normality product, the regular representations L_b, and the stacked
 ``eigvals``, ``eig`` and ``inv``; only the eigenvalue clustering is a loop
 per element. Entry i of its result is element i's decomposition, or the
 exception solving element i alone raises, so a failing element leaves the
-others as they are. ``spectral_decompose(b)`` and ``right_projection(a)`` are
-stacks of one. ``right_projections`` takes whole stacks: the weakly-Rickart
-pass asks for the basis and its 8 samples in one call, and ``annihilator``
-for its whole set. Every product runs on slices shaped as for one element
-(the projections are grouped by their number), so an element's numbers do
-not depend on the elements stacked with it.
+others as they are. ``spectral_decompose(b)`` is a stack of one.
+
+Right projections take a shorter path where they can. On a unital algebra
+whose Gram matrix G passes ``check_proper``'s positivity rule, left
+multiplication is a faithful *-representation on (A, <a, b> = tr L_{b*a}),
+so RP(a) is the <.,.>-orthogonal projection onto ker(L_a)^perp applied to 1:
+one stacked ``svd`` of W L_a W^-1, with G = W^H W, gives it for a whole
+stack. Each such RP is certified as the one it claims to be; a row that
+fails, and every row of an algebra without that factor, goes to the solver
+as the decomposition of a*a. ``right_projections`` takes whole stacks: the
+weakly-Rickart pass asks for the basis and its 8 samples in one call, and
+``annihilator`` for its whole set; ``right_projection(a)`` is a stack of
+one. Every product runs on slices shaped as for one element, so an
+element's numbers do not depend on the elements stacked with it.
 
 While an ``analyze``, ``check_baer`` or ``check_weakly_rickart`` call runs,
-each element is looked up on its own in a memo keyed by
-``(parent, coefficient bytes, tol)``: an input seen before returns the stored
-result, the distinct misses are solved in one stack, and a failure is not
-stored. So the Baer guard reuses the right projections the weakly-Rickart
-pass made, and equal inputs (g*g = 1 for every group element,
-e_ij* e_ij = e_jj in M_k) share one decomposition. The memo lives in a
-context variable, is opened by the outermost such call (an inner call
-shares it) and is dropped when that call returns. It is not kept in
-``algebra._cache``: on a long-lived algebra it would grow with every query,
-and a query outside a run computes afresh. Each caller's own certificates,
-such as ``a RP(a) = a``, still run on every call.
+each input of ``right_projections`` is looked up on its own in a memo keyed
+by ``(parent, coefficient bytes, tol)``: an input seen before returns the
+stored RP, the distinct misses are solved in one stack, and a failure is not
+stored. So the Baer guard's singletons reuse the right projections the
+weakly-Rickart pass made. The memo lives in a context variable, is opened by
+the outermost such call (an inner call shares it) and is dropped when that
+call returns. It is not kept in ``algebra._cache``: on a long-lived algebra
+it would grow with every query, and a query outside a run computes afresh.
+Each caller's own certificates, such as ``a RP(a) = a`` in the
+weakly-Rickart pass, still run on every call.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _padded, _trace_form, _unitization
+from .core import DEFAULT_TOL, Element, _cached, _padded, _trace_form, _trace_ranks, _unitization
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, relative_bound, require
 
@@ -69,13 +75,13 @@ class SpectralDecomposition:
         return Element(parent, total)
 
 
-# (parent, coefficient bytes, tol) -> SpectralDecomposition while a scope is open
-_MEMO = contextvars.ContextVar("staralg_decompositions", default=None)
+# (parent, coefficient bytes, tol) -> RP of that element while a scope is open
+_MEMO = contextvars.ContextVar("staralg_right_projections", default=None)
 
 
 @contextlib.contextmanager
-def _decomposition_scope():
-    """Share decompositions among the calls inside; an inner scope reuses the outer memo."""
+def _right_projection_scope():
+    """Share right projections among the calls inside; an inner scope reuses the outer memo."""
     if _MEMO.get() is not None:
         yield
         return
@@ -91,10 +97,9 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
 
     The zero eigenvalue is omitted. Raises DecompositionFailed when the
     certificates cannot be met, which is the expected signal on non-proper
-    algebras. Inside a decomposition scope an input seen before returns the
-    stored result; a failure is not stored.
+    algebras.
     """
-    return _raised(_decompositions([b], tol)[0])
+    return _raised(_spectral_decompose([b], tol)[0])
 
 
 def _raised(entry):
@@ -102,22 +107,6 @@ def _raised(entry):
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-def _decompositions(bs, tol):
-    """``_spectral_decompose(bs, tol)``, each element looked up in the memo while a scope is open."""
-    memo = _MEMO.get()
-    if memo is None:
-        return _spectral_decompose(bs, tol)
-    # the parent itself, not id(): a freed algebra's id can be reused
-    keys = [(b.parent, b.coeffs.tobytes(), tol) for b in bs]
-    misses = {}
-    for key, b in zip(keys, bs):
-        if key not in memo:
-            misses.setdefault(key, b)
-    solved = dict(zip(misses, _spectral_decompose(list(misses.values()), tol))) if misses else {}
-    memo.update((key, dec) for key, dec in solved.items() if isinstance(dec, SpectralDecomposition))
-    return [solved[key] if key in solved else memo[key] for key in keys]
 
 
 # complex entries (256 KiB) that one stacked intermediate of the solver holds at most
@@ -288,19 +277,45 @@ def _selfadjoint_part(x):
 
 
 def right_projections(xs, tol=DEFAULT_TOL):
-    """RP(a) for each a of ``xs``, all of one parent, from one stacked solve.
+    """RP(a) for each a of ``xs``, all of one parent, solved as one stack.
 
-    Entry i is RP(xs[i]), or the exception ``right_projection(xs[i])`` raises."""
+    Entry i is RP(xs[i]), or the exception ``right_projection(xs[i])`` raises.
+    Inside a right-projection scope an input seen before returns the stored
+    RP; a failure is not stored."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _right_projections(xs, tol)
+    # the parent itself, not id(): a freed algebra's id can be reused
+    keys = [(a.parent, a.coeffs.tobytes(), tol) for a in xs]
+    misses = {}
+    for key, a in zip(keys, xs):
+        if key not in memo:
+            misses.setdefault(key, a)
+    solved = dict(zip(misses, _right_projections(list(misses.values()), tol))) if misses else {}
+    memo.update((key, e) for key, e in solved.items() if isinstance(e, Element))
+    return [solved[key] if key in solved else memo[key] for key in keys]
+
+
+def _right_projections(xs, tol):
     norms = [a.norm() for a in xs]
     out = [a.parent.zero() if norm <= tol else None for a, norm in zip(xs, norms)]
     live = [i for i, e in enumerate(out) if e is None]
     if not live:
         return out
     parent = xs[0].parent
+    coords = _cached(parent, _trace_coordinates, tol)[2]
     a = np.array([xs[i].coeffs for i in live])
+    if coords is not None:
+        for run in _chunks(list(range(len(live))), parent.dim ** 2):
+            for r, e in zip(run, _trace_form_projections(parent, a[run], coords, tol)):
+                out[live[r]] = e
+        rest = [r for r, i in enumerate(live) if out[i] is None]
+        live, a = [live[r] for r in rest], a[rest]
+        if not live:
+            return out
     x = _rowwise(lambda c: parent.row_products(parent.star_coeffs(c), c), a)  # a* a
     h = (x + _rowwise(parent.star_coeffs, x)) * 0.5  # _selfadjoint_part, row by row
-    decs = _decompositions([Element(parent, row) for row in h], tol)
+    decs = _spectral_decompose([Element(parent, row) for row in h], tol)
     e = np.array([dec.projection_sum().coeffs if isinstance(dec, SpectralDecomposition) else row
                   for dec, row in zip(decs, a)])  # a failed row stands in for its own RP
     res = _norms(_rowwise(parent.row_products, a, e) - a)
@@ -310,6 +325,33 @@ def right_projections(xs, tol=DEFAULT_TOL):
             "RP certificate a*RP(a) = a fails",
         ) or Element(parent, p)
     return out
+
+
+def _trace_form_projections(parent, a, coords, tol):
+    """RP of each row of ``a`` from one stacked SVD in trace-form coordinates; None where a certificate fails.
+
+    With W L_a W^-1 = U S V^H, the kernel of L_a is W^-1 times the right
+    singular vectors past the rank r, so L_RP(a) = W^-1 V_r V_r^H W and
+    RP(a) is its value at 1. The rank rule is the solver's zero rule on the
+    eigenvalues S^2 of L_{a*a}. A row is kept when e = e*, e^2 = e and
+    a e = a hold at certificate_bound and tau . e = r (see ``_trace_ranks``):
+    rank L_e = rank L_a together with a e = a gives ker L_a = ker L_e."""
+    w, w_inv = coords
+    bound = certificate_bound(tol)
+    errors = [None] * len(a)
+    _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, errors)
+    squares = s * s
+    ranks = np.array([np.sum(row > relative_bound(tol, row[0])) for row in squares])
+    c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
+    e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
+    worst = np.maximum(np.maximum(
+        _norms(e - _rowwise(parent.star_coeffs, e)),
+        _norms(_rowwise(parent.row_products, e, e) - e)),
+        _norms(_rowwise(parent.row_products, a, e) - a) / np.maximum(1.0, _norms(a)))
+    traced, off = _trace_ranks(parent, e)
+    ok = (np.maximum(worst, off) <= bound) & (traced == ranks)
+    return [Element(parent, row) if good and error is None else None
+            for row, good, error in zip(e, ok.tolist(), errors)]
 
 
 def right_projection(a, tol=DEFAULT_TOL):
@@ -378,6 +420,21 @@ def _gram_matrix(algebra, tol):
     pad = _cached(algebra, _unitization, tol).dim - algebra.dim
     g = (_padded(algebra.star.T, pad) @ _cached(algebra, _trace_form, tol))[:, pad:]
     return 0.5 * (g + g.conj().T)
+
+
+def _trace_coordinates(algebra, tol):
+    """The ``eigh`` of the Gram matrix G and, where A has them, its trace-form coordinates; use via _cached.
+
+    Returns ``(evals, evecs, coords)``. ``coords`` is ``(W, W^-1)`` when A is
+    unital and G passes ``check_proper``'s positivity rule, else None:
+    W = Lambda^1/2 V^H, so G = W^H W and W L_a W^-1 is L_a in a
+    <.,.>-orthonormal basis."""
+    evals, evecs = np.linalg.eigh(_cached(algebra, _gram_matrix, tol))
+    coords = None
+    if algebra.is_unital(tol) and evals[0] > relative_bound(tol, evals[-1]):
+        root = np.sqrt(evals)
+        coords = (root[:, None] * evecs.conj().T, evecs / root)
+    return evals, evecs, coords
 
 
 def cstar_norm(a, tol=DEFAULT_TOL):

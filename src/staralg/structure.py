@@ -15,6 +15,7 @@ from .core import (
     _coeffs_json,
     _padded,
     _trace_form,
+    _trace_ranks,
     _unitization,
     random_element,
     random_selfadjoint,
@@ -24,12 +25,13 @@ from .core import (
 from .errors import (
     DecompositionFailed,
     DegenerateRandomness,
+    IllConditioned,
     InternalInconsistency,
     ValidationFailed,
 )
 from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
-from .spectral import _decomposition_scope, _gram_matrix, spectral_decompose
+from .spectral import _right_projection_scope, _trace_coordinates, spectral_decompose
 
 
 # -- radical and the basic checks ---------------------------------------------
@@ -77,8 +79,7 @@ def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
 
 
 def _check_proper(algebra, tol, seed):
-    g = _cached(algebra, _gram_matrix, tol)
-    evals, evecs = np.linalg.eigh(g)
+    evals, evecs, _ = _cached(algebra, _trace_coordinates, tol)
     min_eig, max_eig = float(evals[0]), float(evals[-1])
     passed = min_eig > relative_bound(tol, max_eig)
     details = {"gram_min_eig": min_eig, "gram_max_eig": max_eig}
@@ -305,8 +306,13 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     u[p][q]* = u[q][p] and sum u[p][p] = z, together with its certified
     ``matrix_unit_residual``. Raises InternalInconsistency unless
     dim zA = n^2, as for a commutative corner of dimension above 1.
+
+    dim zA = rank L_z is read as tau . z (see ``_trace_ranks``), which must
+    lie within certificate_bound of an integer, else IllConditioned.
     """
-    dim = colspace(atom.lmat(), tol).shape[1]
+    (dim,), (off,) = _trace_ranks(atom.parent, atom.coeffs[None])
+    if not off <= certificate_bound(tol):
+        raise IllConditioned("the trace of the projection is not an integer rank", float(off))
     rng = np.random.default_rng(seed)
     last_exc = None
     for attempt in range(5):
@@ -388,7 +394,7 @@ class StructureReport:
 
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     """Run every checker and certify the block structure on Baer instances."""
-    with _decomposition_scope():
+    with _right_projection_scope():
         report = validate(algebra, tol)
         if not report.passed:
             raise ValidationFailed(report)

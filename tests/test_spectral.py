@@ -11,6 +11,7 @@ from test_kernel import _random_algebras, ref_unitization
 
 import staralg as sa
 from staralg import rickart, spectral, structure
+from staralg.core import _cached
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
 
 
@@ -154,7 +155,7 @@ def test_cstar_norm_basis_independent():
 ])
 def test_gram_matrix_matches_per_pair_traces(make):
     """The trace form F and the Gram matrix built from it agree with one trace per pair."""
-    from staralg.core import _cached, _trace_form
+    from staralg.core import _trace_form
     from staralg.spectral import _gram_matrix
 
     alg = make()
@@ -194,19 +195,28 @@ def test_cstar_identity_random(seed):
     assert sa.cstar_norm(a.star() * a) == pytest.approx(sa.cstar_norm(a) ** 2, rel=1e-7)
 
 
-# -- one decomposition per input while analyze runs ----------------------------
+# -- one right projection per input while analyze runs ------------------------
 
-def _count_solves(monkeypatch):
-    """Record each matrix numpy.linalg.eig solves, once per matrix of a stack; the solver is its one caller."""
-    solves = []
-    eig = np.linalg.eig
+def _record_right_projections(monkeypatch):
+    """Record the memo key of every element right_projections is asked for, and of every one it solves."""
+    asked, solved = [], []
+    ask, solve = spectral.right_projections, spectral._right_projections
 
-    def counted(m):
-        solves.extend([m.shape[-2:]] * int(np.prod(m.shape[:-2])))
-        return eig(m)
+    def key(a, tol):
+        return a.parent, a.coeffs.tobytes(), tol
 
-    monkeypatch.setattr(np.linalg, "eig", counted)
-    return solves
+    def asking(xs, tol=sa.DEFAULT_TOL):
+        asked.extend(key(a, tol) for a in xs)
+        return ask(xs, tol)
+
+    def solving(xs, tol):
+        solved.extend(key(a, tol) for a in xs)
+        return solve(xs, tol)
+
+    for module in (spectral, rickart):
+        monkeypatch.setattr(module, "right_projections", asking)
+    monkeypatch.setattr(spectral, "_right_projections", solving)
+    return asked, solved
 
 
 @pytest.mark.parametrize("make", [
@@ -214,22 +224,10 @@ def _count_solves(monkeypatch):
     lambda: sa.build_group_algebra(sa.symmetric_group_3()),
 ], ids=["M3", "C[S3]"])
 def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    solves, inputs = _count_solves(monkeypatch), _record_inputs(monkeypatch)
+    """Every right projection analyze asks for is solved once; the repeats are answered by the memo."""
+    asked, solved = _record_right_projections(monkeypatch)
     sa.analyze(make())
-    assert len(solves) == len(set(inputs)) < len(inputs)
-
-
-def _record_inputs(monkeypatch):
-    """Record the (parent, coefficients, tol) key of every element asked of the memo, row by row."""
-    inputs = []
-    decompose = spectral._decompositions
-
-    def recorded(bs, tol):
-        inputs.extend((b.parent, b.coeffs.tobytes(), tol) for b in bs)
-        return decompose(bs, tol)
-
-    monkeypatch.setattr(spectral, "_decompositions", recorded)
-    return inputs
+    assert len(solved) == len(set(solved)) == len(set(asked)) < len(asked)
 
 
 @pytest.mark.parametrize("make", [
@@ -237,22 +235,32 @@ def _record_inputs(monkeypatch):
     lambda: sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
 ], ids=["M3", "C[S4]"])
 def test_check_weakly_rickart_alone_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    """Called outside analyze, the pass opens its own decomposition scope."""
-    solves, inputs = _count_solves(monkeypatch), _record_inputs(monkeypatch)
+    """Called outside analyze, the pass opens its own scope, and its memo holds every RP it solved."""
+    asked, solved = _record_right_projections(monkeypatch)
+    held = []
+    run = rickart._weakly_rickart_pass
+
+    def recorded(*args):
+        report = run(*args)
+        held.append(set(spectral._MEMO.get()))
+        return report
+
+    monkeypatch.setattr(rickart, "_weakly_rickart_pass", recorded)
     assert sa.check_weakly_rickart(make()).passed
-    assert len(solves) == len(set(inputs)) < len(inputs)
+    assert spectral._MEMO.get() is None
+    assert len(solved) == len(set(solved)) == len(set(asked)) == len(held[0])
+    assert held == [set(solved)]
 
 
 def test_the_memo_ends_with_its_analyze_call(monkeypatch):
     alg = sa.matrix_algebra(3)
     sa.analyze(alg)
     assert spectral._MEMO.get() is None
-    assert not any(isinstance(v, spectral.SpectralDecomposition) for v in alg._cache.values())
-    assert not any(key[0] in (spectral.spectral_decompose, spectral._spectral_decompose) for key in alg._cache)
-    solves = _count_solves(monkeypatch)
+    assert not any(key[0] in (spectral.right_projections, spectral._right_projections) for key in alg._cache)
+    asked, solved = _record_right_projections(monkeypatch)
     a = alg.element(np.arange(9.0))
     first, second = sa.right_projection(a), sa.right_projection(a)
-    assert len(solves) == 2
+    assert len(solved) == len(asked) == 2
     np.testing.assert_array_equal(first.coeffs, second.coeffs)
 
 
@@ -274,21 +282,22 @@ def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
 
     monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
     monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
-    solve, decompose = spectral._spectral_decompose, spectral._decompositions
+    ask, solve = spectral.right_projections, spectral._right_projections
 
-    def solved(bs, tol):
-        made[phase[0]].extend(b.coeffs.tobytes() for b in bs)
-        return solve(bs, tol)
-
-    def asked(bs, tol):
+    def asking(xs, tol=sa.DEFAULT_TOL):
         if phase[0] == "guard":
-            asked_in_guard.update(b.coeffs.tobytes() for b in bs)
-        return decompose(bs, tol)
+            asked_in_guard.update(a.coeffs.tobytes() for a in xs)
+        return ask(xs, tol)
 
-    monkeypatch.setattr(spectral, "_spectral_decompose", solved)
-    monkeypatch.setattr(spectral, "_decompositions", asked)
+    def solving(xs, tol):
+        made[phase[0]].extend(a.coeffs.tobytes() for a in xs)
+        return solve(xs, tol)
+
+    for module in (spectral, rickart):
+        monkeypatch.setattr(module, "right_projections", asking)
+    monkeypatch.setattr(spectral, "_right_projections", solving)
     assert sa.analyze(alg).baer
-    basis_inputs = {spectral._selfadjoint_part(e.star() * e).coeffs.tobytes() for e in alg.basis()}
+    basis_inputs = {e.coeffs.tobytes() for e in alg.basis()}
     assert basis_inputs <= set(made["pass"])
     assert len(basis_inputs & asked_in_guard) >= 3  # the guard's singletons e_0, e_1, e_2
     assert not set(made["guard"]) & set(made["pass"])
@@ -316,13 +325,13 @@ def _report_json(alg, seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_reports_are_byte_identical_without_the_memo(monkeypatch, seed):
-    solves = _count_solves(monkeypatch)
+    _, solved = _record_right_projections(monkeypatch)
     with_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
-    solved_with_memo = len(solves)
+    solved_with_memo = len(solved)
     for module in (structure, rickart):
-        monkeypatch.setattr(module, "_decomposition_scope", contextlib.nullcontext)
+        monkeypatch.setattr(module, "_right_projection_scope", contextlib.nullcontext)
     without_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
-    assert len(solves) - solved_with_memo > solved_with_memo
+    assert len(solved) - solved_with_memo > solved_with_memo
     assert without_memo == with_memo
 
 
@@ -429,15 +438,79 @@ def test_right_projections_match_one_at_a_time():
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_the_memo_stores_each_success_once_and_no_failure():
     rows = _mixed_stacks()[0]
-    with spectral._decomposition_scope():
-        first = spectral._decompositions(rows, sa.DEFAULT_TOL)
+    with spectral._right_projection_scope():
+        first = spectral.right_projections(rows)
         memo = dict(spectral._MEMO.get())
-        again = spectral._decompositions(rows[::-1], sa.DEFAULT_TOL)[::-1]
-    solved = {b.coeffs.tobytes() for b, e in zip(rows, first) if isinstance(e, sa.SpectralDecomposition)}
+        again = spectral.right_projections(rows[::-1])[::-1]
+    solved = {a.coeffs.tobytes() for a, e in zip(rows, first) if isinstance(e, sa.Element)}
     assert {key[1] for key in memo} == solved and len(memo) == len(solved) < len(rows) - 1
-    assert all(isinstance(dec, sa.SpectralDecomposition) for dec in memo.values())
+    assert all(isinstance(e, sa.Element) for e in memo.values())
     for e, f in zip(first, again):
         if isinstance(e, Exception):
             assert type(f) is type(e) and str(f) == str(e)  # solved again, not stored
         else:
             assert f is e
+
+
+# -- right projections in trace-form coordinates --------------------------------
+
+def _rank(e):
+    """rank L_e of a projection e, as the trace of its regular representation."""
+    return int(round(np.trace(e.lmat()).real))
+
+
+def _rank_deficient_rows(alg, rng):
+    """Random elements, and random elements times a spectral projection, so that most RPs are not 1."""
+    p = sa.spectral_decompose(sa.random_selfadjoint(alg, rng)).projections()[0]
+    return [sa.random_element(alg, rng) * x for x in (alg.one(), p, p, alg.one() - p)] + [p, alg.zero()]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: sa.matrix_algebra(3),
+    lambda rng: semisimple_instance([3, 2], 1, rng),
+    lambda rng: sa.build_group_algebra(sa.dihedral_group(4)),
+], ids=["M3", "[3,2]+1", "C[D4]"])
+def test_trace_form_rows_match_one_at_a_time_and_the_solver(monkeypatch, make):
+    """Each row of a trace-form stack is its stack-of-one answer, and the solver's RP within 1e-12."""
+    rng = np.random.default_rng(12)
+    alg = make(rng)
+    rows = _rank_deficient_rows(alg, rng)
+    refs = [sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum() for a in rows]
+    solves = []
+    solve = spectral._spectral_decompose
+    monkeypatch.setattr(spectral, "_spectral_decompose", lambda bs, tol: solves.append(bs) or solve(bs, tol))
+    stacked = spectral.right_projections(rows)
+    assert not solves  # no row went to the solver
+    for a, e, ref in zip(rows, stacked, refs):
+        np.testing.assert_array_equal(e.coeffs, spectral.right_projections([a])[0].coeffs)
+        assert (e - ref).norm() <= 1e-12 * max(1.0, ref.norm())
+    ranks = [_rank(e) for e in stacked]
+    assert ranks == [_rank(ref) for ref in refs] and len(set(ranks)) > 2
+
+
+def test_a_projection_that_fixes_a_but_has_the_wrong_trace_falls_back(monkeypatch):
+    """Rotate the singular vectors so that e = 1: a e = a, e = e* and e^2 = e hold, tau.e = 9 != rank L_a = 3."""
+    alg = sa.matrix_algebra(3)
+    a = alg.element([1, 1, 0, 0, 0, 0, 0, 0, 0])  # E11 + E12
+    expected = sa.right_projection(a)
+    coords = _cached(alg, spectral._trace_coordinates, sa.DEFAULT_TOL)[2]
+    w_one = coords[0] @ alg.unit_vector()
+    basis = np.linalg.qr(np.column_stack([w_one, np.eye(alg.dim)[:, 1:]]))[0]  # first column along W 1
+    lapack = spectral._lapack
+
+    def rotated(fn, mats, errors):
+        out = lapack(fn, mats, errors)
+        if fn is not np.linalg.svd:
+            return out
+        u, s, vh = out
+        return u, s, np.broadcast_to(basis.conj().T, vh.shape)
+
+    monkeypatch.setattr(spectral, "_lapack", rotated)
+    e = alg.element(coords[1] @ (basis[:, :3] @ (basis[:, :3].conj().T @ w_one)))  # the mutated e
+    assert (e - alg.one()).norm() < 1e-12 and (a * e - a).norm() < 1e-12
+    assert spectral._trace_form_projections(alg, a.coeffs[None], coords, sa.DEFAULT_TOL) == [None]
+    solves = []
+    solve = spectral._spectral_decompose
+    monkeypatch.setattr(spectral, "_spectral_decompose", lambda bs, tol: solves.append(bs) or solve(bs, tol))
+    got = sa.right_projection(a)
+    assert len(solves) == 1 and (got - expected).norm() < 1e-12 and _rank(got) == 3

@@ -19,6 +19,7 @@ from staralg.instances import (
     semisimple_instance,
     swap_mutant,
 )
+from staralg.core import _trace_ranks
 from staralg.linalg import certificate_bound
 from staralg.structure import (
     abelian_split,
@@ -129,6 +130,16 @@ def test_block_star_isomorphism_rejects_a_commutative_corner():
     assert len(units) == 1 and residual < 1e-12
 
 
+def test_block_star_isomorphism_reads_the_corner_dimension_from_the_trace():
+    """dim zA is tau . z; where that is no integer, z is no projection at tol, and the rank is ambiguous."""
+    alg = direct_sum(matrix_algebra(2), diagonal_algebra(1))
+    atoms = sa.central_atoms(alg)
+    ranks, off = _trace_ranks(alg, np.array([z.coeffs for z in atoms.atoms]))
+    assert ranks.tolist() == atoms.block_dims == [4, 1] and np.all(off < 1e-12)
+    with pytest.raises(sa.IllConditioned, match="not an integer rank"):
+        block_star_isomorphism(0.7 * matrix_algebra(2).one())
+
+
 def test_refinement_gives_up_when_nothing_splits(monkeypatch):
     monkeypatch.setattr(structure, "spectral_decompose",
                         lambda b, tol: sa.SpectralDecomposition(b, ()))
@@ -198,25 +209,38 @@ def test_analyze_block_accounting():
     assert all(n >= 2 for n in r.block_sizes_nonabelian)
 
 
-def test_analyze_certifies_blocks_on_a_badly_scaled_basis():
-    """M2 + M2 + C mixed with singular values from 1/s to s, s^2 = 1e3: a valid unital input.
+def _badly_scaled(s2, seed):
+    """M2 + M2 + C in a basis mixed with singular values from 1/s to s: a valid unital input.
 
-    Each block's unit is its central atom, taken as it is: on this basis a
-    least-squares unit of a block's own constants misses tol.
-    """
-    rng = np.random.default_rng(1)  # semisimple_instance's draws, with the singular values fixed
+    The draws are semisimple_instance's, with the singular values fixed."""
+    rng = np.random.default_rng(seed)
     mats = _block_matrix_basis([2, 2], 1)
     d = mats[0].shape[0]
     u = random_unitary(d, rng)
     mats = [u @ m @ u.conj().T for m in mats]
     n = len(mats)
     a, b = random_unitary(n, rng), random_unitary(n, rng)
-    s = np.sqrt(1e3)
+    s = np.sqrt(s2)
     stack = np.stack([m.reshape(-1) for m in mats], axis=1) @ (a @ np.diag(np.geomspace(1 / s, s, n)) @ b)
-    alg = from_matrix_basis([stack[:, i].reshape(d, d) for i in range(n)])
-    r = sa.analyze(alg)
+    return from_matrix_basis([stack[:, i].reshape(d, d) for i in range(n)])
+
+
+def test_analyze_certifies_blocks_on_a_badly_scaled_basis():
+    """s^2 = 1e3: each block's unit is its central atom, taken as it is.
+
+    On this basis a least-squares unit of a block's own constants misses tol.
+    """
+    r = sa.analyze(_badly_scaled(1e3, 1))
     assert r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
     assert r.residuals["matrix_unit_worst"] <= certificate_bound(r.tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("s2", [1.0, 1e2, 1e3])
+def test_the_block_structure_survives_basis_scaling(s2, seed):
+    """Up to s^2 = 1e3 every seed gives blocks [2, 2] + 1; the right projections no longer mis-scale there."""
+    r = sa.analyze(_badly_scaled(s2, seed))
+    assert r.proper and r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
 
 
 def test_reported_matrix_units_hold_in_the_algebra():
