@@ -33,8 +33,11 @@ class DecompositionFailed(StarAlgError):
     """Orthogonal-projection decomposition could not be certified.
 
     On inputs from a non-proper algebra this is the expected outcome, not a
-    bug: such decompositions need not exist there.
+    bug: such decompositions need not exist there. ``residual`` is the failed
+    certificate's residual, NaN when the failure measured none.
     """
+
+    residual = float("nan")
 
 
 class NotPositive(StarAlgError):

@@ -32,9 +32,11 @@ def sampled_identity_bound(tol):
 
 
 def require(residual, bound, error, message):
-    """Raise ``error`` with the residual in its message unless residual <= bound (NaN fails)."""
+    """Raise ``error`` unless residual <= bound (NaN fails), with the residual in its message and ``residual``."""
     if not residual <= bound:
-        raise error(f"{message} (residual {residual:.3e})")
+        exc = error(f"{message} (residual {residual:.3e})")
+        exc.residual = residual
+        raise exc
 
 
 def require_each(residuals, bounds, error, message):

@@ -7,14 +7,10 @@ the clustered eigenvalues of the regular representation, so it stays inside
 the generated subalgebra by construction. Quasi-inverses, positive square
 roots and the EP witness are read off the decomposition of a*a.
 
-There is one solver, ``_spectral_decompose``, and it takes a stack of
-elements of one parent. Each stage runs once per stack (a stack whose
-intermediates would exceed ``_STACK_ENTRIES`` is solved in runs): the
-normality product, the regular representations L_b, and the stacked
-``eigvals``, ``eig`` and ``inv``; only the eigenvalue clustering is a loop
-per element. Entry i of its result is element i's decomposition, or the
-exception solving element i alone raises, so a failing element leaves the
-others as they are. ``spectral_decompose(b)`` is a stack of one.
+There is one solver, ``spectral_decompose(b)``, and it decomposes one
+element: the normality product, the regular representation L_b, ``eigvals``,
+``eig`` and ``inv`` on it, the eigenvalue clustering, and the projectors,
+which are formed, polished and certified as one (J, n) stack.
 
 Right projections take a shorter path where they can. On a unital algebra
 whose Gram matrix G passes ``check_proper``'s positivity rule, left
@@ -23,16 +19,17 @@ so RP(a) is the <.,.>-orthogonal projection onto ker(L_a)^perp applied to 1:
 one stacked ``svd`` of W L_a W^-1, with G = W^H W, gives it for a whole
 stack. Each such RP is certified as the one it claims to be; a row that
 fails, and every row of an algebra without that factor, goes to the solver
-as the decomposition of a*a. ``right_projections`` takes whole stacks: the
-weakly-Rickart pass asks for the basis and its 8 samples in one call, and
-``annihilator`` for its whole set; ``right_projection(a)`` is a stack of
-one. Every product runs on slices shaped as for one element, so an
-element's numbers do not depend on the elements stacked with it.
+as the decomposition of a*a, one element at a time. ``right_projections``
+takes whole stacks: the weakly-Rickart pass asks for the basis and its 8
+samples in one call, and ``annihilator`` for its whole set;
+``right_projection(a)`` is a stack of one. Every product of the stacked path
+runs on slices shaped as for one element, so an element's numbers do not
+depend on the elements stacked with it.
 
 While an ``analyze``, ``check_baer`` or ``check_weakly_rickart`` call runs,
 each input of ``right_projections`` is looked up on its own in a memo keyed
 by ``(parent, coefficient bytes, tol)``: an input seen before returns the
-stored RP, the distinct misses are solved in one stack, and a failure is not
+stored RP, only the distinct misses are solved, and a failure is not
 stored. So the Baer guard's singletons reuse the right projections the
 weakly-Rickart pass made. The memo lives in a context variable, is opened by
 the outermost such call (an inner call shares it) and is dropped when that
@@ -92,24 +89,86 @@ def _right_projection_scope():
         _MEMO.reset(token)
 
 
+def _norms(x):
+    """``np.linalg.norm(x, axis=-1)``, the same arithmetic without its argument handling."""
+    return np.sqrt((x.conj() * x).real.sum(axis=-1))
+
+
 def spectral_decompose(b, tol=DEFAULT_TOL):
     """Write a normal element as a sum of scaled orthogonal projections.
 
-    The zero eigenvalue is omitted. Raises DecompositionFailed when the
-    certificates cannot be met, which is the expected signal on non-proper
-    algebras.
+    The zero eigenvalue is omitted. Raises DecompositionFailed when b is not
+    normal or the certificates cannot be met, which is the expected signal
+    on non-proper algebras; IllConditioned when a projection leaves A; and
+    LinAlgError when LAPACK rejects L_b.
     """
-    return _raised(_spectral_decompose([b], tol)[0])
+    parent = b.parent
+    bound = certificate_bound(tol)
+    norm = _norms(b.coeffs)
+    both = np.array([b.coeffs, parent.star_coeffs(b.coeffs)])
+    squares = parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*
+    # an overflow or a NaN fails here, before LAPACK sees it
+    normality = _norms(squares[1, 0] - squares[0, 1]) / np.maximum(1.0, norm) ** 2
+    require(float(normality), bound, DecompositionFailed, "element is not normal")
+    if norm <= tol:
+        return SpectralDecomposition(b, ())
+
+    big = _cached(parent, _unitization, tol)
+    pad = big.dim - parent.dim  # 1 when a unit was adjoined at coordinate 0
+    one = big.unit if pad else parent.unit_vector(tol)
+    mat = big.left_mat(_padded(b.coeffs, pad))
+    lams = cluster_points(np.linalg.eigvals(mat).tolist(), tol)
+    # each idempotent is p_j(b) for the interpolation polynomial with
+    # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
+    # representation applied to the unit -- computed that way directly,
+    # which is far better conditioned than multiplying Lagrange factors.
+    evals, evecs = np.linalg.eig(mat)
+    weights = np.linalg.inv(evecs) @ one
+
+    # the clustered eigenvalues kept (nonzero), and the mask whose column j
+    # selects the eigenvectors clustered at the j-th kept one
+    zero = relative_bound(tol, max(abs(l) for l in lams))
+    keep = [j for j, lam in enumerate(lams) if abs(lam) > zero]
+    assign = np.abs(evals[:, None] - np.array(lams)[None, :]).argmin(axis=1)
+    mask = assign[:, None] == np.array(keep, dtype=int)[None, :]
+    ps = (evecs @ (mask * weights[:, None])).T
+    ps = (ps + big.star_coeffs(ps)) * 0.5
+    # one idempotent-polishing step, p^2 (3 - 2p)
+    ps = big.row_products(big.row_products(ps, ps), one * 3.0 - ps * 2.0)
+    if pad:
+        # a projection leaves A when its part along the adjoined unit is above the bound, relative to its norm
+        res = _norms(ps[:, :1])
+        outside = res > bound * np.maximum(1.0, _norms(ps))
+        if outside.any():
+            raise IllConditioned("hull element does not lie in the base algebra", float(res[outside][0]))
+        ps = ps[:, pad:]
+    kept = [lams[j] for j in keep]
+    _certify(b, ps, np.array(kept, dtype=complex), tol)
+    return SpectralDecomposition(b, tuple((lam, Element(parent, p)) for lam, p in zip(kept, ps)))
 
 
-def _raised(entry):
-    """A solver entry's value, or its exception raised."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
+def _certify(b, ps, lams, tol):
+    """Raise DecompositionFailed unless b = sum_j lams[j] ps[j] is a certified decomposition.
+
+    Each projection (a row of ps) must be nonzero and selfadjoint, the
+    projections idempotent and pairwise orthogonal, and the sum must give b,
+    all within certificate_bound(tol)."""
+    parent = b.parent
+    bound = certificate_bound(tol)
+    if (_norms(ps) <= bound).any():
+        raise DecompositionFailed("zero projection in decomposition")
+    # [i, j, :] = p_i p_j - delta_ij p_i
+    pairs = parent.products(ps, ps) - np.eye(len(ps))[:, :, None] * ps
+    total = (ps * lams[:, None]).sum(axis=0)
+    worst = max(
+        _norms(ps - parent.star_coeffs(ps)).max(initial=0.0),
+        _norms(pairs).max(initial=0.0),
+        _norms(b.coeffs - total) / max(1.0, _norms(b.coeffs)))
+    require(float(worst), bound, DecompositionFailed,
+            "decomposition certificates fail; the involution is likely not proper")
 
 
-# complex entries (256 KiB) that one stacked intermediate of the solver holds at most
+# complex entries (256 KiB) that one stacked intermediate of the trace-form path holds at most
 _STACK_ENTRIES = 1 << 14
 
 
@@ -128,26 +187,11 @@ def _rowwise(fn, *stacks):
     return fn(*(s[:, None, :] for s in stacks))[:, 0]
 
 
-def _norms(x):
-    """``np.linalg.norm(x, axis=-1)``, the same arithmetic without its argument handling."""
-    return np.sqrt((x.conj() * x).real.sum(axis=-1))
-
-
-def _failure(residual, bound, error, message):
-    """The exception ``require`` raises for this residual, or None within the bound."""
-    try:
-        require(residual, bound, error, message)
-    except error as exc:
-        return exc
-    return None
-
-
 def _lapack(fn, mats, errors):
-    """``fn`` on a stack of matrices in one call, unless LAPACK rejects the stack.
+    """``fn`` (the trace-form ``svd``) on a stack of matrices in one call, unless LAPACK rejects the stack.
 
     Then each matrix is tried alone: one that fails keeps its LinAlgError in
-    ``errors`` (unless an earlier stage failed its row first) and becomes the
-    identity in ``mats``, and the stack runs again."""
+    ``errors`` and becomes the identity in ``mats``, and the stack runs again."""
     try:
         return fn(mats)
     except np.linalg.LinAlgError:
@@ -155,121 +199,16 @@ def _lapack(fn, mats, errors):
             try:
                 fn(mat)
             except np.linalg.LinAlgError as exc:
-                errors[i] = errors[i] or exc
+                errors[i] = exc
                 mats[i] = np.eye(len(mat))
         return fn(mats)
 
 
-def _outside_a(ps, tol, errors, rows):
-    """Fail each row of unitization coefficients (g, J, 1 + n) whose projections leave A.
-
-    A projection leaves A when its part along the adjoined unit, coordinate
-    0, exceeds certificate_bound(tol) relative to its norm; its row keeps the
-    IllConditioned, with the residual of its first such projection, in ``errors``."""
-    res = _norms(ps[..., :1])
-    outside = res > certificate_bound(tol) * np.maximum(1.0, _norms(ps))
-    for i, row_res, row_outside in zip(rows, res, outside):
-        if row_outside.any():
-            exc = IllConditioned("hull element does not lie in the base algebra", float(row_res[row_outside][0]))
-            errors[i] = errors[i] or exc
-
-
-def _certificates(parent, bs, ps, lams, tol):
-    """Per row, the exception the decomposition certificates raise, or None.
-
-    Row g decomposes the element bs[g] as sum_j lams[g, j] ps[g, j] (ps is
-    (g, J, n)): each projection must be nonzero and selfadjoint, the
-    projections idempotent and pairwise orthogonal, and the sum must give
-    bs[g], all within certificate_bound(tol)."""
-    bound = certificate_bound(tol)
-    # [g, i, j, :] = p_i p_j - delta_ij p_i in row g
-    pairs = parent.products(ps, ps[:, None]) - np.eye(ps.shape[1])[:, :, None] * ps[:, None]
-    total = (ps * lams[:, :, None]).sum(axis=1)
-    worst = np.maximum(np.maximum(
-        _norms(ps - parent.star_coeffs(ps)).max(axis=1, initial=0.0),
-        _norms(pairs).max(axis=(1, 2), initial=0.0)),
-        _norms(bs - total) / np.maximum(1.0, _norms(bs)))
-    empty = (_norms(ps) <= bound).any(axis=1)
-    return [DecompositionFailed("zero projection in decomposition") if zero else _failure(
-                w, bound, DecompositionFailed,
-                "decomposition certificates fail; the involution is likely not proper")
-            for zero, w in zip(empty.tolist(), worst.tolist())]
-
-
-def _spectral_decompose(bs, tol):
-    """The one solver: decompose each element of ``bs``, all of one parent.
-
-    Entry i is bs[i]'s SpectralDecomposition, or the exception solving bs[i]
-    alone raises: DecompositionFailed when it is not normal or its
-    certificates fail, IllConditioned when a projection leaves A, LinAlgError
-    when LAPACK rejects it. The stack is solved in runs that bound the
-    memory of its intermediates."""
-    out = []
-    for run in _chunks(bs, (bs[0].parent.dim + 1) ** 2):
-        out += _solve_stack(run, tol)
-    return out
-
-
-def _solve_stack(bs, tol):
-    parent = bs[0].parent
-    bound = certificate_bound(tol)
-    coeffs = np.array([b.coeffs for b in bs])
-    norms = _norms(coeffs)
-    both = np.concatenate([coeffs[:, None], _rowwise(parent.star_coeffs, coeffs)[:, None]], axis=1)
-    squares = parent.products(both, both[:, None])  # [r, 1, 0] = b* b, [r, 0, 1] = b b*
-    # an overflow or a NaN fails its row here, before LAPACK sees it
-    normality = _norms(squares[:, 1, 0] - squares[:, 0, 1]) / np.maximum(1.0, norms) ** 2
-    out = [_failure(r, bound, DecompositionFailed, "element is not normal")
-           or (SpectralDecomposition(b, ()) if norm <= tol else None)
-           for b, r, norm in zip(bs, normality.tolist(), norms.tolist())]
-    live = [i for i, entry in enumerate(out) if entry is None]
-    if not live:
-        return out
-
-    big = _cached(parent, _unitization, tol)
-    pad = big.dim - parent.dim  # 1 when a unit was adjoined at coordinate 0
-    one = big.unit if pad else parent.unit_vector(tol)
-    errors = [None] * len(live)
-    mats = _rowwise(big.left_mat, _padded(coeffs[live], pad))
-    vals = _lapack(np.linalg.eigvals, mats, errors)
-    # each idempotent is p_j(b) for the interpolation polynomial with
-    # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
-    # representation applied to the unit -- computed that way directly,
-    # which is far better conditioned than multiplying Lagrange factors.
-    evals, evecs = _lapack(np.linalg.eig, mats, errors)
-    weights = _lapack(np.linalg.inv, evecs, errors) @ one
-
-    # per row: the clustered eigenvalues kept (nonzero) and the mask whose
-    # column j selects the eigenvectors clustered at the j-th kept one;
-    # rows are grouped by how many they keep
-    kept, masks, groups = [], [], {}
-    for r in range(len(live)):
-        lams = cluster_points(vals[r].tolist(), tol)
-        zero = relative_bound(tol, max(abs(l) for l in lams))
-        keep = [j for j, lam in enumerate(lams) if abs(lam) > zero]
-        assign = np.abs(evals[r][:, None] - np.array(lams)[None, :]).argmin(axis=1)
-        kept.append([lams[j] for j in keep])
-        masks.append(assign[:, None] == np.array(keep, dtype=int)[None, :])
-        groups.setdefault(len(keep), []).append(r)
-
-    for size, members in groups.items():
-        for group in _chunks(members, size * big.dim**2):
-            ps = (evecs[group] @ (np.array([masks[r] for r in group]) * weights[group][:, :, None])).swapaxes(1, 2)
-            ps = (ps + big.star_coeffs(ps)) * 0.5
-            # one idempotent-polishing step, p^2 (3 - 2p)
-            ps = big.row_products(big.row_products(ps, ps), one * 3.0 - ps * 2.0)
-            if pad:
-                _outside_a(ps, tol, errors, group)
-                ps = ps[..., pad:]
-
-            owners = [live[r] for r in group]
-            lams = np.array([kept[r] for r in group], dtype=complex).reshape(len(group), size)
-            failures = _certificates(parent, coeffs[owners], ps, lams, tol)
-            for r, i, failure, p in zip(group, owners, failures, ps):
-                errors[r] = errors[r] or failure
-                out[i] = errors[r] or SpectralDecomposition(
-                    bs[i], tuple((lam, Element(parent, q)) for lam, q in zip(kept[r], p)))
-    return out
+def _raised(entry):
+    """A ``right_projections`` entry's value, or its exception raised."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _selfadjoint_part(x):
@@ -277,11 +216,13 @@ def _selfadjoint_part(x):
 
 
 def right_projections(xs, tol=DEFAULT_TOL):
-    """RP(a) for each a of ``xs``, all of one parent, solved as one stack.
+    """RP(a) for each a of ``xs``, all of one parent.
 
-    Entry i is RP(xs[i]), or the exception ``right_projection(xs[i])`` raises.
-    Inside a right-projection scope an input seen before returns the stored
-    RP; a failure is not stored."""
+    The trace-form path takes the whole stack at once; the rows it rejects go
+    to the solver one at a time. Entry i is RP(xs[i]), or the exception
+    ``right_projection(xs[i])`` raises, so a failing row leaves the others as
+    they are. Inside a right-projection scope an input seen before returns
+    the stored RP; a failure is not stored."""
     memo = _MEMO.get()
     if memo is None:
         return _right_projections(xs, tol)
@@ -297,34 +238,32 @@ def right_projections(xs, tol=DEFAULT_TOL):
 
 
 def _right_projections(xs, tol):
-    norms = [a.norm() for a in xs]
-    out = [a.parent.zero() if norm <= tol else None for a, norm in zip(xs, norms)]
+    out = [a.parent.zero() if a.norm() <= tol else None for a in xs]
     live = [i for i, e in enumerate(out) if e is None]
     if not live:
         return out
     parent = xs[0].parent
     coords = _cached(parent, _trace_coordinates, tol)[2]
-    a = np.array([xs[i].coeffs for i in live])
     if coords is not None:
-        for run in _chunks(list(range(len(live))), parent.dim ** 2):
-            for r, e in zip(run, _trace_form_projections(parent, a[run], coords, tol)):
-                out[live[r]] = e
-        rest = [r for r, i in enumerate(live) if out[i] is None]
-        live, a = [live[r] for r in rest], a[rest]
-        if not live:
-            return out
-    x = _rowwise(lambda c: parent.row_products(parent.star_coeffs(c), c), a)  # a* a
-    h = (x + _rowwise(parent.star_coeffs, x)) * 0.5  # _selfadjoint_part, row by row
-    decs = _spectral_decompose([Element(parent, row) for row in h], tol)
-    e = np.array([dec.projection_sum().coeffs if isinstance(dec, SpectralDecomposition) else row
-                  for dec, row in zip(decs, a)])  # a failed row stands in for its own RP
-    res = _norms(_rowwise(parent.row_products, a, e) - a)
-    for i, dec, p, residual in zip(live, decs, e, res.tolist()):
-        out[i] = dec if isinstance(dec, Exception) else _failure(
-            residual / max(1.0, norms[i]), certificate_bound(tol), DecompositionFailed,
-            "RP certificate a*RP(a) = a fails",
-        ) or Element(parent, p)
+        for run in _chunks(live, parent.dim ** 2):
+            rows = np.array([xs[i].coeffs for i in run])
+            for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
+                out[i] = e
+    for i in live:  # the rows the trace-form path rejected, or every row without its coordinates
+        if out[i] is None:
+            try:
+                out[i] = _solved_right_projection(xs[i], tol)
+            except (DecompositionFailed, IllConditioned, np.linalg.LinAlgError) as exc:
+                out[i] = exc
     return out
+
+
+def _solved_right_projection(a, tol):
+    """RP(a) as the projection sum of the decomposition of a*a, certified by a RP(a) = a."""
+    e = spectral_decompose(_selfadjoint_part(a.star() * a), tol).projection_sum()
+    require(float(_norms((a * e - a).coeffs)) / max(1.0, a.norm()), certificate_bound(tol),
+            DecompositionFailed, "RP certificate a*RP(a) = a fails")
+    return e
 
 
 def _trace_form_projections(parent, a, coords, tol):

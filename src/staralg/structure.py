@@ -180,11 +180,6 @@ def center(algebra, tol=DEFAULT_TOL):
     return [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
 
-def _corner_span(algebra, p, tol):
-    # column j of R_p L_p is (p e_j) p
-    return colspace(p.rmat() @ p.lmat(), tol)
-
-
 def central_atoms(algebra, tol=DEFAULT_TOL, seed=0):
     """Central primitive idempotents by joint refinement of the center.
 
@@ -206,17 +201,23 @@ def _central_atoms(algebra, tol, seed):
     rng = np.random.default_rng(seed)
 
     def primitive(z):
-        return colspace(z.lmat() @ zmat, tol).shape[1] == 1
+        # L_z maps the center into itself, so this trace is dim zZ(A)
+        return round(np.trace(zmat.conj().T @ z.lmat() @ zmat).real) == 1
 
     def random_central_selfadjoint():
         w = rng.standard_normal(len(zbasis)) + 1j * rng.standard_normal(len(zbasis))
         s = Element(algebra, zmat @ w)
         return 0.5 * (s + s.star())
 
-    atoms = _split_projections(
-        one, primitive, random_central_selfadjoint, 4 * algebra.dim + 8, tol,
-        "central-atom refinement did not terminate; retry with a new seed",
-    )
+    try:
+        atoms = _split_projections(
+            one, primitive, random_central_selfadjoint, 4 * algebra.dim + 8, tol,
+            "central-atom refinement did not terminate; retry with a new seed",
+        )
+    except DecompositionFailed as exc:
+        # analyze gets here only on a proper algebra, where every central split
+        # has a certified decomposition: a failed one is a conditioning failure
+        raise IllConditioned("a central split fails its decomposition certificates", exc.residual) from exc
 
     total = algebra.zero()
     for z in atoms:
@@ -228,7 +229,7 @@ def _central_atoms(algebra, tol, seed):
     require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
             "central atoms are not orthogonal")
 
-    dims = [colspace(z.lmat(), tol).shape[1] for z in atoms]
+    dims = _integer_ranks(algebra, zs, tol).tolist()
     order = np.argsort([-d for d in dims], kind="stable")
     return CentralDecomposition([atoms[i] for i in order], [dims[i] for i in order])
 
@@ -310,9 +311,7 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     dim zA = rank L_z is read as tau . z (see ``_trace_ranks``), which must
     lie within certificate_bound of an integer, else IllConditioned.
     """
-    (dim,), (off,) = _trace_ranks(atom.parent, atom.coeffs[None])
-    if not off <= certificate_bound(tol):
-        raise IllConditioned("the trace of the projection is not an integer rank", float(off))
+    (dim,) = _integer_ranks(atom.parent, atom.coeffs[None], tol)
     rng = np.random.default_rng(seed)
     last_exc = None
     for attempt in range(5):
@@ -323,11 +322,23 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     raise DegenerateRandomness(f"matrix-unit construction kept failing: {last_exc}")
 
 
+def _integer_ranks(algebra, zs, tol):
+    """rank L_z for each projection z, a row of ``zs``, read as tau . z (see ``_trace_ranks``).
+
+    Raises IllConditioned unless each trace lies within certificate_bound(tol) of an integer."""
+    ranks, off = _trace_ranks(algebra, zs)
+    worst = float(np.max(off, initial=0.0))
+    if not worst <= certificate_bound(tol):
+        raise IllConditioned("the trace of the projection is not an integer rank", worst)
+    return ranks
+
+
 def _matrix_units_once(atom, dim, tol, rng):
     algebra = atom.parent
-    # the minimal projections under z; a zero-dimensional corner counts as an atom too
+    # the minimal projections under z, where dim pAp = tr(L_p R_p) is at most 1, as
+    # L_p R_p is the idempotent x -> p x p onto pAp; a zero-dimensional corner counts as an atom too
     projections = _split_projections(
-        atom, lambda p: _corner_span(algebra, p, tol).shape[1] <= 1,
+        atom, lambda p: round(np.trace(p.lmat() @ p.rmat()).real) <= 1,
         lambda: random_selfadjoint(algebra, rng), 6 * dim + 16, tol,
         "minimal-projection refinement did not terminate",
     )

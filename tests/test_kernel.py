@@ -264,7 +264,7 @@ def test_batched_sites_match_their_loops():
 
 
 def _loop_certificate_residual(dec):
-    """``spectral._certificates``'s residual for one decomposition, one product at a time."""
+    """``spectral._certify``'s residual for one decomposition, one product at a time."""
     ps, b = dec.projections(), dec.source
     worst = max(max((p - p.star()).norm(), (p - p * p).norm()) for p in ps)
     for i, p in enumerate(ps):
@@ -274,12 +274,15 @@ def _loop_certificate_residual(dec):
     return max(worst, (b - dec.map_values(lambda lam: lam)).norm() / max(1.0, b.norm()))
 
 
-def _certify(*decs):
-    """``spectral._certificates`` on a stack of decompositions with equally many terms."""
-    parent, k = decs[0].source.parent, len(decs)
-    ps = np.array([[p.coeffs for p in dec.projections()] for dec in decs]).reshape(k, -1, parent.dim)
-    lams = np.array([[lam for lam, _ in dec.terms] for dec in decs], dtype=complex).reshape(k, -1)
-    return spectral._certificates(parent, np.array([dec.source.coeffs for dec in decs]), ps, lams, 1e-9)
+def _certificate_failure(dec):
+    """The exception ``spectral._certify`` raises on a decomposition, or None when it passes."""
+    ps = np.array([p.coeffs for p in dec.projections()]).reshape(-1, dec.source.parent.dim)
+    lams = np.array([lam for lam, _ in dec.terms], dtype=complex)
+    try:
+        spectral._certify(dec.source, ps, lams, 1e-9)
+    except sa.DecompositionFailed as exc:
+        return exc
+    return None
 
 
 def test_decomposition_certificate_matches_its_loop():
@@ -291,25 +294,19 @@ def test_decomposition_certificate_matches_its_loop():
         "idempotent": [(1.0, 2.0 * e11)],
         "orthogonal": [(1.0, e11), (2.0, q)],
     }
-    decs = {}
     for name, terms in broken.items():
         dec = sa.SpectralDecomposition(e11, tuple(terms))
-        decs[name] = dec = sa.SpectralDecomposition(dec.map_values(lambda lam: lam), dec.terms)
+        dec = sa.SpectralDecomposition(dec.map_values(lambda lam: lam), dec.terms)
         expected = _loop_certificate_residual(dec)
         assert expected > 0.5, name
-        [failure] = _certify(dec)
+        failure = _certificate_failure(dec)
         assert isinstance(failure, sa.DecompositionFailed)
         assert str(failure).endswith(f"(residual {expected:.3e})")
+        assert failure.residual == pytest.approx(expected, rel=1e-12)
     good = sa.SpectralDecomposition(e12 + e21, ((1.0, q), (-1.0, e11 + e22 - q)))
-    assert _certify(good) == [None]
-    [zero] = _certify(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))))
+    assert _certificate_failure(good) is None
+    zero = _certificate_failure(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))))
     assert isinstance(zero, sa.DecompositionFailed) and "zero projection" in str(zero)
-    # per row of a stack: a failing row leaves the rows beside it as they are alone
-    stacked = _certify(decs["selfadjoint"], sa.SpectralDecomposition(e11, ((1.0, e11),)), decs["idempotent"])
-    assert [str(f) if f else None for f in stacked] == [
-        str(_certify(decs["selfadjoint"])[0]), None, str(_certify(decs["idempotent"])[0])]
-    assert [str(f) if f else None for f in _certify(decs["orthogonal"], good)] == [
-        str(_certify(decs["orthogonal"])[0]), None]
 
 
 def test_validate_memory_is_cubic():
@@ -408,32 +405,31 @@ def test_spectral_decompose_matches_its_loop(name):
 
 
 def test_a_row_whose_projection_leaves_a_fails_alone(monkeypatch):
-    """On a non-unital parent, a row whose projection keeps a part along the adjoined unit fails alone."""
+    """On a non-unital parent, an RP whose projection keeps a part along the adjoined unit fails alone."""
     rng = np.random.default_rng(9)
     part = sa.semisimple_instance([2], 1, rng)
     alg = sa.direct_sum(part, sa.nilpotent_line())
     assert not alg.is_unital()
-    rows = [alg.element(np.append(sa.random_selfadjoint(part, rng).coeffs, 0.0)) for _ in range(4)]
-    clean = spectral._spectral_decompose(rows[:2] + rows[3:], sa.DEFAULT_TOL)
-    bad = sa.unitize(alg).left_mat(np.pad(rows[2].coeffs, (1, 0)))  # row 2's L_b; the unit is coordinate 0
+    rows = [alg.element(np.append(sa.random_element(part, rng).coeffs, 0.0)) for _ in range(4)]
+    clean = spectral.right_projections(rows)
+    h = spectral._selfadjoint_part(rows[2].star() * rows[2])  # the solver's input for RP(rows[2])
+    bad = sa.unitize(alg).left_mat(np.pad(h.coeffs, (1, 0)))  # its L_h; the unit is coordinate 0
     eig = np.linalg.eig
 
-    def leaky(mats):
-        evals, evecs = eig(mats)
-        for m, vecs in zip(mats, evecs):
-            if np.allclose(m, bad, rtol=0.0, atol=1e-12):
-                vecs[0] += 0.3  # every eigenvector, and so every projection, gains a unit part
+    def leaky(m):
+        evals, evecs = eig(m)
+        if np.allclose(m, bad, rtol=0.0, atol=1e-12):
+            evecs[0] += 0.3  # every eigenvector, and so every projection, gains a unit part
         return evals, evecs
 
     monkeypatch.setattr(np.linalg, "eig", leaky)
     with pytest.raises(sa.IllConditioned, match="does not lie in the base algebra") as alone:
-        sa.spectral_decompose(rows[2])
-    out = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+        sa.spectral_decompose(h)
+    out = spectral.right_projections(rows)
     assert isinstance(out[2], sa.IllConditioned) and str(out[2]) == str(alone.value)
     assert out[2].residual == alone.value.residual
-    for got, ref in zip(out[:2] + out[3:], clean, strict=True):
-        for (lam, p), (ref_lam, ref_p) in zip(got.terms, ref.terms, strict=True):
-            assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
+    for got, ref in zip(out[:2] + out[3:], clean[:2] + clean[3:], strict=True):
+        assert np.array_equal(got.coeffs, ref.coeffs)
 
 
 def test_mul_is_stored_contiguous():
@@ -487,6 +483,32 @@ def test_a_unit_is_adjoined_in_one_place():
             for name, lineno, what in _unitize_calls_and_hull_names(ast.parse(path.read_text()))
             if what != "unitize" or (path.name, name) not in allowed]
     assert not hits, "a unit adjoined, or a hull name used, outside _unitization:\n" + "\n".join(hits)
+
+
+def _lapack_eigen_references(node, scope=()):
+    """``(qualified name of the enclosing definition, line, name)`` of every ``*.linalg.eig``, ``eigvals`` or ``inv``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _lapack_eigen_references(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr in ("eig", "eigvals", "inv")
+                and isinstance(child.value, ast.Attribute) and child.value.attr == "linalg"):
+            yield ".".join(scope), child.lineno, child.attr
+        yield from _lapack_eigen_references(child, scope)
+
+
+def test_the_eigen_solvers_run_in_one_place():
+    """``eig`` and ``inv`` run only in ``spectral_decompose``; ``eigvals`` there and in ``distinct_eigenvalues``."""
+    allowed = {("spectral.py", "spectral_decompose"): {"eig", "eigvals", "inv"},
+               ("core.py", "distinct_eigenvalues"): {"eigvals"}}
+    found = [(path.name, name, lineno, what)
+             for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+             for name, lineno, what in _lapack_eigen_references(ast.parse(path.read_text()))]
+    hits = [f"{path}:{lineno}: np.linalg.{what} in {name or '<module>'}"
+            for path, name, lineno, what in found if what not in allowed.get((path, name), ())]
+    assert not hits, "an eigen solver called outside the one solver:\n" + "\n".join(hits)
+    assert {(path, name, what) for path, name, _, what in found} == {
+        (path, name, what) for (path, name), names in allowed.items() for what in names}
 
 
 def test_no_einsum_in_the_package():

@@ -335,18 +335,7 @@ def test_reports_are_byte_identical_without_the_memo(monkeypatch, seed):
     assert without_memo == with_memo
 
 
-# -- one stacked solver --------------------------------------------------------
-
-def _assert_same_entry(got, alone):
-    """A row of a stack matches its stack-of-one solve: terms within 1e-12 relative, or the same exception."""
-    if isinstance(alone, Exception):
-        assert type(got) is type(alone) and str(got) == str(alone)
-        return
-    assert isinstance(got, sa.SpectralDecomposition) and len(got.terms) == len(alone.terms)
-    for (lam, p), (ref_lam, ref_p) in zip(got.terms, alone.terms):
-        assert abs(lam - ref_lam) <= 1e-12 * max(1.0, abs(ref_lam))
-        assert (p - ref_p).norm() <= 1e-12 * max(1.0, ref_p.norm())
-
+# -- right projections through the solver, one element at a time ---------------
 
 def _mixed_stacks():
     """Two stacks: M2 + swap_mutant(1) (unital), and a non-unital algebra solved in its unitization."""
@@ -380,47 +369,71 @@ def _mixed_stacks():
     return [rows, nrows]
 
 
+def _assert_bit_equal(got, ref):
+    """Two right_projections entries: bit-equal elements, or exceptions of one type and message."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+    else:
+        assert np.array_equal(got.coeffs, ref.coeffs)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_stacked_solver_matches_one_at_a_time():
+def test_solved_rows_match_their_own_decomposition():
+    """Each row the solver answers is the projection sum of its own a*a, or that solve's exception."""
     for rows in _mixed_stacks():
-        stacked = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
-        alone = [spectral._spectral_decompose([b], sa.DEFAULT_TOL)[0] for b in rows]
-        for got, ref in zip(stacked, alone):
-            _assert_same_entry(got, ref)
-        assert any(isinstance(e, Exception) for e in stacked)
-        assert any(isinstance(e, sa.SpectralDecomposition) and e.terms for e in stacked)
+        assert _cached(rows[0].parent, spectral._trace_coordinates, sa.DEFAULT_TOL)[2] is None
+        out = spectral.right_projections(rows)
+        for a, got in zip(rows, out):
+            if a.norm() <= sa.DEFAULT_TOL:
+                assert np.array_equal(got.coeffs, a.parent.zero().coeffs)
+                continue
+            try:
+                ref = sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum()
+            except sa.StarAlgError as exc:
+                ref = exc
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref) and str(got) == str(ref)
+            elif isinstance(got, Exception):  # a decomposition whose sum fails a RP(a) = a
+                assert isinstance(got, sa.DecompositionFailed) and str(got).startswith("RP certificate")
+            else:
+                assert np.array_equal(got.coeffs, ref.coeffs)
+        assert any(isinstance(e, Exception) for e in out)
+        assert any(isinstance(e, sa.Element) and e.norm() > 0 for e in out)
         # the rows that succeed come out the same without the rows that fail beside them
-        ok = [i for i, e in enumerate(stacked) if not isinstance(e, Exception)]
-        for i, e in zip(ok, spectral._spectral_decompose([rows[i] for i in ok], sa.DEFAULT_TOL)):
-            for (lam, p), (ref_lam, ref_p) in zip(e.terms, stacked[i].terms, strict=True):
-                assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
+        ok = [i for i, e in enumerate(out) if not isinstance(e, Exception)]
+        for i, e in zip(ok, spectral.right_projections([rows[i] for i in ok]), strict=True):
+            _assert_bit_equal(e, out[i])
     overflow = _mixed_stacks()[0][5]
     with pytest.raises(sa.DecompositionFailed, match=r"not normal \(residual nan\)"):
         sa.spectral_decompose(overflow)
 
 
 def test_a_row_lapack_rejects_fails_alone(monkeypatch):
-    """A stacked LAPACK call that raises is redone row by row; only the offending row keeps the error."""
+    """A row whose solve LAPACK rejects keeps the LinAlgError; the rows beside it are unchanged."""
     rng = np.random.default_rng(5)
-    alg = sa.matrix_algebra(3)
-    rows = [sa.random_selfadjoint(alg, rng) for _ in range(4)]
-    clean = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
-    bad = rows[2].lmat()
+    part = semisimple_instance([2], 1, rng)
+    alg = sa.direct_sum(part, sa.nilpotent_line())
+    assert not alg.is_unital()  # so every right projection goes to the solver
+    rows = [alg.element(np.append(sa.random_element(part, rng).coeffs, 0.0)) for _ in range(4)]
+    clean = spectral.right_projections(rows)
+    h = spectral._selfadjoint_part(rows[2].star() * rows[2])  # the solver's input for RP(rows[2])
+    bad = sa.unitize(alg).left_mat(np.pad(h.coeffs, (1, 0)))  # its L_h; the unit is coordinate 0
     eigvals = np.linalg.eigvals
 
     def picky(m):
-        if np.any(np.all(m == bad, axis=(-2, -1))):
+        if np.allclose(m, bad, rtol=0.0, atol=1e-12):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigvals(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", picky)
-    out = spectral._spectral_decompose(rows, sa.DEFAULT_TOL)
+    out = spectral.right_projections(rows)
     assert isinstance(out[2], np.linalg.LinAlgError) and str(out[2]) == "Eigenvalues did not converge"
     with pytest.raises(np.linalg.LinAlgError):
-        sa.spectral_decompose(rows[2])
+        sa.spectral_decompose(h)
+    with pytest.raises(np.linalg.LinAlgError):
+        sa.right_projection(rows[2])
     for i in (0, 1, 3):
-        for (lam, p), (ref_lam, ref_p) in zip(out[i].terms, clean[i].terms, strict=True):
-            assert lam == ref_lam and np.array_equal(p.coeffs, ref_p.coeffs)
+        _assert_bit_equal(out[i], clean[i])
 
 
 def test_right_projections_match_one_at_a_time():
@@ -429,10 +442,7 @@ def test_right_projections_match_one_at_a_time():
             stacked = spectral.right_projections(rows)
             alone = [spectral.right_projections([a])[0] for a in rows]
         for got, ref in zip(stacked, alone):
-            if isinstance(ref, Exception):
-                assert type(got) is type(ref) and str(got) == str(ref)
-            else:
-                assert np.array_equal(got.coeffs, ref.coeffs)
+            _assert_bit_equal(got, ref)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -453,6 +463,14 @@ def test_the_memo_stores_each_success_once_and_no_failure():
 
 
 # -- right projections in trace-form coordinates --------------------------------
+
+def _count_solves(monkeypatch):
+    """The elements handed to ``spectral_decompose`` from now on, recorded as it is called."""
+    solves = []
+    solve = spectral.spectral_decompose
+    monkeypatch.setattr(spectral, "spectral_decompose", lambda b, tol=sa.DEFAULT_TOL: solves.append(b) or solve(b, tol))
+    return solves
+
 
 def _rank(e):
     """rank L_e of a projection e, as the trace of its regular representation."""
@@ -476,9 +494,7 @@ def test_trace_form_rows_match_one_at_a_time_and_the_solver(monkeypatch, make):
     alg = make(rng)
     rows = _rank_deficient_rows(alg, rng)
     refs = [sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum() for a in rows]
-    solves = []
-    solve = spectral._spectral_decompose
-    monkeypatch.setattr(spectral, "_spectral_decompose", lambda bs, tol: solves.append(bs) or solve(bs, tol))
+    solves = _count_solves(monkeypatch)
     stacked = spectral.right_projections(rows)
     assert not solves  # no row went to the solver
     for a, e, ref in zip(rows, stacked, refs):
@@ -509,8 +525,6 @@ def test_a_projection_that_fixes_a_but_has_the_wrong_trace_falls_back(monkeypatc
     e = alg.element(coords[1] @ (basis[:, :3] @ (basis[:, :3].conj().T @ w_one)))  # the mutated e
     assert (e - alg.one()).norm() < 1e-12 and (a * e - a).norm() < 1e-12
     assert spectral._trace_form_projections(alg, a.coeffs[None], coords, sa.DEFAULT_TOL) == [None]
-    solves = []
-    solve = spectral._spectral_decompose
-    monkeypatch.setattr(spectral, "_spectral_decompose", lambda bs, tol: solves.append(bs) or solve(bs, tol))
+    solves = _count_solves(monkeypatch)
     got = sa.right_projection(a)
     assert len(solves) == 1 and (got - expected).norm() < 1e-12 and _rank(got) == 3

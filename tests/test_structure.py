@@ -243,6 +243,24 @@ def test_the_block_structure_survives_basis_scaling(s2, seed):
     assert r.proper and r.baer and r.block_sizes_nonabelian == [2, 2] and r.abelian_dim == 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_failed_central_split_on_a_proper_algebra_is_ill_conditioned(seed, tmp_path, capsys):
+    """s^2 = 1e4: check_proper passes, then a central split fails its certificates.
+
+    That is a conditioning failure, not evidence against properness; the CLI exits 1."""
+    alg = _badly_scaled(1e4, seed)
+    assert sa.check_proper(alg, seed=seed).passed
+    with pytest.raises(sa.IllConditioned, match="central split") as raised:
+        sa.central_atoms(alg, seed=seed)
+    assert raised.value.residual > certificate_bound(sa.DEFAULT_TOL)
+    assert isinstance(raised.value.__cause__, sa.DecompositionFailed)
+    assert raised.value.residual == raised.value.__cause__.residual
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(sa.algebra_to_json(alg)))
+    assert main(["--seed", str(seed), "analyze", str(path)]) == 1
+    assert "central split" in capsys.readouterr().err
+
+
 def test_reported_matrix_units_hold_in_the_algebra():
     """The units in the JSON report are elements of A: relations, sums to atoms, and cross-block products."""
     alg = semisimple_instance([2, 2, 3], 1, np.random.default_rng(3))
