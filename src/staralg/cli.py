@@ -1,6 +1,7 @@
 """Command-line front end: load algebras/groups, run analyses, emit reports.
 
-Exit codes: 0 coherent report, 1 file/parse error, 2 validation failure,
+Exit codes: 0 coherent report, 1 file/parse error or a result that cannot be
+certified (such as IllConditioned), 2 validation failure or a failed check,
 3 internal inconsistency among checks that must agree.
 """
 
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from .core import DEFAULT_TOL, _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
-from .errors import InternalInconsistency, StarAlgError, ValidationFailed
+from .errors import DecompositionFailed, InternalInconsistency, NotPositive, StarAlgError, ValidationFailed
 from .groups import certify_group_theorem, group_from_json
 from .linalg import sampled_identity_bound
 from .rickart import CheckReport, check_baer, check_weakly_rickart
@@ -103,6 +104,23 @@ def _identity_residual(prop, a, tol):
     return (y * y - x).norm() / max(1.0, x.norm())
 
 
+def _sampled_identity_check(prop, algebra, tol, seed):
+    """The identity of ``prop`` at 16 random samples; a sample whose construction fails ends the check."""
+    rng = np.random.default_rng(seed)
+    name = "regular" if prop == "regular" else "positive_sqrt"
+    residuals = []
+    for _ in range(16):
+        a = random_element(algebra, rng)
+        try:
+            residuals.append(_identity_residual(prop, a, tol))
+        except (DecompositionFailed, NotPositive) as exc:
+            return CheckReport(name, False, float("inf"), seed,
+                               witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)})
+    worst = max(residuals)
+    bound = sampled_identity_bound(tol)
+    return CheckReport(name, worst <= bound, worst, seed, details={"bound": bound})
+
+
 def cmd_check(args):
     algebra = algebra_from_json(_load_json(args.file))
     tol, seed = args.tol, args.seed
@@ -111,11 +129,7 @@ def cmd_check(args):
     elif args.property == "baer":
         report = check_baer(algebra, tol=tol, seed=seed)
     else:  # argparse admits only "regular" and "sqrt" here
-        rng = np.random.default_rng(seed)
-        worst = max(_identity_residual(args.property, random_element(algebra, rng), tol) for _ in range(16))
-        bound = sampled_identity_bound(tol)
-        name = "regular" if args.property == "regular" else "positive_sqrt"
-        report = CheckReport(name, worst <= bound, worst, seed, details={"bound": bound})
+        report = _sampled_identity_check(args.property, algebra, tol, seed)
     return (0 if report.passed else 2), report.to_dict(), (
         f"{report.property_name}: {'pass' if report.passed else 'FAIL'} "
         f"(worst residual {report.worst_residual:.2e})"

@@ -303,14 +303,18 @@ def _trace_functional(algebra):
     return np.trace(algebra._times_basis(np.eye(algebra.dim)), axis1=1, axis2=2)
 
 
+def _nearest_integers(traces, scales):
+    """The integers nearest the real parts of ``traces``, and each trace's distance from its
+    integer relative to max(1, its scale)."""
+    ints = np.round(np.real(traces))
+    return ints.astype(int), np.abs(traces - ints) / np.maximum(1.0, scales)
+
+
 def _trace_ranks(algebra, zs):
     """For each row z of ``zs``: the integer nearest tau . z, which is rank L_z when z is an
     idempotent, and the distance of tau . z from it relative to max(1, |tau| |z|)."""
     tau = _cached(algebra, _trace_functional)
-    traces = (zs * tau).sum(axis=-1)
-    ranks = np.round(traces.real)
-    scale = np.maximum(1.0, np.linalg.norm(tau) * np.linalg.norm(zs, axis=-1))
-    return ranks.astype(int), np.abs(traces - ranks) / scale
+    return _nearest_integers((zs * tau).sum(axis=-1), np.linalg.norm(tau) * np.linalg.norm(zs, axis=-1))
 
 
 # -- spectrum -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, nullspace, relative_bound, require,
                      require_each, subspaces_equal)
-from .spectral import _raised, _right_projection_scope, left_projection, right_projection, right_projections
+from .spectral import _PUBLISHED_RPS, _raised, left_projection, right_projection, right_projections
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,11 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    Cached per (tol, seed). The pass opens a right-projection scope, or joins
-    an enclosing ``analyze`` or ``check_baer`` call's, so a later caller in
-    the same run reuses its right projections."""
-    with _right_projection_scope():
-        return _cached(algebra, _weakly_rickart_pass, tol, seed)
+    Cached per (tol, seed). The pass publishes the right projections it made
+    with the algebra's facts (see ``staralg.spectral``), so a later
+    ``right_projections`` call at the same tol, such as the Baer guard's,
+    reuses them."""
+    return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
 def _weakly_rickart_pass(algebra, tol, seed):
@@ -172,7 +172,10 @@ def _weakly_rickart_pass(algebra, tol, seed):
     live = [a for a in tested if a.norm() > tol]
     # the kernels of every L_a from one stacked SVD, each as ``nullspace`` would give it
     _, sing, vhs = np.linalg.svd(np.array([a.lmat() for a in live]), full_matrices=False)
-    for a, e, s, vh in zip(live, right_projections(live, tol), sing, vhs):
+    rps = right_projections(live, tol)
+    published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
+    published.update((a.coeffs.tobytes(), e) for a, e in zip(live, rps) if isinstance(e, Element))
+    for a, e, s, vh in zip(live, rps, sing, vhs):
         if isinstance(e, DecompositionFailed):
             return CheckReport(
                 "weakly_rickart", False, float("inf"), seed,
@@ -209,43 +212,33 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
     Implementation guard: the sampled annihilator-generator witnesses check
     the code, not the theorem.
 
-    The call opens a right-projection scope (see ``staralg.spectral``), or
-    joins an enclosing ``analyze``'s, so the guard's RP(e_i) reuse the pass's
-    right projections. The memo is dropped when the call returns: kept on the
-    algebra, it would grow with every later query.
+    The guard's RP(e_i) are the right projections the weakly-Rickart pass
+    published (see ``staralg.spectral``); only its other inputs are solved.
     """
-    with _right_projection_scope():
-        rng = np.random.default_rng(seed)
-        if not algebra.is_unital(tol):
-            return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})
-        wr = check_weakly_rickart(algebra, tol=tol, seed=seed)
-        if not wr.passed:
-            return CheckReport("baer", False, wr.worst_residual, seed,
-                               witness={"reason": "not weakly Rickart", "inner": wr.witness})
+    rng = np.random.default_rng(seed)
+    if not algebra.is_unital(tol):
+        return CheckReport("baer", False, 0.0, seed, witness={"reason": "no unit"})
+    wr = check_weakly_rickart(algebra, tol=tol, seed=seed)
+    if not wr.passed:
+        return CheckReport("baer", False, wr.worst_residual, seed,
+                           witness={"reason": "not weakly Rickart", "inner": wr.witness})
 
-        n = algebra.dim
-        failures = 0
-        tested = 0
-        singles = algebra.basis()
-        if singleton_limit is not None:
-            singles = singles[:singleton_limit]
-        subsets = [[s] for s in singles]
-        pair_pool = min(pair_samples, n * (n - 1) // 2 if n > 1 else 0)
-        for _ in range(pair_pool):
-            i, j = rng.choice(n, size=2, replace=False)
-            subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
-        for _ in range(subset_samples):
-            k = int(rng.integers(1, n + 1))
-            subsets.append([random_element(algebra, rng) for _ in range(k)])
+    n = algebra.dim
+    singles = algebra.basis()
+    if singleton_limit is not None:
+        singles = singles[:singleton_limit]
+    subsets = [[s] for s in singles]
+    pair_pool = min(pair_samples, n * (n - 1) // 2 if n > 1 else 0)
+    for _ in range(pair_pool):
+        i, j = rng.choice(n, size=2, replace=False)
+        subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
+    for _ in range(subset_samples):
+        k = int(rng.integers(1, n + 1))
+        subsets.append([random_element(algebra, rng) for _ in range(k)])
 
-        for s in subsets:
-            tested += 1
-            result = annihilator(s, tol)
-            if not result.is_principal_projection_ideal:
-                failures += 1
-        passed = failures == 0
-        return CheckReport("baer", passed, wr.worst_residual, seed,
-                           details={"witness_subsets": tested, "generator_failures": failures})
+    failures = sum(not annihilator(s, tol).is_principal_projection_ideal for s in subsets)
+    return CheckReport("baer", failures == 0, wr.worst_residual, seed,
+                       details={"witness_subsets": len(subsets), "generator_failures": failures})
 
 
 def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):

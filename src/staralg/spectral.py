@@ -26,23 +26,18 @@ samples in one call, and ``annihilator`` for its whole set;
 runs on slices shaped as for one element, so an element's numbers do not
 depend on the elements stacked with it.
 
-While an ``analyze``, ``check_baer`` or ``check_weakly_rickart`` call runs,
-each input of ``right_projections`` is looked up on its own in a memo keyed
-by ``(parent, coefficient bytes, tol)``: an input seen before returns the
-stored RP, only the distinct misses are solved, and a failure is not
-stored. So the Baer guard's singletons reuse the right projections the
-weakly-Rickart pass made. The memo lives in a context variable, is opened by
-the outermost such call (an inner call shares it) and is dropped when that
-call returns. It is not kept in ``algebra._cache``: on a long-lived algebra
-it would grow with every query, and a query outside a run computes afresh.
+The weakly-Rickart pass publishes each RP its one stacked call made, keyed by
+the input's coefficient bytes, in one table per tol in ``algebra._cache``,
+beside the algebra's other facts; no failure is stored. ``right_projections``
+reads that table and never creates it: the Baer guard's RP(e_i) are the
+pass's, and an algebra no pass ran on solves every input. A published RP is
+what a fresh solve gives, as a row's numbers do not depend on its stack.
 Each caller's own certificates, such as ``a RP(a) = a`` in the
 weakly-Rickart pass, still run on every call.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +67,8 @@ class SpectralDecomposition:
         return Element(parent, total)
 
 
-# (parent, coefficient bytes, tol) -> RP of that element while a scope is open
-_MEMO = contextvars.ContextVar("staralg_right_projections", default=None)
-
-
-@contextlib.contextmanager
-def _right_projection_scope():
-    """Share right projections among the calls inside; an inner scope reuses the outer memo."""
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+# with tol, the ``algebra._cache`` key of the right projections the weakly-Rickart pass published
+_PUBLISHED_RPS = "published right projections"
 
 
 def _norms(x):
@@ -221,20 +203,17 @@ def right_projections(xs, tol=DEFAULT_TOL):
     The trace-form path takes the whole stack at once; the rows it rejects go
     to the solver one at a time. Entry i is RP(xs[i]), or the exception
     ``right_projection(xs[i])`` raises, so a failing row leaves the others as
-    they are. Inside a right-projection scope an input seen before returns
-    the stored RP; a failure is not stored."""
-    memo = _MEMO.get()
-    if memo is None:
+    they are. An input whose RP the weakly-Rickart pass published at this
+    tol is answered from that table; the others are solved."""
+    table = xs[0].parent._cache.get((_PUBLISHED_RPS, tol)) if xs else None
+    if table is None:
         return _right_projections(xs, tol)
-    # the parent itself, not id(): a freed algebra's id can be reused
-    keys = [(a.parent, a.coeffs.tobytes(), tol) for a in xs]
-    misses = {}
-    for key, a in zip(keys, xs):
-        if key not in memo:
-            misses.setdefault(key, a)
-    solved = dict(zip(misses, _right_projections(list(misses.values()), tol))) if misses else {}
-    memo.update((key, e) for key, e in solved.items() if isinstance(e, Element))
-    return [solved[key] if key in solved else memo[key] for key in keys]
+    out = [table.get(a.coeffs.tobytes()) for a in xs]
+    misses = [i for i, e in enumerate(out) if e is None]
+    if misses:
+        for i, e in zip(misses, _right_projections([xs[i] for i in misses], tol)):
+            out[i] = e
+    return out
 
 
 def _right_projections(xs, tol):

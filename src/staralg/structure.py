@@ -13,6 +13,7 @@ from .core import (
     StarAlgebra,
     _cached,
     _coeffs_json,
+    _nearest_integers,
     _padded,
     _trace_form,
     _trace_ranks,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
-from .spectral import _right_projection_scope, _trace_coordinates, spectral_decompose
+from .spectral import _trace_coordinates, spectral_decompose
 
 
 # -- radical and the basic checks ---------------------------------------------
@@ -202,7 +203,8 @@ def _central_atoms(algebra, tol, seed):
 
     def primitive(z):
         # L_z maps the center into itself, so this trace is dim zZ(A)
-        return round(np.trace(zmat.conj().T @ z.lmat() @ zmat).real) == 1
+        trace = np.trace(zmat.conj().T @ z.lmat() @ zmat)
+        return _integer_dims(_nearest_integers(trace, abs(trace)), tol) == 1
 
     def random_central_selfadjoint():
         w = rng.standard_normal(len(zbasis)) + 1j * rng.standard_normal(len(zbasis))
@@ -229,7 +231,7 @@ def _central_atoms(algebra, tol, seed):
     require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
             "central atoms are not orthogonal")
 
-    dims = _integer_ranks(algebra, zs, tol).tolist()
+    dims = _integer_dims(_trace_ranks(algebra, zs), tol).tolist()
     order = np.argsort([-d for d in dims], kind="stable")
     return CentralDecomposition([atoms[i] for i in order], [dims[i] for i in order])
 
@@ -311,7 +313,7 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     dim zA = rank L_z is read as tau . z (see ``_trace_ranks``), which must
     lie within certificate_bound of an integer, else IllConditioned.
     """
-    (dim,) = _integer_ranks(atom.parent, atom.coeffs[None], tol)
+    (dim,) = _integer_dims(_trace_ranks(atom.parent, atom.coeffs[None]), tol)
     rng = np.random.default_rng(seed)
     last_exc = None
     for attempt in range(5):
@@ -322,24 +324,29 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     raise DegenerateRandomness(f"matrix-unit construction kept failing: {last_exc}")
 
 
-def _integer_ranks(algebra, zs, tol):
-    """rank L_z for each projection z, a row of ``zs``, read as tau . z (see ``_trace_ranks``).
+def _integer_dims(rounded, tol):
+    """The integers of ``rounded``, ``_nearest_integers``' pair for traces that must be dimensions.
 
-    Raises IllConditioned unless each trace lies within certificate_bound(tol) of an integer."""
-    ranks, off = _trace_ranks(algebra, zs)
+    Raises IllConditioned unless each trace lies within certificate_bound(tol) of its integer."""
+    ints, off = rounded
     worst = float(np.max(off, initial=0.0))
     if not worst <= certificate_bound(tol):
         raise IllConditioned("the trace of the projection is not an integer rank", worst)
-    return ranks
+    return ints
 
 
 def _matrix_units_once(atom, dim, tol, rng):
     algebra = atom.parent
-    # the minimal projections under z, where dim pAp = tr(L_p R_p) is at most 1, as
-    # L_p R_p is the idempotent x -> p x p onto pAp; a zero-dimensional corner counts as an atom too
+
+    def minimal(p):
+        # dim pAp = tr(L_p R_p), as L_p R_p is the idempotent x -> p x p onto pAp;
+        # a zero-dimensional corner counts as an atom too
+        trace = np.trace(p.lmat() @ p.rmat())
+        return _integer_dims(_nearest_integers(trace, abs(trace)), tol) <= 1
+
+    # the minimal projections under z, where dim pAp is at most 1
     projections = _split_projections(
-        atom, lambda p: round(np.trace(p.lmat() @ p.rmat()).real) <= 1,
-        lambda: random_selfadjoint(algebra, rng), 6 * dim + 16, tol,
+        atom, minimal, lambda: random_selfadjoint(algebra, rng), 6 * dim + 16, tol,
         "minimal-projection refinement did not terminate",
     )
     n = len(projections)
@@ -405,92 +412,91 @@ class StructureReport:
 
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     """Run every checker and certify the block structure on Baer instances."""
-    with _right_projection_scope():
-        report = validate(algebra, tol)
-        if not report.passed:
-            raise ValidationFailed(report)
+    report = validate(algebra, tol)
+    if not report.passed:
+        raise ValidationFailed(report)
 
-        unital = algebra.is_unital(tol)
-        proper_rep = check_proper(algebra, tol, seed)
-        rad = radical(algebra, tol)
-        semisimple = not rad
-        herm_rep = check_hermitian(algebra, tol, seed)
-        wr_rep = check_weakly_rickart(algebra, tol=tol, seed=seed)
+    unital = algebra.is_unital(tol)
+    proper_rep = check_proper(algebra, tol, seed)
+    rad = radical(algebra, tol)
+    semisimple = not rad
+    herm_rep = check_hermitian(algebra, tol, seed)
+    wr_rep = check_weakly_rickart(algebra, tol=tol, seed=seed)
 
-        expected = proper_rep.passed
-        if (herm_rep.passed and semisimple) != expected or wr_rep.passed != expected:
-            raise InternalInconsistency(
-                f"equivalence coherence violated: proper={proper_rep.passed} "
-                f"hermitian={herm_rep.passed} semisimple={semisimple} "
-                f"weakly_rickart={wr_rep.passed}"
-            )
-
-        residuals = {
-            "associativity_defect": report.associativity_defect,
-            "involution_defect": report.involution_defect,
-            "gram_min_eig": proper_rep.details.get("gram_min_eig"),
-            "weakly_rickart_worst": wr_rep.worst_residual,
-        }
-        witness = proper_rep.witness
-
-        # unital and weakly Rickart is exactly Baer in finite dimension (see check_baer)
-        baer = unital and wr_rep.passed
-        h_json = None
-        blocks = []
-        abelian_dim = 0
-        isomorphisms = []
-        abelian_atoms = []
-        if baer:
-            baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
-            failures = baer_rep.details["generator_failures"]
-            residuals["baer_generator_failures"] = failures
-            if not baer_rep.passed:
-                raise InternalInconsistency(
-                    f"unital and weakly Rickart, but {failures} of {baer_rep.details['witness_subsets']} "
-                    "sampled annihilators have no projection generator"
-                )
-            dec = central_atoms(algebra, tol, seed)
-            h, abelian_dim = abelian_split(algebra, tol, seed)
-            h_json = _coeffs_json(h.coeffs)
-            worst_units = 0.0
-            for z, dim in zip(dec.atoms, dec.block_dims):
-                if dim == 1:
-                    abelian_atoms.append(_coeffs_json(z.coeffs))
-                    continue
-                units, residual = block_star_isomorphism(z, tol, seed)
-                n = len(units)
-                blocks.append(n)
-                worst_units = max(worst_units, residual)
-                isomorphisms.append({
-                    "size": n,
-                    "atom": _coeffs_json(z.coeffs),
-                    "matrix_units": [[_coeffs_json(x.coeffs) for x in row] for row in units],
-                })
-            blocks.sort()
-            if sum(n * n for n in blocks) + abelian_dim != algebra.dim:
-                raise InternalInconsistency(
-                    f"block dimensions {blocks} + abelian {abelian_dim} != dim {algebra.dim}"
-                )
-            if any(n < 2 for n in blocks):
-                raise InternalInconsistency("non-abelian summand contains a 1x1 block")
-            residuals["matrix_unit_worst"] = worst_units
-
-        return StructureReport(
-            dim=algebra.dim,
-            unital=unital,
-            proper=proper_rep.passed,
-            hermitian=herm_rep.passed,
-            semisimple=semisimple,
-            radical_dim=len(rad),
-            weakly_rickart=wr_rep.passed,
-            baer=baer,
-            abelian_projection_h=h_json,
-            block_sizes_nonabelian=blocks,
-            abelian_dim=abelian_dim,
-            block_isomorphisms=isomorphisms,
-            abelian_atoms=abelian_atoms,
-            residuals=residuals,
-            witness=witness,
-            tol=tol,
-            seed=seed,
+    expected = proper_rep.passed
+    if (herm_rep.passed and semisimple) != expected or wr_rep.passed != expected:
+        raise InternalInconsistency(
+            f"equivalence coherence violated: proper={proper_rep.passed} "
+            f"hermitian={herm_rep.passed} semisimple={semisimple} "
+            f"weakly_rickart={wr_rep.passed}"
         )
+
+    residuals = {
+        "associativity_defect": report.associativity_defect,
+        "involution_defect": report.involution_defect,
+        "gram_min_eig": proper_rep.details.get("gram_min_eig"),
+        "weakly_rickart_worst": wr_rep.worst_residual,
+    }
+    witness = proper_rep.witness
+
+    # unital and weakly Rickart is exactly Baer in finite dimension (see check_baer)
+    baer = unital and wr_rep.passed
+    h_json = None
+    blocks = []
+    abelian_dim = 0
+    isomorphisms = []
+    abelian_atoms = []
+    if baer:
+        baer_rep = check_baer(algebra, tol, seed, pair_samples=4, subset_samples=2, singleton_limit=3)
+        failures = baer_rep.details["generator_failures"]
+        residuals["baer_generator_failures"] = failures
+        if not baer_rep.passed:
+            raise InternalInconsistency(
+                f"unital and weakly Rickart, but {failures} of {baer_rep.details['witness_subsets']} "
+                "sampled annihilators have no projection generator"
+            )
+        dec = central_atoms(algebra, tol, seed)
+        h, abelian_dim = abelian_split(algebra, tol, seed)
+        h_json = _coeffs_json(h.coeffs)
+        worst_units = 0.0
+        for z, dim in zip(dec.atoms, dec.block_dims):
+            if dim == 1:
+                abelian_atoms.append(_coeffs_json(z.coeffs))
+                continue
+            units, residual = block_star_isomorphism(z, tol, seed)
+            n = len(units)
+            blocks.append(n)
+            worst_units = max(worst_units, residual)
+            isomorphisms.append({
+                "size": n,
+                "atom": _coeffs_json(z.coeffs),
+                "matrix_units": [[_coeffs_json(x.coeffs) for x in row] for row in units],
+            })
+        blocks.sort()
+        if sum(n * n for n in blocks) + abelian_dim != algebra.dim:
+            raise InternalInconsistency(
+                f"block dimensions {blocks} + abelian {abelian_dim} != dim {algebra.dim}"
+            )
+        if any(n < 2 for n in blocks):
+            raise InternalInconsistency("non-abelian summand contains a 1x1 block")
+        residuals["matrix_unit_worst"] = worst_units
+
+    return StructureReport(
+        dim=algebra.dim,
+        unital=unital,
+        proper=proper_rep.passed,
+        hermitian=herm_rep.passed,
+        semisimple=semisimple,
+        radical_dim=len(rad),
+        weakly_rickart=wr_rep.passed,
+        baer=baer,
+        abelian_projection_h=h_json,
+        block_sizes_nonabelian=blocks,
+        abelian_dim=abelian_dim,
+        block_isomorphisms=isomorphisms,
+        abelian_atoms=abelian_atoms,
+        residuals=residuals,
+        witness=witness,
+        tol=tol,
+        seed=seed,
+    )

@@ -5,10 +5,11 @@ import json
 import pytest
 
 import staralg as sa
+from staralg import cli
 from staralg.cli import main
 from staralg.core import algebra_to_json
 from staralg.groups import group_to_json
-from staralg.instances import swap_mutant
+from staralg.instances import nilpotent_mutant, swap_mutant
 
 
 @pytest.fixture
@@ -149,6 +150,28 @@ def test_check_properties(m2_file, capsys):
         assert main(["check", m2_file, "--property", prop]) == 0, prop
         out = json.loads(capsys.readouterr().out)
         assert out["pass"]
+
+
+@pytest.mark.parametrize("prop", ["regular", "sqrt"])
+@pytest.mark.parametrize("make", [lambda: swap_mutant(1), lambda: nilpotent_mutant(0)], ids=["swap", "nilpotent"])
+def test_check_of_a_sampled_identity_fails_with_exit_two(tmp_path, capsys, make, prop):
+    """A sample whose quasi-inverse or square root cannot be built ends the check as a FAIL, as ``rp`` does."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra_to_json(make())))
+    assert main(["check", str(path), "--property", prop]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["pass"] is False and out["worst_residual"] == float("inf")
+    assert set(out["witness"]) == {"element", "reason"} and "certificates fail" in out["witness"]["reason"]
+    assert main(["check", str(path), "--property", "rp"]) == 2
+
+
+def test_check_of_a_sampled_identity_keeps_exit_one_for_other_errors(m2_file, monkeypatch, capsys):
+    def ill(a, tol):
+        raise sa.IllConditioned("no certificate at this conditioning", 1.0)
+
+    monkeypatch.setattr(cli, "quasi_inverse", ill)
+    assert main(["check", m2_file, "--property", "regular"]) == 1
+    assert "no certificate" in capsys.readouterr().err
 
 
 def test_check_bound_follows_tol(m2_file, capsys):

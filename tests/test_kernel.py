@@ -511,6 +511,34 @@ def test_the_eigen_solvers_run_in_one_place():
         (path, name, what) for (path, name), names in allowed.items() for what in names}
 
 
+def _cache_references(node, scope=()):
+    """``(qualified name of the enclosing definition, line)`` of every ``._cache`` attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _cache_references(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == "_cache":
+            yield ".".join(scope), child.lineno
+        yield from _cache_references(child, scope)
+
+
+def test_per_algebra_facts_live_in_one_cache():
+    """No module keeps a context-variable memo; ``_cache`` is touched by ``core._cached``, and by
+    the right-projection table's one reader (``right_projections``) and one writer (the pass)."""
+    allowed = {("core.py", "_cached"), ("spectral.py", "right_projections"), ("rickart.py", "_weakly_rickart_pass")}
+    paths = sorted(Path(sa.__file__).parent.glob("*.py"))
+    imports = [f"{path.name}:{node.lineno}" for path in paths for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Import) and any(a.name == "contextvars" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "contextvars"]
+    assert not imports, "contextvars imported:\n" + "\n".join(imports)
+    found = {(path.name, name, lineno) for path in paths
+             for name, lineno in _cache_references(ast.parse(path.read_text()))}
+    hits = [f"{path}:{lineno}: _cache in {name or '<module>'}" for path, name, lineno in found
+            if (path, name) not in allowed]
+    assert not hits, "_cache touched outside its three places:\n" + "\n".join(hits)
+    assert {(path, name) for path, name, _ in found} == allowed
+
+
 def test_no_einsum_in_the_package():
     hits = [f"{path.name}:{lineno}: {line.strip()}"
             for path in sorted(Path(sa.__file__).parent.glob("*.py"))

@@ -1,7 +1,7 @@
 """Spectral decompositions, RP/LP, quasi-inverse, positive sqrt, EP witness, C*-norm."""
 
-import contextlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,79 +197,17 @@ def test_cstar_identity_random(seed):
 
 # -- one right projection per input while analyze runs ------------------------
 
+_PHASES = ("pass", "guard", "other")
+
+
 def _record_right_projections(monkeypatch):
-    """Record the memo key of every element right_projections is asked for, and of every one it solves."""
-    asked, solved = [], []
-    ask, solve = spectral.right_projections, spectral._right_projections
+    """The coefficient bytes of every row ``right_projections`` is asked for, and of every row it solves.
 
-    def key(a, tol):
-        return a.parent, a.coeffs.tobytes(), tol
-
-    def asking(xs, tol=sa.DEFAULT_TOL):
-        asked.extend(key(a, tol) for a in xs)
-        return ask(xs, tol)
-
-    def solving(xs, tol):
-        solved.extend(key(a, tol) for a in xs)
-        return solve(xs, tol)
-
-    for module in (spectral, rickart):
-        monkeypatch.setattr(module, "right_projections", asking)
-    monkeypatch.setattr(spectral, "_right_projections", solving)
-    return asked, solved
-
-
-@pytest.mark.parametrize("make", [
-    lambda: sa.matrix_algebra(3),
-    lambda: sa.build_group_algebra(sa.symmetric_group_3()),
-], ids=["M3", "C[S3]"])
-def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    """Every right projection analyze asks for is solved once; the repeats are answered by the memo."""
-    asked, solved = _record_right_projections(monkeypatch)
-    sa.analyze(make())
-    assert len(solved) == len(set(solved)) == len(set(asked)) < len(asked)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: sa.matrix_algebra(3),
-    lambda: sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
-], ids=["M3", "C[S4]"])
-def test_check_weakly_rickart_alone_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    """Called outside analyze, the pass opens its own scope, and its memo holds every RP it solved."""
-    asked, solved = _record_right_projections(monkeypatch)
-    held = []
-    run = rickart._weakly_rickart_pass
-
-    def recorded(*args):
-        report = run(*args)
-        held.append(set(spectral._MEMO.get()))
-        return report
-
-    monkeypatch.setattr(rickart, "_weakly_rickart_pass", recorded)
-    assert sa.check_weakly_rickart(make()).passed
-    assert spectral._MEMO.get() is None
-    assert len(solved) == len(set(solved)) == len(set(asked)) == len(held[0])
-    assert held == [set(solved)]
-
-
-def test_the_memo_ends_with_its_analyze_call(monkeypatch):
-    alg = sa.matrix_algebra(3)
-    sa.analyze(alg)
-    assert spectral._MEMO.get() is None
-    assert not any(key[0] in (spectral.right_projections, spectral._right_projections) for key in alg._cache)
-    asked, solved = _record_right_projections(monkeypatch)
-    a = alg.element(np.arange(9.0))
-    first, second = sa.right_projection(a), sa.right_projection(a)
-    assert len(solved) == len(asked) == 2
-    np.testing.assert_array_equal(first.coeffs, second.coeffs)
-
-
-def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
-    """The guard's singletons ask for RP(e_i) again; none of its misses repeats one of the pass."""
-    alg = sa.matrix_algebra(3)
+    Each list is kept by phase: "pass" inside the weakly-Rickart pass, "guard"
+    inside ``annihilator`` (the Baer guard's subsets) and "other" elsewhere."""
     phase = ["other"]
-    made = {"other": [], "pass": [], "guard": []}
-    asked_in_guard = set()
+    asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
+    ask, solve = spectral.right_projections, spectral._right_projections
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -280,29 +218,109 @@ def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
                 phase[0] = outer
         return run
 
-    monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
-    monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
-    ask, solve = spectral.right_projections, spectral._right_projections
-
     def asking(xs, tol=sa.DEFAULT_TOL):
-        if phase[0] == "guard":
-            asked_in_guard.update(a.coeffs.tobytes() for a in xs)
+        asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
         return ask(xs, tol)
 
     def solving(xs, tol):
-        made[phase[0]].extend(a.coeffs.tobytes() for a in xs)
+        solved[phase[0]].extend(a.coeffs.tobytes() for a in xs)
         return solve(xs, tol)
 
+    monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
+    monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
     for module in (spectral, rickart):
         monkeypatch.setattr(module, "right_projections", asking)
     monkeypatch.setattr(spectral, "_right_projections", solving)
+    return asked, solved
+
+
+def _published(alg, tol=sa.DEFAULT_TOL):
+    return alg._cache[(spectral._PUBLISHED_RPS, tol)]
+
+
+def _basis_rows(alg):
+    return {e.coeffs.tobytes() for e in alg.basis()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    lambda: sa.build_group_algebra(sa.symmetric_group_3()),
+], ids=["M3", "C[S3]"])
+def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
+    """The pass solves each basis row once; the guard's singletons and pairs read them from its table."""
+    alg = make()
+    asked, solved = _record_right_projections(monkeypatch)
+    sa.analyze(alg)
+    basis = _basis_rows(alg)
+    every = [row for name in _PHASES for row in solved[name]]
+    assert Counter(row for row in every if row in basis) == Counter(basis)
+    assert basis <= set(solved["pass"])
+    assert len(basis & set(asked["guard"])) >= 3  # the singletons e_0, e_1, e_2, and the pairs
+    assert not basis & set(solved["guard"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    lambda: sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+], ids=["M3", "C[S4]"])
+def test_check_weakly_rickart_alone_runs_the_solver_once_per_distinct_input(monkeypatch, make):
+    """A lone pass publishes exactly the rows it solved; a pass at another seed solves only its 8 samples."""
+    alg = make()
+    asked, solved = _record_right_projections(monkeypatch)
+    assert sa.check_weakly_rickart(alg).passed
+    rows = solved["pass"]
+    assert len(rows) == len(set(rows)) == alg.dim + 8 and asked["pass"] == rows
+    assert set(_published(alg)) == set(rows)
+    assert sa.check_weakly_rickart(alg, seed=1).passed
+    samples = rows[alg.dim + 8:]
+    assert len(samples) == 8 and not set(samples) & _basis_rows(alg)
+    assert set(_published(alg)) == set(rows) and len(rows) == alg.dim + 16
+
+
+def test_the_memo_ends_with_its_analyze_call(monkeypatch):
+    """Queries on an algebra no pass ran on leave no table; after analyze, RP(e_i) is the published element."""
+    alg = sa.matrix_algebra(3)
+    a, b = alg.element(np.arange(9.0)), alg.basis_element(1)
+
+    def query():
+        return [sa.right_projection(a), sa.right_projection(b), sa.join(sa.right_projection(a), b * b.star()),
+                sa.annihilator([a, b]).generator]
+
+    query()  # fills the algebra's other facts
+    facts = set(alg._cache)
+    assert not any(key[0] == spectral._PUBLISHED_RPS for key in facts)
+    asked, solved = _record_right_projections(monkeypatch)
+    first, second = query(), query()
+    assert set(alg._cache) == facts and solved["other"] == asked["other"]
+    for e, f in zip(first, second):
+        np.testing.assert_array_equal(e.coeffs, f.coeffs)
+    sa.analyze(alg)
+    table = _published(alg)
+    fresh = sa.matrix_algebra(3)
+    for i, e in enumerate(alg.basis()):
+        got = sa.right_projection(e)
+        assert got is table[e.coeffs.tobytes()]
+        np.testing.assert_array_equal(got.coeffs, sa.right_projection(fresh.basis_element(i)).coeffs)
+
+
+def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
+    """The guard's singletons ask for RP(e_i) again; none of its misses repeats one of the pass.
+
+    One row is solved twice on M3. The pairs {E_ab, E_cd} with b != d join RP(E_ab) = E_bb and
+    RP(E_cd) as RP(E_bb - E_bb E_dd), an input that equals E_bb but, being computed, has other
+    coefficient bytes than e_i; two such pairs with the same b ask for it twice. The table holds
+    the pass's rows only, so the second is solved afresh, to the same bits."""
+    alg = sa.matrix_algebra(3)
+    asked, solved = _record_right_projections(monkeypatch)
     assert sa.analyze(alg).baer
-    basis_inputs = {e.coeffs.tobytes() for e in alg.basis()}
-    assert basis_inputs <= set(made["pass"])
-    assert len(basis_inputs & asked_in_guard) >= 3  # the guard's singletons e_0, e_1, e_2
-    assert not set(made["guard"]) & set(made["pass"])
-    every = made["other"] + made["pass"] + made["guard"]
-    assert len(every) == len(set(every))
+    basis = _basis_rows(alg)
+    assert basis <= set(solved["pass"])
+    assert len(basis & set(asked["guard"])) >= 3  # the guard's singletons e_0, e_1, e_2
+    assert not set(solved["guard"]) & set(solved["pass"])
+    every = Counter(row for name in _PHASES for row in solved[name])
+    repeated = [row for row, count in every.items() if count > 1]
+    assert len(repeated) <= 1 and not set(repeated) & basis
+    assert all(every[row] == 2 and row in solved["guard"] for row in repeated)
 
 
 def _memo_corpus():
@@ -324,15 +342,15 @@ def _report_json(alg, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_reports_are_byte_identical_without_the_memo(monkeypatch, seed):
+def test_reports_are_byte_identical_without_the_published_table(monkeypatch, seed):
+    """With the pass publishing under a key no reader looks up, reports are equal and more rows are solved."""
     _, solved = _record_right_projections(monkeypatch)
-    with_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
-    solved_with_memo = len(solved)
-    for module in (structure, rickart):
-        monkeypatch.setattr(module, "_right_projection_scope", contextlib.nullcontext)
-    without_memo = [_report_json(alg, seed) for alg in _memo_corpus()]
-    assert len(solved) - solved_with_memo > solved_with_memo
-    assert without_memo == with_memo
+    with_table = [_report_json(alg, seed) for alg in _memo_corpus()]
+    solved_with_table = sum(len(rows) for rows in solved.values())
+    monkeypatch.setattr(rickart, "_PUBLISHED_RPS", "unread right projections")
+    without_table = [_report_json(alg, seed) for alg in _memo_corpus()]
+    assert sum(len(rows) for rows in solved.values()) - solved_with_table > solved_with_table
+    assert without_table == with_table
 
 
 # -- right projections through the solver, one element at a time ---------------
@@ -445,19 +463,27 @@ def test_right_projections_match_one_at_a_time():
             _assert_bit_equal(got, ref)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_the_memo_stores_each_success_once_and_no_failure():
-    rows = _mixed_stacks()[0]
-    with spectral._right_projection_scope():
-        first = spectral.right_projections(rows)
-        memo = dict(spectral._MEMO.get())
-        again = spectral.right_projections(rows[::-1])[::-1]
-    solved = {a.coeffs.tobytes() for a, e in zip(rows, first) if isinstance(e, sa.Element)}
-    assert {key[1] for key in memo} == solved and len(memo) == len(solved) < len(rows) - 1
-    assert all(isinstance(e, sa.Element) for e in memo.values())
-    for e, f in zip(first, again):
+def test_the_memo_stores_each_success_once_and_no_failure(monkeypatch):
+    """On M2 + swap_mutant(1) the pass publishes each row it solved once, and none that failed."""
+    alg = sa.direct_sum(sa.matrix_algebra(2), swap_mutant(1))
+    seen = []
+    ask = rickart.right_projections
+
+    def asking(xs, tol):
+        seen.append((xs, ask(xs, tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(rickart, "right_projections", asking)
+    assert not sa.check_weakly_rickart(alg).passed
+    [(rows, out)] = seen
+    ok = {a.coeffs.tobytes(): e for a, e in zip(rows, out) if isinstance(e, sa.Element)}
+    assert 0 < len(ok) < len(rows) == len({a.coeffs.tobytes() for a in rows})
+    table = _published(alg)
+    assert table.keys() == ok.keys() and all(table[key] is e for key, e in ok.items())
+    again = spectral.right_projections(rows)
+    for e, f in zip(out, again):
         if isinstance(e, Exception):
-            assert type(f) is type(e) and str(f) == str(e)  # solved again, not stored
+            assert type(f) is type(e) and str(f) == str(e) and f is not e  # solved again, not stored
         else:
             assert f is e
 

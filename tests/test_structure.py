@@ -140,6 +140,20 @@ def test_block_star_isomorphism_reads_the_corner_dimension_from_the_trace():
         block_star_isomorphism(0.7 * matrix_algebra(2).one())
 
 
+def test_every_dimension_read_from_a_trace_must_be_an_integer(monkeypatch):
+    """The minimality and primitivity tests round a trace only within certificate_bound of an integer."""
+    alg = direct_sum(matrix_algebra(2), diagonal_algebra(1))
+    rng = np.random.default_rng(0)
+    # tr(L_p R_p) = 0.49 * 4 for p = 0.7 * 1 in M2
+    with pytest.raises(sa.IllConditioned, match="not an integer rank"):
+        structure._matrix_units_once(0.7 * matrix_algebra(2).one(), 4, sa.DEFAULT_TOL, rng)
+    # a center basis scaled by 0.9 makes dim Z(A) read as 0.81 * 2
+    center = structure.center
+    monkeypatch.setattr(structure, "center", lambda a, tol: [0.9 * z for z in center(a, tol)])
+    with pytest.raises(sa.IllConditioned, match="not an integer rank"):
+        sa.central_atoms(alg)
+
+
 def test_refinement_gives_up_when_nothing_splits(monkeypatch):
     monkeypatch.setattr(structure, "spectral_decompose",
                         lambda b, tol: sa.SpectralDecomposition(b, ()))
