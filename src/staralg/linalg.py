@@ -26,6 +26,12 @@ def relative_bound(tol, size):
     return tol * max(1.0, size)
 
 
+def significant(values, tol):
+    """Mask of the values above ``relative_bound(tol, largest)`` (a NaN largest reads as 1): the one
+    cut-off that decides numerical rank, zero eigenvalues and positive definiteness."""
+    return values > relative_bound(tol, float(values.max()))
+
+
 def sampled_identity_bound(tol):
     """Bound on the identities checked over sampled elements (regular, square root)."""
     return 100 * tol
@@ -47,14 +53,16 @@ def require_each(residuals, bounds, error, message):
 
 
 def nullspace(mat, tol):
-    """Orthonormal basis (columns) of the kernel of `mat` at relative tol."""
+    """Orthonormal basis (columns) of the kernel of `mat` at relative tol; for a stack of matrices, the
+    list of their kernels from one stacked SVD, each bit for bit what its matrix alone gives."""
     mat = np.atleast_2d(mat)
     if mat.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
     # only vh is read; a tall matrix's reduced SVD already gives all of it, without the square U
-    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > relative_bound(tol, s[0])))
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[-2] < mat.shape[-1])
+    if mat.ndim > 2:
+        return [v[np.count_nonzero(significant(row, tol)):].conj().T for row, v in zip(s, vh)]
+    return vh[np.count_nonzero(significant(s, tol)):].conj().T
 
 
 def colspace(mat, tol):
@@ -63,8 +71,7 @@ def colspace(mat, tol):
     if mat.size == 0 or not np.any(mat):
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > relative_bound(tol, s[0])))
-    return u[:, :rank]
+    return u[:, :np.count_nonzero(significant(s, tol))]
 
 
 def subspace_residual(u, v):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _padded, _trace_form, _trace_ranks, _unitization
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
-from .linalg import certificate_bound, cluster_points, relative_bound, require
+from .linalg import certificate_bound, cluster_points, relative_bound, require, significant
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
 
     The zero eigenvalue is omitted. Raises DecompositionFailed when b is not
     normal or the certificates cannot be met, which is the expected signal
-    on non-proper algebras; IllConditioned when a projection leaves A; and
-    LinAlgError when LAPACK rejects L_b.
+    on non-proper algebras; IllConditioned when b*b or bb* overflows or a
+    projection leaves A; and LinAlgError when LAPACK rejects L_b.
     """
     parent = b.parent
     bound = certificate_bound(tol)
@@ -90,8 +90,10 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     both = np.array([b.coeffs, parent.star_coeffs(b.coeffs)])
     squares = parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*
     # an overflow or a NaN fails here, before LAPACK sees it
-    normality = _norms(squares[1, 0] - squares[0, 1]) / np.maximum(1.0, norm) ** 2
-    require(float(normality), bound, DecompositionFailed, "element is not normal")
+    normality = float(_norms(squares[1, 0] - squares[0, 1]) / np.maximum(1.0, norm) ** 2)
+    if not np.isfinite(normality):
+        raise IllConditioned("the products of the element with its adjoint overflow or are not finite", normality)
+    require(normality, bound, DecompositionFailed, "element is not normal")
     if norm <= tol:
         return SpectralDecomposition(b, ())
 
@@ -109,8 +111,7 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
 
     # the clustered eigenvalues kept (nonzero), and the mask whose column j
     # selects the eigenvectors clustered at the j-th kept one
-    zero = relative_bound(tol, max(abs(l) for l in lams))
-    keep = [j for j, lam in enumerate(lams) if abs(lam) > zero]
+    keep = np.flatnonzero(significant(np.abs(lams), tol)).tolist()
     assign = np.abs(evals[:, None] - np.array(lams)[None, :]).argmin(axis=1)
     mask = assign[:, None] == np.array(keep, dtype=int)[None, :]
     ps = (evecs @ (mask * weights[:, None])).T
@@ -223,7 +224,7 @@ def _right_projections(xs, tol):
         return out
     parent = xs[0].parent
     coords = _cached(parent, _trace_coordinates, tol)[2]
-    if coords is not None:
+    if coords is not None and parent.is_unital(tol):
         for run in _chunks(live, parent.dim ** 2):
             rows = np.array([xs[i].coeffs for i in run])
             for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
@@ -258,8 +259,7 @@ def _trace_form_projections(parent, a, coords, tol):
     bound = certificate_bound(tol)
     errors = [None] * len(a)
     _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, errors)
-    squares = s * s
-    ranks = np.array([np.sum(row > relative_bound(tol, row[0])) for row in squares])
+    ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
     c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
     e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
     worst = np.maximum(np.maximum(
@@ -341,35 +341,32 @@ def _gram_matrix(algebra, tol):
 
 
 def _trace_coordinates(algebra, tol):
-    """The ``eigh`` of the Gram matrix G and, where A has them, its trace-form coordinates; use via _cached.
+    """The ``eigh`` of the Gram matrix G and, where it is positive definite, its trace-form coordinates.
 
-    Returns ``(evals, evecs, coords)``. ``coords`` is ``(W, W^-1)`` when A is
-    unital and G passes ``check_proper``'s positivity rule, else None:
-    W = Lambda^1/2 V^H, so G = W^H W and W L_a W^-1 is L_a in a
-    <.,.>-orthonormal basis."""
+    Returns ``(evals, evecs, coords)``; ``coords``, the one positive-definiteness decision, is
+    ``(W, W^-1)`` when every eigenvalue of G is ``significant``, else None. W = Lambda^1/2 V^H, so
+    G = W^H W and W L_a W^-1 is L_a in a <.,.>-orthonormal basis. Use via _cached."""
     evals, evecs = np.linalg.eigh(_cached(algebra, _gram_matrix, tol))
     coords = None
-    if algebra.is_unital(tol) and evals[0] > relative_bound(tol, evals[-1]):
+    if significant(evals, tol)[0]:  # eigh sorts ascending
         root = np.sqrt(evals)
         coords = (root[:, None] * evecs.conj().T, evecs / root)
     return evals, evecs, coords
 
 
 def cstar_norm(a, tol=DEFAULT_TOL):
-    """The unique pre-C*-norm, via the Gram-symmetrized regular representation.
+    """The unique pre-C*-norm: |a| = sqrt of the largest eigenvalue of pi(a)^H pi(a) (the C*-identity),
+    with pi(a) = W L_a W^-1 the regular representation in the cached trace-form coordinates.
 
     Any faithful *-representation computes the same value; this one needs no
     block decomposition. Raises NoCStarNorm when the trace form is not
     positive definite (non-proper involution).
     """
-    algebra = a.parent
-    g = _cached(algebra, _gram_matrix, tol)
-    evals, evecs = np.linalg.eigh(g)
-    if evals[0] <= relative_bound(tol, evals[-1]):
+    coords = _cached(a.parent, _trace_coordinates, tol)[2]
+    if coords is None:
         raise NoCStarNorm("trace form not positive definite; no C*-norm exists")
-    ghalf = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
-    ginvhalf = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
     # a positive-definite trace form forces properness, hence A is unital and
     # left multiplication on (A, <.,.>) is a faithful *-representation
-    lmat = a.lmat()
-    return float(np.linalg.norm(ghalf @ lmat @ ginvhalf, 2))
+    w, w_inv = coords
+    pi = w @ a.lmat() @ w_inv
+    return float(np.sqrt(np.linalg.eigh(pi.conj().T @ pi)[0][-1]))

@@ -25,12 +25,16 @@ class ExactComplex:
 
     @staticmethod
     def of(value):
+        """``value`` as an exact complex rational; MalformedInput for a NaN or infinite part."""
         if isinstance(value, ExactComplex):
             return value
-        if isinstance(value, complex):
-            return ExactComplex(Fraction(value.real).limit_denominator(10**12),
-                                Fraction(value.imag).limit_denominator(10**12))
-        return ExactComplex(Fraction(value), Fraction(0))
+        try:
+            if isinstance(value, complex):
+                return ExactComplex(Fraction(value.real).limit_denominator(10**12),
+                                    Fraction(value.imag).limit_denominator(10**12))
+            return ExactComplex(Fraction(value), Fraction(0))
+        except (ValueError, OverflowError) as exc:
+            raise MalformedInput(f"value {value!r} is not a finite number") from exc
 
     def __add__(self, other):
         return ExactComplex(self.re + other.re, self.im + other.im)

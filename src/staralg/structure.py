@@ -30,7 +30,7 @@ from .errors import (
     InternalInconsistency,
     ValidationFailed,
 )
-from .linalg import certificate_bound, colspace, membership_bound, nullspace, relative_bound, require
+from .linalg import certificate_bound, colspace, membership_bound, nullspace, require, significant
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
 from .spectral import _trace_coordinates, spectral_decompose
 
@@ -80,10 +80,9 @@ def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
 
 
 def _check_proper(algebra, tol, seed):
-    evals, evecs, _ = _cached(algebra, _trace_coordinates, tol)
-    min_eig, max_eig = float(evals[0]), float(evals[-1])
-    passed = min_eig > relative_bound(tol, max_eig)
-    details = {"gram_min_eig": min_eig, "gram_max_eig": max_eig}
+    evals, evecs, coords = _cached(algebra, _trace_coordinates, tol)
+    passed = coords is not None
+    details = {"gram_min_eig": float(evals[0]), "gram_max_eig": float(evals[-1])}
     rng = np.random.default_rng(seed)
     basis = np.eye(algebra.dim, dtype=complex)
 
@@ -93,7 +92,7 @@ def _check_proper(algebra, tol, seed):
             raise InternalInconsistency("positive definite trace form but a*a = 0 witness found")
         return CheckReport("proper", True, 0.0, seed, details=details)
 
-    bad = evecs[:, evals <= relative_bound(tol, max_eig)]
+    bad = evecs[:, ~significant(evals, tol)]
     k = bad.shape[1]
     mixes = [bad @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(32)]
     vs, scores = _star_squares(algebra, np.vstack([basis, bad.T, mixes]), tol)

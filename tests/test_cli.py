@@ -83,6 +83,14 @@ def test_spectral_rejects_non_finite_coefficients(m2_file, capsys, value):
     assert err.startswith("error: ") and "coefficients must be finite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_spectral_reports_an_overflow_as_ill_conditioned(m2_file, capsys):
+    # 1e200 * 1 is normal; only its products b*b and bb* overflow
+    assert main(["spectral", m2_file, "--element", "1e200,0 0,0 0,0 1e200,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflow" in err and "not normal" not in err
+
+
 _NAN_STAR = {"dim": 1, "mul": [[0, 0, 0, 1.0, 0.0]], "star": [[0, 0, float("nan"), 0.0]]}
 
 

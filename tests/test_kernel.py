@@ -355,6 +355,13 @@ def test_nullspace_matches_the_full_svd(name):
     assert subspaces_equal(got, ref, 1e-10)
     top = float(np.linalg.norm(mat, 2))
     assert np.max(np.linalg.norm(mat @ got, axis=0), initial=0.0) <= relative_bound(tol, top) + 1e-13 * top
+    # a stack gives, matrix by matrix and bit for bit, what each matrix gives alone
+    rng = np.random.default_rng(3)
+    stack = np.stack([mat, _random_complex(rng, *mat.shape), np.zeros_like(mat), mat[::-1]])
+    kernels = nullspace(stack, tol)
+    assert len(kernels) == len(stack)
+    for one, kernel in zip(stack, kernels):
+        assert np.array_equal(kernel, nullspace(one, tol))
 
 
 def ref_spectral_terms(b, tol):
@@ -509,6 +516,40 @@ def test_the_eigen_solvers_run_in_one_place():
     assert not hits, "an eigen solver called outside the one solver:\n" + "\n".join(hits)
     assert {(path, name, what) for path, name, _, what in found} == {
         (path, name, what) for (path, name), names in allowed.items() for what in names}
+
+
+def _name_references(node, names, scope=()):
+    """``(qualified name of the enclosing definition, line, name)`` of every name or attribute in ``names`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _name_references(child, names, scope + (child.name,))
+            continue
+        name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+        if name in names:
+            yield ".".join(scope), child.lineno, name
+        yield from _name_references(child, names, scope)
+
+
+def _package_references(names):
+    return [(path.name, name, lineno, what) for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+            for name, lineno, what in _name_references(ast.parse(path.read_text()), names)]
+
+
+def test_the_cut_off_is_decided_in_linalg():
+    """Rank, zero and positive-definiteness decisions go through ``linalg.significant``; ``relative_bound``
+    is called only there and by the product-size, basis-inverse and EP-floor bounds."""
+    calls = {(path, name) for path, name, _, _ in _package_references({"relative_bound"})}
+    others = {("core.py", "validate"), ("instances.py", "from_matrix_basis"), ("spectral.py", "ep_witness")}
+    hits = sorted(f"{path}: relative_bound in {name or '<module>'}" for path, name in calls
+                  if path != "linalg.py" and (path, name) not in others)
+    assert not hits, "a cut-off computed outside linalg:\n" + "\n".join(hits)
+    assert others <= calls
+
+
+def test_the_gram_matrix_is_factored_in_one_place():
+    """Only ``_trace_coordinates`` reads ``_gram_matrix``; ``check_proper`` and ``cstar_norm`` read its factors."""
+    found = {(path, name) for path, name, _, _ in _package_references({"_gram_matrix"})}
+    assert found == {("spectral.py", "_trace_coordinates")}
 
 
 def _cache_references(node, scope=()):

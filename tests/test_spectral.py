@@ -13,6 +13,7 @@ import staralg as sa
 from staralg import rickart, spectral, structure
 from staralg.core import _cached
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
+from staralg.linalg import relative_bound
 
 
 @pytest.fixture
@@ -80,6 +81,23 @@ def test_quasi_inverse_rank_one(m2):
     assert np.allclose(_as_matrix(x), 0.5 * np.array([[1, 0], [1, 0]]))
     assert (a * x * a - a).norm() < 1e-10
     assert (x * a * x - x).norm() < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_an_overflow_is_ill_conditioned_not_a_failed_decomposition(m2):
+    """c E11 is normal at every scale; where b*b overflows no certificate can be made, and
+    the solver says so instead of reporting the element as not normal."""
+    overflow = r"overflow or are not finite \(residual nan\)"
+    for c in (1e160, 1e200):
+        a = m2.element([c, 0, 0, 0])
+        for fn in (sa.spectral_decompose, sa.right_projection, sa.quasi_inverse):
+            with pytest.raises(sa.IllConditioned, match=overflow):
+                fn(a)
+    with pytest.raises(sa.IllConditioned, match=overflow):
+        sa.quasi_inverse(m2.element([1e150, 0, 0, 0]))  # its a*a = 1e300 E11 overflows when squared
+    a = m2.element([1e150, 0, 0, 0])
+    assert [lam for lam, _ in sa.spectral_decompose(a).terms] == [1e150]
+    assert np.allclose(sa.right_projection(a).coeffs, [1, 0, 0, 0], rtol=0, atol=1e-12)
 
 
 def test_quasi_inverse_times_a_is_rp(m2):
@@ -174,6 +192,44 @@ def test_gram_matrix_matches_per_pair_traces(make):
 def test_cstar_norm_rejects_improper():
     with pytest.raises(sa.NoCStarNorm):
         sa.cstar_norm(swap_mutant(1).element([1.0, 0.0]))
+
+
+def ref_cstar_norm(a, tol=sa.DEFAULT_TOL):
+    """The 2-norm of G^1/2 L_a G^-1/2 from an ``eigh`` of G of its own, as it was computed before;
+    None where G is not positive definite."""
+    evals, evecs = np.linalg.eigh(_cached(a.parent, spectral._gram_matrix, tol))
+    if evals[0] <= relative_bound(tol, evals[-1]):
+        return None
+    ghalf = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
+    ginvhalf = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.conj().T
+    return float(np.linalg.norm(ghalf @ a.lmat() @ ginvhalf, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: sa.matrix_algebra(3),
+    lambda rng: semisimple_instance([3, 2], 1, rng),
+    lambda rng: semisimple_instance([2, 2], 2, rng),
+    lambda rng: sa.build_group_algebra(sa.symmetric_group_3()),
+    lambda rng: sa.build_group_algebra(sa.quaternion_group()),
+    lambda rng: sa.build_group_algebra(sa.cyclic_group(5)),
+    *[lambda rng, k=k: swap_mutant(k) for k in (1, 2, 3)],
+    *[lambda rng, k=k: nilpotent_mutant(k) for k in range(4)],
+    lambda rng: sa.direct_sum(sa.matrix_algebra(2), sa.nilpotent_line()),
+])
+def test_cstar_norm_reads_the_trace_coordinates(make):
+    """|a| = sqrt(lambda_max(pi(a)^H pi(a))) agrees with the G^1/2 L_a G^-1/2 2-norm within 1e-12,
+    and NoCStarNorm is raised exactly where check_proper fails."""
+    rng = np.random.default_rng(6)
+    alg = make(rng)
+    proper = sa.check_proper(alg).passed
+    for a in [sa.random_element(alg, rng) for _ in range(4)] + alg.basis():
+        ref = ref_cstar_norm(a)
+        assert (ref is not None) == proper
+        if not proper:
+            with pytest.raises(sa.NoCStarNorm):
+                sa.cstar_norm(a)
+            continue
+        assert sa.cstar_norm(a) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -422,7 +478,7 @@ def test_solved_rows_match_their_own_decomposition():
         for i, e in zip(ok, spectral.right_projections([rows[i] for i in ok]), strict=True):
             _assert_bit_equal(e, out[i])
     overflow = _mixed_stacks()[0][5]
-    with pytest.raises(sa.DecompositionFailed, match=r"not normal \(residual nan\)"):
+    with pytest.raises(sa.IllConditioned, match=r"overflow or are not finite \(residual nan\)"):
         sa.spectral_decompose(overflow)
 
 

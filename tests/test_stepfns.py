@@ -22,6 +22,7 @@ from staralg.stepfns import (
     sf_mul,
     sf_quasi_inverse,
     sf_rp,
+    sf_scale,
     sf_spectral_decompose,
     sf_star,
     sf_sup_norm,
@@ -56,6 +57,19 @@ def test_step_function_validation():
         step_function(b, [(b.subset([0, 1]), 1), (b.subset([1, 2]), 2)])  # overlap
     with pytest.raises(sa.MalformedInput):
         step_function(b, [(b.subset([0]), 1)])  # does not cover
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan")), complex(float("-inf"), 0.0)])
+def test_non_finite_values_are_malformed_input(bad):
+    b = FiniteSubsets(2)
+    with pytest.raises(sa.MalformedInput, match="not a finite number"):
+        coeffs_to_step(b, [bad, 1.0])
+    with pytest.raises(sa.MalformedInput, match="not a finite number"):
+        step_function(b, [(b.subset([0]), bad), (b.subset([1]), 1)])
+    with pytest.raises(sa.MalformedInput, match="not a finite number"):
+        sf_constant(b, bad)
+    with pytest.raises(sa.MalformedInput, match="not a finite number"):
+        sf_scale(bad, sf_constant(b, 1))
 
 
 def test_step_function_canonical_merge():
@@ -99,7 +113,6 @@ def test_spectral_decompose_exact():
     terms = sf_spectral_decompose(f)
     assert len(terms) == 2
     recon = sf_constant(b, 0)
-    from staralg.stepfns import sf_scale
     for lam, p in terms:
         recon = sf_add(recon, sf_scale(lam, p))
     assert sf_equal(recon, f)
