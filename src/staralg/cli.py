@@ -1,8 +1,9 @@
 """Command-line front end: load algebras/groups, run analyses, emit reports.
 
-Exit codes: 0 coherent report, 1 file/parse error or a result that cannot be
-certified (such as IllConditioned), 2 validation failure or a failed check,
-3 internal inconsistency among checks that must agree.
+Exit codes: 0 coherent report, 1 file/parse error, input too large to
+allocate, or a result that cannot be certified (such as IllConditioned),
+2 validation failure or a failed check, 3 internal inconsistency among checks
+that must agree.
 """
 
 import argparse
@@ -196,7 +197,7 @@ def main(argv=None):
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except (FileError, StarAlgError) as exc:
+    except (FileError, StarAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.output == "json":

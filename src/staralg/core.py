@@ -127,7 +127,8 @@ def _cached(algebra, fn, *args):
     """``fn(algebra, *args)``, memoised in ``algebra._cache`` under ``(fn, *args)``.
 
     Every argument (tol, seed, sample count) is part of the key. Every caller
-    gets the same value, so callers must not mutate it."""
+    gets the same value, so callers must not mutate it. No value refers back
+    to the algebra, so it is freed with its last reference, cycle collector or not."""
     key = (fn, *args)
     if key not in algebra._cache:
         algebra._cache[key] = fn(algebra, *args)
@@ -276,10 +277,10 @@ def unitize(algebra):
 
 
 def _unitization(algebra, tol):
-    """A itself when it has a unit at tol, else ``unitize(A)``; use via _cached.
+    """A itself when it has a unit at tol, else ``unitize(A)``, cached: A is no value in its own cache.
 
     Either way A is the last ``dim`` coordinates; an adjoined unit is coordinate 0."""
-    return algebra if algebra.is_unital(tol) else unitize(algebra)
+    return algebra if algebra.is_unital(tol) else _cached(algebra, unitize)
 
 
 def _padded(coeffs, pad):
@@ -292,7 +293,7 @@ def _padded(coeffs, pad):
 
 def _trace_form(algebra, tol):
     """F[i, j] = tr(L_i L_j) over the basis of ``_unitization(A)``; use via _cached."""
-    big = _cached(algebra, _unitization, tol)
+    big = _unitization(algebra, tol)
     c = big._times_basis(np.eye(big.dim))
     # L_i[a, b] = c[i, b, a], so tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
     return c.reshape(big.dim, -1) @ c.transpose(0, 2, 1).reshape(big.dim, -1).T
@@ -332,7 +333,7 @@ def distinct_eigenvalues(a, tol=DEFAULT_TOL):
     computed through an eigenvalue solver, which is far better conditioned
     than polynomial coefficient root-finding at moderate dimensions.
     """
-    big = _cached(a.parent, _unitization, tol)
+    big = _unitization(a.parent, tol)
     m = big.left_mat(_padded(a.coeffs, big.dim - a.parent.dim))
     vals = np.linalg.eigvals(m)
     return cluster_points([complex(v) for v in vals], tol)

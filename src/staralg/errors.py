@@ -1,8 +1,13 @@
-"""Exception hierarchy for the workbench."""
+"""Exception hierarchy for the workbench. A stored exception keeps no traceback, whose frames hold the algebra."""
 
 
 class StarAlgError(Exception):
-    """Base class for all workbench errors."""
+    """Base class for all workbench errors. ``residual``, appended to the message when given, is the
+    failed certificate's residual; NaN when the failure measured none."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
+        self.residual = float("nan") if residual is None else residual
 
 
 class MalformedInput(StarAlgError):
@@ -24,20 +29,10 @@ class ParentMismatch(StarAlgError):
 class IllConditioned(StarAlgError):
     """A rank/root decision was numerically ambiguous at the given tolerance."""
 
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
 
 class DecompositionFailed(StarAlgError):
-    """Orthogonal-projection decomposition could not be certified.
-
-    On inputs from a non-proper algebra this is the expected outcome, not a
-    bug: such decompositions need not exist there. ``residual`` is the failed
-    certificate's residual, NaN when the failure measured none.
-    """
-
-    residual = float("nan")
+    """Orthogonal-projection decomposition could not be certified: on a non-proper algebra, where
+    such decompositions need not exist, the expected outcome, not a bug."""
 
 
 class NotPositive(StarAlgError):

@@ -38,11 +38,9 @@ def sampled_identity_bound(tol):
 
 
 def require(residual, bound, error, message):
-    """Raise ``error`` unless residual <= bound (NaN fails), with the residual in its message and ``residual``."""
+    """Raise ``error(message, residual)`` unless residual <= bound (NaN fails)."""
     if not residual <= bound:
-        exc = error(f"{message} (residual {residual:.3e})")
-        exc.residual = residual
-        raise exc
+        raise error(message, residual)
 
 
 def require_each(residuals, bounds, error, message):

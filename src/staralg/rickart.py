@@ -101,10 +101,9 @@ def annihilator(elements, tol=DEFAULT_TOL):
     unit = algebra.unit_vector(tol)
     if unit is not None:
         try:
-            first, *rest = right_projections(elements, tol)
-            j = _raised(first)  # 0 v e = e exactly
-            for e in rest:
-                j = join(j, _raised(e), tol)
+            j = None  # 0 v e = e exactly; no local holds an entry, so a raised one dies with its traceback
+            for e in map(_raised, right_projections(elements, tol)):
+                j = e if j is None else join(j, e, tol)
             f = Element(algebra, unit) - j
             if _generates(f, kernel, tol):
                 generator = f
@@ -172,7 +171,7 @@ def _weakly_rickart_pass(algebra, tol, seed):
     kernels = nullspace(np.array([a.lmat() for a in live]), tol)
     rps = right_projections(live, tol)
     published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
-    published.update((a.coeffs.tobytes(), e) for a, e in zip(live, rps) if isinstance(e, Element))
+    published.update((a.coeffs.tobytes(), e.coeffs) for a, e in zip(live, rps) if isinstance(e, Element))
     for a, e, kernel in zip(live, rps, kernels):
         if isinstance(e, DecompositionFailed):
             return CheckReport(

@@ -26,14 +26,13 @@ samples in one call, and ``annihilator`` for its whole set;
 runs on slices shaped as for one element, so an element's numbers do not
 depend on the elements stacked with it.
 
-The weakly-Rickart pass publishes each RP its one stacked call made, keyed by
-the input's coefficient bytes, in one table per tol in ``algebra._cache``,
-beside the algebra's other facts; no failure is stored. ``right_projections``
-reads that table and never creates it: the Baer guard's RP(e_i) are the
-pass's, and an algebra no pass ran on solves every input. A published RP is
-what a fresh solve gives, as a row's numbers do not depend on its stack.
-Each caller's own certificates, such as ``a RP(a) = a`` in the
-weakly-Rickart pass, still run on every call.
+The weakly-Rickart pass publishes the coefficients of each RP its one stacked
+call made, keyed by the input's coefficient bytes, in one table per tol in
+``algebra._cache``; no failure is stored. ``right_projections`` reads that
+table, wrapping each hit as an Element, and never creates it: the Baer
+guard's RP(e_i) are the pass's, and an algebra no pass ran on solves every
+input. A published RP is what a fresh solve gives, as a row's numbers do not
+depend on its stack. Each caller's own certificates still run on every call.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     if norm <= tol:
         return SpectralDecomposition(b, ())
 
-    big = _cached(parent, _unitization, tol)
+    big = _unitization(parent, tol)
     pad = big.dim - parent.dim  # 1 when a unit was adjoined at coordinate 0
     one = big.unit if pad else parent.unit_vector(tol)
     mat = big.left_mat(_padded(b.coeffs, pad))
@@ -173,24 +172,28 @@ def _rowwise(fn, *stacks):
 def _lapack(fn, mats, errors):
     """``fn`` (the trace-form ``svd``) on a stack of matrices in one call, unless LAPACK rejects the stack.
 
-    Then each matrix is tried alone: one that fails keeps its LinAlgError in
-    ``errors`` and becomes the identity in ``mats``, and the stack runs again."""
+    Then each matrix is tried alone: one that fails keeps its LinAlgError, without traceback or
+    context, in ``errors`` and becomes the identity in ``mats``, and the stack runs again."""
     try:
         return fn(mats)
     except np.linalg.LinAlgError:
-        for i, mat in enumerate(mats):
-            try:
-                fn(mat)
-            except np.linalg.LinAlgError as exc:
-                errors[i] = exc
-                mats[i] = np.eye(len(mat))
-        return fn(mats)
+        pass  # the rows are tried outside the handler, so that their errors hold no context
+    for i, mat in enumerate(mats):
+        try:
+            fn(mat)
+        except np.linalg.LinAlgError as exc:
+            errors[i] = exc.with_traceback(None)
+            mats[i] = np.eye(len(mat))
+    return fn(mats)
 
 
 def _raised(entry):
-    """A ``right_projections`` entry's value, or its exception raised."""
+    """A ``right_projections`` entry's value, or its exception raised, which this frame lets go of."""
     if isinstance(entry, Exception):
-        raise entry
+        try:
+            raise entry
+        finally:
+            entry = None
     return entry
 
 
@@ -203,13 +206,14 @@ def right_projections(xs, tol=DEFAULT_TOL):
 
     The trace-form path takes the whole stack at once; the rows it rejects go
     to the solver one at a time. Entry i is RP(xs[i]), or the exception
-    ``right_projection(xs[i])`` raises, so a failing row leaves the others as
-    they are. An input whose RP the weakly-Rickart pass published at this
-    tol is answered from that table; the others are solved."""
+    ``right_projection(xs[i])`` raises, without its traceback, so a failing row
+    leaves the others as they are. An input whose RP the weakly-Rickart pass
+    published at this tol is answered from that table; the others are solved."""
     table = xs[0].parent._cache.get((_PUBLISHED_RPS, tol)) if xs else None
     if table is None:
         return _right_projections(xs, tol)
-    out = [table.get(a.coeffs.tobytes()) for a in xs]
+    hits = [table.get(a.coeffs.tobytes()) for a in xs]
+    out = [None if e is None else Element(a.parent, e) for a, e in zip(xs, hits)]
     misses = [i for i, e in enumerate(out) if e is None]
     if misses:
         for i, e in zip(misses, _right_projections([xs[i] for i in misses], tol)):
@@ -234,7 +238,7 @@ def _right_projections(xs, tol):
             try:
                 out[i] = _solved_right_projection(xs[i], tol)
             except (DecompositionFailed, IllConditioned, np.linalg.LinAlgError) as exc:
-                out[i] = exc
+                out[i] = exc.with_traceback(None)
     return out
 
 
@@ -335,7 +339,7 @@ def _gram_matrix(algebra, tol):
     Row i of the padded star^T holds e_i* in the unitization's coordinates,
     so with F its trace form and L linear, tr(L_{e_i* e_j}) is
     (star^T F)[i, pad + j]: A's columns of the form. Use via _cached."""
-    pad = _cached(algebra, _unitization, tol).dim - algebra.dim
+    pad = _unitization(algebra, tol).dim - algebra.dim
     g = (_padded(algebra.star.T, pad) @ _cached(algebra, _trace_form, tol))[:, pad:]
     return 0.5 * (g + g.conj().T)
 
@@ -355,12 +359,13 @@ def _trace_coordinates(algebra, tol):
 
 
 def cstar_norm(a, tol=DEFAULT_TOL):
-    """The unique pre-C*-norm: |a| = sqrt of the largest eigenvalue of pi(a)^H pi(a) (the C*-identity),
+    """The unique pre-C*-norm: |a| = sqrt of the largest eigenvalue lam of pi(a)^H pi(a) (the C*-identity),
     with pi(a) = W L_a W^-1 the regular representation in the cached trace-form coordinates.
 
     Any faithful *-representation computes the same value; this one needs no
-    block decomposition. Raises NoCStarNorm when the trace form is not
-    positive definite (non-proper involution).
+    block decomposition. Certified: pi(a)^H pi(a) must be pi(a*a) within
+    certificate_bound(tol) max(1, lam), else IllConditioned. Raises NoCStarNorm
+    when the trace form is not positive definite (non-proper involution).
     """
     coords = _cached(a.parent, _trace_coordinates, tol)[2]
     if coords is None:
@@ -369,4 +374,8 @@ def cstar_norm(a, tol=DEFAULT_TOL):
     # left multiplication on (A, <.,.>) is a faithful *-representation
     w, w_inv = coords
     pi = w @ a.lmat() @ w_inv
-    return float(np.sqrt(np.linalg.eigh(pi.conj().T @ pi)[0][-1]))
+    square = pi.conj().T @ pi
+    lam = float(np.linalg.eigh(square)[0][-1])
+    require(float(np.linalg.norm(square - w @ (a.star() * a).lmat() @ w_inv)) / max(1.0, lam),
+            certificate_bound(tol), IllConditioned, "pi(a)^H pi(a) is not pi(a*a) in trace-form coordinates")
+    return float(np.sqrt(lam))

@@ -41,31 +41,26 @@ def radical(algebra, tol=DEFAULT_TOL):
     """Jacobson radical via the trace-form kernel of ``_unitization(A)``.
 
     Valid over characteristic zero; every returned basis element is verified
-    nilpotent through its regular representation. Cached per tol.
+    nilpotent through its regular representation. Its rows are cached per tol.
     """
-    return list(_cached(algebra, _radical, tol))
+    return [Element(algebra, x) for x in _cached(algebra, _radical, tol)]
 
 
 def _radical(algebra, tol):
-    big = _cached(algebra, _unitization, tol)
+    big = _unitization(algebra, tol)
     pad = big.dim - algebra.dim  # 1 when a unit was adjoined at coordinate 0
     kernel = nullspace(_cached(algebra, _trace_form, tol), tol)
     if pad:
         require(float(np.max(np.abs(kernel[0]), initial=0.0)), membership_bound(tol),
                 InternalInconsistency, "radical vector leaves the base algebra")
         kernel = kernel[1:]
-    if kernel.shape[1] == 0:
-        return []
-    mat = colspace(kernel, tol)
-    out = []
-    for i in range(mat.shape[1]):
-        x = Element(algebra, mat[:, i])
-        m = big.left_mat(_padded(x.coeffs, pad))
+    rows = colspace(kernel, tol).T
+    for x in rows:
+        m = big.left_mat(_padded(x, pad))
         s = max(1.0, float(np.linalg.norm(m, 2)))
         require(float(np.linalg.norm(np.linalg.matrix_power(m / s, big.dim), 2)), certificate_bound(tol),
                 InternalInconsistency, "trace-form kernel element is not nilpotent")
-        out.append(x)
-    return out
+    return rows
 
 
 def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
@@ -184,14 +179,15 @@ def central_atoms(algebra, tol=DEFAULT_TOL, seed=0):
     """Central primitive idempotents by joint refinement of the center.
 
     Repeatedly splits non-primitive central projections with spectral
-    decompositions of random central selfadjoint elements. Cached per
-    (tol, seed).
+    decompositions of random central selfadjoint elements. The atoms'
+    coefficient rows and their dimensions are cached per (tol, seed).
 
     Assumes a C*-algebra, as ``analyze`` calls it only on Baer input: there
     each ideal zA is a full matrix algebra, so its dimension alone tells
     whether it is commutative (see ``CentralDecomposition``).
     """
-    return _cached(algebra, _central_atoms, tol, seed)
+    rows, dims = _cached(algebra, _central_atoms, tol, seed)
+    return CentralDecomposition([Element(algebra, z) for z in rows], list(dims))
 
 
 def _central_atoms(algebra, tol, seed):
@@ -232,7 +228,7 @@ def _central_atoms(algebra, tol, seed):
 
     dims = _integer_dims(_trace_ranks(algebra, zs), tol).tolist()
     order = np.argsort([-d for d in dims], kind="stable")
-    return CentralDecomposition([atoms[i] for i in order], [dims[i] for i in order])
+    return zs[order], [dims[i] for i in order]
 
 
 def _split_projections(one, is_atom, draw, tries, tol, failure_message):
@@ -314,13 +310,13 @@ def block_star_isomorphism(atom, tol=DEFAULT_TOL, seed=0):
     """
     (dim,) = _integer_dims(_trace_ranks(atom.parent, atom.coeffs[None]), tol)
     rng = np.random.default_rng(seed)
-    last_exc = None
+    reason = None
     for attempt in range(5):
         try:
             return _matrix_units_once(atom, dim, tol, rng)
         except (DegenerateRandomness, DecompositionFailed) as exc:
-            last_exc = exc
-    raise DegenerateRandomness(f"matrix-unit construction kept failing: {last_exc}")
+            reason = str(exc)  # the message only: the exception's traceback holds this frame
+    raise DegenerateRandomness(f"matrix-unit construction kept failing: {reason}")
 
 
 def _integer_dims(rounded, tol):

@@ -153,6 +153,14 @@ def test_overflowing_constants_fail_validation(tmp_path, capsys, command):
         assert json.loads(out)["passed"] is False
 
 
+def test_a_dim_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
+    """A 40-byte file asks for a mul tensor of 14 PiB, which numpy refuses outright."""
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps({"dim": 100000, "mul": [], "star": []}))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 def test_check_properties(m2_file, capsys):
     for prop in ("rp", "baer", "regular", "sqrt"):
         assert main(["check", m2_file, "--property", prop]) == 0, prop

@@ -1,8 +1,11 @@
 """The product kernel and the batched decompositions against the code they replaced, and one home for it."""
 
 import ast
+import gc
 import re
 import tracemalloc
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 import staralg as sa
 from staralg import core, groups, spectral, structure
-from staralg.instances import nilpotent_mutant
+from staralg.instances import nilpotent_mutant, swap_mutant
 from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
 
@@ -586,3 +589,114 @@ def test_no_einsum_in_the_package():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if "einsum" in line]
     assert not hits, "products outside the kernel:\n" + "\n".join(hits)
+
+
+# -- an algebra is freed when its last reference goes, without the cycle collector
+
+def _reaches(value, target):
+    """Whether ``target`` is reachable from ``value`` through containers, instances, exceptions,
+    tracebacks and frames; classes, modules and functions are not followed."""
+    stack, seen = [value], set()
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType,
+                                                types.BuiltinFunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def _assert_freed(make, act):
+    """With the cycle collector off, ``act(alg)`` leaves no cached value that reaches alg, and
+    ``del alg`` frees it."""
+    gc.collect()
+    gc.disable()
+    try:
+        alg = make()
+        act(alg)
+        assert not [key for key, value in alg._cache.items() if _reaches(value, alg)]
+        ref = weakref.ref(alg)
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _element_queries(alg):
+    rng = np.random.default_rng(2)
+    a, b = sa.random_element(alg, rng), sa.random_element(alg, rng)
+    e, f = sa.right_projection(a), sa.right_projection(b)
+    sa.join(e, f), sa.meet(e, f), sa.annihilator([a, b]), sa.quasi_inverse(a), sa.cstar_norm(a), sa.ep_witness(a)
+
+
+def _failed_quasi_inverse(alg):
+    with pytest.raises(sa.DecompositionFailed):
+        sa.quasi_inverse(alg.basis_element(0))
+
+
+def _failed_right_projection(alg):
+    with pytest.raises(sa.DecompositionFailed):
+        sa.right_projection(alg.basis_element(0))
+
+
+def _annihilator_past_a_failed_right_projection(alg):
+    # RP(e_0) fails, as e_0* e_0 = 0, and no projection generates ann(e_0) = C e_1, as e_1 = e_0*
+    assert not sa.annihilator([alg.basis_element(0)]).is_principal_projection_ideal
+
+
+@pytest.mark.parametrize("make, act", [
+    (lambda: sa.matrix_algebra(3), sa.analyze),
+    (lambda: sa.build_group_algebra(sa.symmetric_group_3()), sa.analyze),
+    (lambda: sa.semisimple_instance([2, 2], 1, np.random.default_rng(1)), sa.analyze),
+    (lambda: swap_mutant(2), sa.analyze),
+    (lambda: nilpotent_mutant(1), sa.analyze),
+    (sa.nilpotent_line, sa.analyze),
+    (lambda: sa.matrix_algebra(4), sa.check_baer),
+    (lambda: sa.semisimple_instance([2, 2], 1, np.random.default_rng(1)), _element_queries),
+    (lambda: swap_mutant(1), _failed_quasi_inverse),
+    (lambda: swap_mutant(1), _failed_right_projection),
+    (lambda: swap_mutant(1), _annihilator_past_a_failed_right_projection),
+], ids=["analyze M3", "analyze C[S3]", "analyze [2,2]+1", "analyze swap_mutant(2)", "analyze nilpotent_mutant(1)",
+        "analyze nilpotent_line", "check_baer M4", "element queries", "failed quasi_inverse",
+        "failed right_projection", "annihilator past a failed RP"])
+def test_an_algebra_is_freed_with_its_last_reference(make, act):
+    _assert_freed(make, act)
+
+
+def test_a_failed_matrix_unit_attempt_does_not_keep_its_algebra(monkeypatch):
+    once, attempts = structure._matrix_units_once, []
+
+    def first_fails(*args):
+        attempts.append(None)
+        if len(attempts) == 1:
+            raise sa.DegenerateRandomness("the first attempt fails")
+        return once(*args)
+
+    monkeypatch.setattr(structure, "_matrix_units_once", first_fails)
+    _assert_freed(lambda: sa.matrix_algebra(2), lambda alg: structure.block_star_isomorphism(alg.one()))
+    assert len(attempts) == 2
+
+
+def test_a_trace_form_row_lapack_rejects_does_not_keep_its_algebra(monkeypatch):
+    svd, rejected = np.linalg.svd, []
+
+    def rejected_row(alg):
+        a = alg.element(np.arange(1.0, 5.0))
+        w, w_inv = core._cached(alg, spectral._trace_coordinates, sa.DEFAULT_TOL)[2]
+        bad = w @ a.lmat() @ w_inv  # the trace-form path's matrix for a
+
+        def picky(m, *args, **kwargs):
+            if np.shape(m)[-2:] == bad.shape and any(np.allclose(x, bad, rtol=0.0, atol=1e-12)
+                                                     for x in np.reshape(m, (-1,) + bad.shape)):
+                rejected.append(np.ndim(m))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", picky)
+        assert (sa.right_projection(a) - sa.right_projection(a.star() * a)).norm() < 1e-12  # solved instead
+
+    _assert_freed(lambda: sa.matrix_algebra(2), rejected_row)
+    assert rejected == [3, 2]  # the stack, then its row alone

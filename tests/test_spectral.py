@@ -334,7 +334,7 @@ def test_check_weakly_rickart_alone_runs_the_solver_once_per_distinct_input(monk
 
 
 def test_the_memo_ends_with_its_analyze_call(monkeypatch):
-    """Queries on an algebra no pass ran on leave no table; after analyze, RP(e_i) is the published element."""
+    """Queries on an algebra no pass ran on leave no table; after analyze, RP(e_i) is read from the table."""
     alg = sa.matrix_algebra(3)
     a, b = alg.element(np.arange(9.0)), alg.basis_element(1)
 
@@ -352,11 +352,13 @@ def test_the_memo_ends_with_its_analyze_call(monkeypatch):
         np.testing.assert_array_equal(e.coeffs, f.coeffs)
     sa.analyze(alg)
     table = _published(alg)
+    unsolved, solves = len(solved["other"]), _count_solves(monkeypatch)
+    got = [sa.right_projection(e) for e in alg.basis()]
+    assert not solves and len(solved["other"]) == unsolved
     fresh = sa.matrix_algebra(3)
-    for i, e in enumerate(alg.basis()):
-        got = sa.right_projection(e)
-        assert got is table[e.coeffs.tobytes()]
-        np.testing.assert_array_equal(got.coeffs, sa.right_projection(fresh.basis_element(i)).coeffs)
+    for i, (e, rp) in enumerate(zip(alg.basis(), got)):
+        assert rp.coeffs.tobytes() == table[e.coeffs.tobytes()].tobytes()
+        np.testing.assert_array_equal(rp.coeffs, sa.right_projection(fresh.basis_element(i)).coeffs)
 
 
 def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
@@ -535,13 +537,15 @@ def test_the_memo_stores_each_success_once_and_no_failure(monkeypatch):
     ok = {a.coeffs.tobytes(): e for a, e in zip(rows, out) if isinstance(e, sa.Element)}
     assert 0 < len(ok) < len(rows) == len({a.coeffs.tobytes() for a in rows})
     table = _published(alg)
-    assert table.keys() == ok.keys() and all(table[key] is e for key, e in ok.items())
+    assert table.keys() == ok.keys() and all(table[key].tobytes() == e.coeffs.tobytes() for key, e in ok.items())
+    solves = _count_solves(monkeypatch)
     again = spectral.right_projections(rows)
-    for e, f in zip(out, again):
+    assert len(solves) == len(rows) - len(ok)  # one solve for each failure, none for a published row
+    for a, e, f in zip(rows, out, again):
         if isinstance(e, Exception):
             assert type(f) is type(e) and str(f) == str(e) and f is not e  # solved again, not stored
         else:
-            assert f is e
+            assert f.coeffs.tobytes() == table[a.coeffs.tobytes()].tobytes()
 
 
 # -- right projections in trace-form coordinates --------------------------------

@@ -227,6 +227,11 @@ def _badly_scaled(s2, seed):
     """M2 + M2 + C in a basis mixed with singular values from 1/s to s: a valid unital input.
 
     The draws are semisimple_instance's, with the singular values fixed."""
+    return from_matrix_basis(_badly_scaled_basis(s2, seed))
+
+
+def _badly_scaled_basis(s2, seed):
+    """The matrices of ``_badly_scaled(s2, seed)``'s basis."""
     rng = np.random.default_rng(seed)
     mats = _block_matrix_basis([2, 2], 1)
     d = mats[0].shape[0]
@@ -236,7 +241,7 @@ def _badly_scaled(s2, seed):
     a, b = random_unitary(n, rng), random_unitary(n, rng)
     s = np.sqrt(s2)
     stack = np.stack([m.reshape(-1) for m in mats], axis=1) @ (a @ np.diag(np.geomspace(1 / s, s, n)) @ b)
-    return from_matrix_basis([stack[:, i].reshape(d, d) for i in range(n)])
+    return [stack[:, i].reshape(d, d) for i in range(n)]
 
 
 def test_analyze_certifies_blocks_on_a_badly_scaled_basis():
@@ -273,6 +278,26 @@ def test_a_failed_central_split_on_a_proper_algebra_is_ill_conditioned(seed, tmp
     path.write_text(json.dumps(sa.algebra_to_json(alg)))
     assert main(["--seed", str(seed), "analyze", str(path)]) == 1
     assert "central split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("s2", [1.0, 1e2, 1e3, 1e4])
+def test_the_cstar_norm_is_certified_on_a_badly_scaled_basis(s2, seed):
+    """Each |a| is the operator norm of a's matrix within the bound, or raises IllConditioned.
+
+    At s^2 = 1e4 the uncertified value was off by up to 5e-5; up to 1e3 no call raises."""
+    mats = np.array(_badly_scaled_basis(s2, seed))
+    alg = from_matrix_basis(mats)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        a = sa.random_element(alg, rng)
+        expected = np.linalg.norm(np.tensordot(a.coeffs, mats, axes=1), 2)
+        try:
+            got = sa.cstar_norm(a)
+        except sa.IllConditioned:
+            assert s2 > 1e3
+            continue
+        assert abs(got - expected) <= certificate_bound(sa.DEFAULT_TOL) * max(1.0, expected)
 
 
 def test_reported_matrix_units_hold_in_the_algebra():
