@@ -256,9 +256,7 @@ def validate(algebra, tol=DEFAULT_TOL):
 def unitize(algebra):
     """Standard unitization: adjoin a unit at index 0, embed A as indices 1..n.
 
-    Always adjoins a new unit, even on unital input. ``_unitization``'s
-    callers rely on this layout: A's coefficients padded with one leading
-    zero are its image, and the last ``dim`` coordinates are A's block.
+    Always adjoins a new unit, even on unital input.
     """
     n = algebra.dim
     c = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
@@ -276,27 +274,15 @@ def unitize(algebra):
     return StarAlgebra(c, s, unit=unit, labels=labels)
 
 
-def _unitization(algebra, tol):
-    """A itself when it has a unit at tol, else ``unitize(A)``, cached: A is no value in its own cache.
+def _trace_form(algebra):
+    """F[i, j] = tr(L_i L_j) over A's basis; use via _cached.
 
-    Either way A is the last ``dim`` coordinates; an adjoined unit is coordinate 0."""
-    return algebra if algebra.is_unital(tol) else _cached(algebra, unitize)
-
-
-def _padded(coeffs, pad):
-    """A vector or stack of A's coefficients in ``_unitization(A)``: ``pad`` leading zeros.
-
-    np.concatenate, not np.pad, whose argument handling costs ten times more
-    on the solver's small stacks."""
-    return np.concatenate([np.zeros(np.shape(coeffs)[:-1] + (pad,), dtype=complex), coeffs], axis=-1)
-
-
-def _trace_form(algebra, tol):
-    """F[i, j] = tr(L_i L_j) over the basis of ``_unitization(A)``; use via _cached."""
-    big = _unitization(algebra, tol)
-    c = big._times_basis(np.eye(big.dim))
+    For x, y in A this is also the trace over the unitization, as L_x maps it into A,
+    so one form serves with or without a unit."""
+    n = algebra.dim
+    c = algebra._times_basis(np.eye(n))
     # L_i[a, b] = c[i, b, a], so tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
-    return c.reshape(big.dim, -1) @ c.transpose(0, 2, 1).reshape(big.dim, -1).T
+    return c.reshape(n, -1) @ c.transpose(0, 2, 1).reshape(n, -1).T
 
 
 def _trace_functional(algebra):
@@ -327,23 +313,21 @@ class Spectrum:
 
 
 def distinct_eigenvalues(a, tol=DEFAULT_TOL):
-    """Clustered eigenvalues of the regular representation of ``_unitization(A)``.
+    """Clustered eigenvalues of L_a on A, with the point 0 added when A has no unit at tol.
 
+    The spectrum of a in the unitization is the eigenvalues of L_a on A and 0.
     This set equals the root set of the minimal polynomial of `a` but is
     computed through an eigenvalue solver, which is far better conditioned
     than polynomial coefficient root-finding at moderate dimensions.
     """
-    big = _unitization(a.parent, tol)
-    m = big.left_mat(_padded(a.coeffs, big.dim - a.parent.dim))
-    vals = np.linalg.eigvals(m)
-    return cluster_points([complex(v) for v in vals], tol)
+    vals = [complex(v) for v in np.linalg.eigvals(a.lmat())]
+    if not a.parent.is_unital(tol):
+        vals.append(0j)
+    return cluster_points(vals, tol)
 
 
 def spectrum(a, tol=DEFAULT_TOL):
-    """Spectrum of `a`, taken in the unitization when the parent has no unit.
-
-    Then 0 is always a point: L_a has an exactly zero unit row, so the
-    eigenvalue solver isolates an exact 0."""
+    """Spectrum of `a`, taken in the unitization when the parent has no unit; then 0 is always a point."""
     return Spectrum(tuple(distinct_eigenvalues(a, tol)), not a.parent.is_unital(tol))
 
 

@@ -151,7 +151,7 @@ def swap_mutant(pairs):
 
 
 def nilpotent_mutant(abelian_dim=0):
-    """Unitized nilpotent line, optionally padded with a commutative summand."""
+    """Unitized nilpotent line, plus the commutative summand C^abelian_dim when that is nonzero."""
     alg = unitized_nilpotent()
     if abelian_dim:
         alg = direct_sum(alg, diagonal_algebra(abelian_dim))

@@ -172,28 +172,31 @@ def _weakly_rickart_pass(algebra, tol, seed):
     rps = right_projections(live, tol)
     published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
     published.update((a.coeffs.tobytes(), e.coeffs) for a, e in zip(live, rps) if isinstance(e, Element))
-    for a, e, kernel in zip(live, rps, kernels):
-        if isinstance(e, DecompositionFailed):
-            return CheckReport(
-                "weakly_rickart", False, float("inf"), seed,
-                witness={"element": _coeffs_json(a.coeffs), "reason": str(e)},
-            )
-        e = _raised(e)
-        res1 = (a * e - a).norm() / max(1.0, a.norm())
-        worst = max(worst, res1)
-        res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
-        over = np.flatnonzero(res2 > bound)
-        if over.size:
-            return CheckReport(
-                "weakly_rickart", False, float(res2[over[0]]), seed,
-                witness={"element": _coeffs_json(a.coeffs),
-                         "kernel_vector": _coeffs_json(kernel[:, over[0]])},
-            )
-        worst = max(worst, float(np.max(res2, initial=0.0)))
-        if res1 > bound:
-            return CheckReport(
-                "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
-            )
+    try:
+        for a, e, kernel in zip(live, rps, kernels):
+            if isinstance(e, DecompositionFailed):
+                return CheckReport(
+                    "weakly_rickart", False, float("inf"), seed,
+                    witness={"element": _coeffs_json(a.coeffs), "reason": str(e)},
+                )
+            e = _raised(e)
+            res1 = (a * e - a).norm() / max(1.0, a.norm())
+            worst = max(worst, res1)
+            res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
+            over = np.flatnonzero(res2 > bound)
+            if over.size:
+                return CheckReport(
+                    "weakly_rickart", False, float(res2[over[0]]), seed,
+                    witness={"element": _coeffs_json(a.coeffs),
+                             "kernel_vector": _coeffs_json(kernel[:, over[0]])},
+                )
+            worst = max(worst, float(np.max(res2, initial=0.0)))
+            if res1 > bound:
+                return CheckReport(
+                    "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
+                )
+    finally:
+        rps = e = None  # a raised entry's traceback holds this frame, which then holds no entry
     return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
 
 

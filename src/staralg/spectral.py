@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _padded, _trace_form, _trace_ranks, _unitization
+from .core import DEFAULT_TOL, Element, _cached, _trace_form, _trace_ranks
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, relative_bound, require, significant
 
@@ -80,8 +80,8 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
 
     The zero eigenvalue is omitted. Raises DecompositionFailed when b is not
     normal or the certificates cannot be met, which is the expected signal
-    on non-proper algebras; IllConditioned when b*b or bb* overflows or a
-    projection leaves A; and LinAlgError when LAPACK rejects L_b.
+    on non-proper algebras; IllConditioned when b*b or bb* overflows; and
+    LinAlgError when LAPACK rejects L_b. Every step runs on L_b over A itself.
     """
     parent = b.parent
     bound = certificate_bound(tol)
@@ -96,37 +96,35 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     if norm <= tol:
         return SpectralDecomposition(b, ())
 
-    big = _unitization(parent, tol)
-    pad = big.dim - parent.dim  # 1 when a unit was adjoined at coordinate 0
-    one = big.unit if pad else parent.unit_vector(tol)
-    mat = big.left_mat(_padded(b.coeffs, pad))
+    one = parent.unit_vector(tol)
+    mat = parent.left_mat(b.coeffs)
     lams = cluster_points(np.linalg.eigvals(mat).tolist(), tol)
     # each idempotent is p_j(b) for the interpolation polynomial with
-    # p_j(lam_k) = delta_jk, i.e. the eigenprojector of the regular
-    # representation applied to the unit -- computed that way directly,
-    # which is far better conditioned than multiplying Lagrange factors.
+    # p_j(lam_k) = delta_jk, i.e. the eigenprojector P_j of L_b applied to
+    # the unit -- computed that way directly, which is far better conditioned
+    # than multiplying Lagrange factors. Without a unit it is P_j b / lam_j,
+    # as p_j(b) b = lam_j p_j(b).
     evals, evecs = np.linalg.eig(mat)
-    weights = np.linalg.inv(evecs) @ one
+    weights = np.linalg.inv(evecs) @ (b.coeffs if one is None else one)
 
     # the clustered eigenvalues kept (nonzero), and the mask whose column j
     # selects the eigenvectors clustered at the j-th kept one
     keep = np.flatnonzero(significant(np.abs(lams), tol)).tolist()
+    kept = np.array([lams[j] for j in keep], dtype=complex)
     assign = np.abs(evals[:, None] - np.array(lams)[None, :]).argmin(axis=1)
     mask = assign[:, None] == np.array(keep, dtype=int)[None, :]
     ps = (evecs @ (mask * weights[:, None])).T
-    ps = (ps + big.star_coeffs(ps)) * 0.5
-    # one idempotent-polishing step, p^2 (3 - 2p)
-    ps = big.row_products(big.row_products(ps, ps), one * 3.0 - ps * 2.0)
-    if pad:
-        # a projection leaves A when its part along the adjoined unit is above the bound, relative to its norm
-        res = _norms(ps[:, :1])
-        outside = res > bound * np.maximum(1.0, _norms(ps))
-        if outside.any():
-            raise IllConditioned("hull element does not lie in the base algebra", float(res[outside][0]))
-        ps = ps[:, pad:]
-    kept = [lams[j] for j in keep]
-    _certify(b, ps, np.array(kept, dtype=complex), tol)
-    return SpectralDecomposition(b, tuple((lam, Element(parent, p)) for lam, p in zip(kept, ps)))
+    if one is None:
+        ps = ps / kept[:, None]
+    ps = (ps + parent.star_coeffs(ps)) * 0.5
+    # one idempotent-polishing step: p^2 (3 - 2p), or 3p^2 - 2p^3 without a unit
+    p2 = parent.row_products(ps, ps)
+    if one is None:
+        ps = p2 * 3.0 - parent.row_products(p2, ps) * 2.0
+    else:
+        ps = parent.row_products(p2, one * 3.0 - ps * 2.0)
+    _certify(b, ps, kept, tol)
+    return SpectralDecomposition(b, tuple((lam, Element(parent, p)) for lam, p in zip(kept.tolist(), ps)))
 
 
 def _certify(b, ps, lams, tol):
@@ -333,14 +331,12 @@ def ep_witness(a, tol=DEFAULT_TOL):
     return w
 
 
-def _gram_matrix(algebra, tol):
-    """Hermitian form <a, b> = trace of left multiplication by b* a in ``_unitization(A)``.
+def _gram_matrix(algebra):
+    """Hermitian form <a, b> = trace of left multiplication by b* a, over A's basis.
 
-    Row i of the padded star^T holds e_i* in the unitization's coordinates,
-    so with F its trace form and L linear, tr(L_{e_i* e_j}) is
-    (star^T F)[i, pad + j]: A's columns of the form. Use via _cached."""
-    pad = _unitization(algebra, tol).dim - algebra.dim
-    g = (_padded(algebra.star.T, pad) @ _cached(algebra, _trace_form, tol))[:, pad:]
+    Row i of star^T holds e_i*, so with F the trace form and L linear,
+    tr(L_{e_i* e_j}) is (star^T F)[i, j]. Use via _cached."""
+    g = algebra.star.T @ _cached(algebra, _trace_form)
     return 0.5 * (g + g.conj().T)
 
 
@@ -350,7 +346,7 @@ def _trace_coordinates(algebra, tol):
     Returns ``(evals, evecs, coords)``; ``coords``, the one positive-definiteness decision, is
     ``(W, W^-1)`` when every eigenvalue of G is ``significant``, else None. W = Lambda^1/2 V^H, so
     G = W^H W and W L_a W^-1 is L_a in a <.,.>-orthonormal basis. Use via _cached."""
-    evals, evecs = np.linalg.eigh(_cached(algebra, _gram_matrix, tol))
+    evals, evecs = np.linalg.eigh(_cached(algebra, _gram_matrix))
     coords = None
     if significant(evals, tol)[0]:  # eigh sorts ascending
         root = np.sqrt(evals)

@@ -14,10 +14,8 @@ from .core import (
     _cached,
     _coeffs_json,
     _nearest_integers,
-    _padded,
     _trace_form,
     _trace_ranks,
-    _unitization,
     random_element,
     random_selfadjoint,
     spectrum,
@@ -38,38 +36,35 @@ from .spectral import _trace_coordinates, spectral_decompose
 # -- radical and the basic checks ---------------------------------------------
 
 def radical(algebra, tol=DEFAULT_TOL):
-    """Jacobson radical via the trace-form kernel of ``_unitization(A)``.
+    """Jacobson radical: the kernel of A's trace form F (Dickson's criterion).
 
-    Valid over characteristic zero; every returned basis element is verified
-    nilpotent through its regular representation. Its rows are cached per tol.
+    {x : tr L_{xy} = 0 for every y in A} is an ideal of elements whose L_x is
+    nilpotent, so over characteristic zero it is rad A, with or without a
+    unit. Every returned basis element is verified nilpotent through its
+    regular representation. Its rows are cached per tol.
     """
     return [Element(algebra, x) for x in _cached(algebra, _radical, tol)]
 
 
 def _radical(algebra, tol):
-    big = _unitization(algebra, tol)
-    pad = big.dim - algebra.dim  # 1 when a unit was adjoined at coordinate 0
-    kernel = nullspace(_cached(algebra, _trace_form, tol), tol)
-    if pad:
-        require(float(np.max(np.abs(kernel[0]), initial=0.0)), membership_bound(tol),
-                InternalInconsistency, "radical vector leaves the base algebra")
-        kernel = kernel[1:]
-    rows = colspace(kernel, tol).T
+    rows = nullspace(_cached(algebra, _trace_form), tol).T
     for x in rows:
-        m = big.left_mat(_padded(x, pad))
+        m = algebra.left_mat(x)
         s = max(1.0, float(np.linalg.norm(m, 2)))
-        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, big.dim), 2)), certificate_bound(tol),
+        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, algebra.dim), 2)), certificate_bound(tol),
                 InternalInconsistency, "trace-form kernel element is not nilpotent")
     return rows
 
 
 def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
-    """Properness via positive definiteness of <a,b> = tr(L_{b*a}) in ``_unitization(A)``.
+    """Properness via positive definiteness of <a,b> = tr(L_{b*a}) on A.
 
-    On failure the report carries a witness minimizing |a*a| over basis
-    elements and the non-positive eigenspace of the Gram matrix. On success,
-    implementation guard: a random witness search checks that no normalized
-    basis or sampled element has a*a ~ 0. Cached per (tol, seed).
+    On failure the report carries a witness minimizing |a*a| over normalized
+    basis elements and the non-positive eigenspace of the Gram matrix; it
+    raises IllConditioned when the best witness has |a*a| above
+    certificate_bound(tol), as the verdict then rests on no element. On
+    success, implementation guard: a random witness search checks that no
+    normalized basis or sampled element has a*a ~ 0. Cached per (tol, seed).
     """
     return _cached(algebra, _check_proper, tol, seed)
 
@@ -92,6 +87,8 @@ def _check_proper(algebra, tol, seed):
     mixes = [bad @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(32)]
     vs, scores = _star_squares(algebra, np.vstack([basis, bad.T, mixes]), tol)
     best = int(np.argmin(scores))
+    require(float(scores[best]), certificate_bound(tol), IllConditioned,
+            "the trace form is not positive definite, but no witness has a*a = 0")
     witness = {"element": _coeffs_json(vs[best]), "norm_a_star_a": float(scores[best])}
     return CheckReport("proper", False, float(scores[best]), seed, witness=witness, details=details)
 

@@ -7,6 +7,7 @@ import tracemalloc
 import types
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,8 +160,8 @@ def ref_unitize_mul(c):
 def ref_unitization(alg, tol=1e-9):
     """A unital algebra holding alg, its embedding matrix and its unit's coefficients.
 
-    Built with ``sa.unitize`` and a 0/1 embedding matrix, apart from the
-    code under test, which pads and slices instead."""
+    Built with ``sa.unitize`` and a 0/1 embedding matrix: a reference in the
+    unitization for facts the code under test computes on alg itself."""
     u = alg.unit_vector(tol)
     if u is not None:
         return alg, np.eye(alg.dim, dtype=complex), u
@@ -254,16 +255,20 @@ def test_batched_sites_match_their_loops():
         u, res = core._unit_solution(alg)
         ref_u, ref_res = ref_unit_solution(c)
         assert np.array_equal(u, ref_u) and res == ref_res
-        big, _, _ = ref_unitization(alg)
+        big, emb, _ = ref_unitization(alg)
         adjoined.add(big is not alg)
-        assert np.array_equal(core._trace_form(alg, 1e-9), ref_trace_form(big.mul))
+        form = core._trace_form(alg)
+        assert np.array_equal(form, ref_trace_form(c))
+        # the trace over a unitization, restricted to A's coordinates, is the trace over A
+        restricted = emb.conj().T @ ref_trace_form(big.mul) @ emb
+        assert np.max(np.abs(form - restricted)) <= 1e-12 * max(1.0, float(np.max(np.abs(restricted))))
         assert np.array_equal(sa.unitize(alg).mul, ref_unitize_mul(c))
         assert np.array_equal(sa.direct_sum(alg, cs4).mul, ref_direct_sum_mul(c, cs4.mul))
         assert sa.algebra_to_json(alg)["mul"] == ref_json_mul(c)
         report = sa.validate(alg)
         got = (report.associativity_defect, report.involution_defect, report.unit_defect, report.passed)
         assert got == ref_validate(alg)
-    assert adjoined == {False, True}  # the trace form over a unital algebra and over a unitization
+    assert adjoined == {False, True}  # compared with the trace over A itself and over a unitization
 
 
 def _loop_certificate_residual(dec):
@@ -414,34 +419,6 @@ def test_spectral_decompose_matches_its_loop(name):
         assert np.linalg.norm(p.coeffs - ref_p) <= 1e-10 * max(1.0, np.linalg.norm(ref_p))
 
 
-def test_a_row_whose_projection_leaves_a_fails_alone(monkeypatch):
-    """On a non-unital parent, an RP whose projection keeps a part along the adjoined unit fails alone."""
-    rng = np.random.default_rng(9)
-    part = sa.semisimple_instance([2], 1, rng)
-    alg = sa.direct_sum(part, sa.nilpotent_line())
-    assert not alg.is_unital()
-    rows = [alg.element(np.append(sa.random_element(part, rng).coeffs, 0.0)) for _ in range(4)]
-    clean = spectral.right_projections(rows)
-    h = spectral._selfadjoint_part(rows[2].star() * rows[2])  # the solver's input for RP(rows[2])
-    bad = sa.unitize(alg).left_mat(np.pad(h.coeffs, (1, 0)))  # its L_h; the unit is coordinate 0
-    eig = np.linalg.eig
-
-    def leaky(m):
-        evals, evecs = eig(m)
-        if np.allclose(m, bad, rtol=0.0, atol=1e-12):
-            evecs[0] += 0.3  # every eigenvector, and so every projection, gains a unit part
-        return evals, evecs
-
-    monkeypatch.setattr(np.linalg, "eig", leaky)
-    with pytest.raises(sa.IllConditioned, match="does not lie in the base algebra") as alone:
-        sa.spectral_decompose(h)
-    out = spectral.right_projections(rows)
-    assert isinstance(out[2], sa.IllConditioned) and str(out[2]) == str(alone.value)
-    assert out[2].residual == alone.value.residual
-    for got, ref in zip(out[:2] + out[3:], clean[:2] + clean[3:], strict=True):
-        assert np.array_equal(got.coeffs, ref.coeffs)
-
-
 def test_mul_is_stored_contiguous():
     mul = np.zeros((3, 3, 3), dtype=complex).transpose(1, 2, 0)
     alg = sa.StarAlgebra(mul, np.eye(3))
@@ -480,19 +457,20 @@ def _unitize_calls_and_hull_names(node, scope=()):
         if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "unitize":
             yield ".".join(scope), child.lineno, "unitize"
         name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
-        if name in ("embed_mat", "restrict_coeffs", "adjoined"):
+        if name in ("embed_mat", "restrict_coeffs", "adjoined", "_unitization", "_padded"):
             yield ".".join(scope), child.lineno, name
         yield from _unitize_calls_and_hull_names(child, scope)
 
 
 def test_a_unit_is_adjoined_in_one_place():
-    """Only ``core._unitization`` (and the stock unitized instance) adjoins a unit; no hull wrapper is left."""
-    allowed = {("core.py", "_unitization"), ("instances.py", "unitized_nilpotent")}
+    """Only the stock unitized instance adjoins a unit; no fact is computed in a unitization, and no
+    hull wrapper or padding helper is left."""
+    allowed = {("instances.py", "unitized_nilpotent")}
     hits = [f"{path.name}:{lineno}: {what} in {name or '<module>'}"
             for path in sorted(Path(sa.__file__).parent.glob("*.py"))
             for name, lineno, what in _unitize_calls_and_hull_names(ast.parse(path.read_text()))
             if what != "unitize" or (path.name, name) not in allowed]
-    assert not hits, "a unit adjoined, or a hull name used, outside _unitization:\n" + "\n".join(hits)
+    assert not hits, "a unit adjoined outside unitized_nilpotent, or a hull name used:\n" + "\n".join(hits)
 
 
 def _lapack_eigen_references(node, scope=()):
@@ -647,6 +625,22 @@ def _annihilator_past_a_failed_right_projection(alg):
     assert not sa.annihilator([alg.basis_element(0)]).is_principal_projection_ideal
 
 
+def _analyze_past_an_ill_conditioned_solve(alg):
+    # the pass stores the first solve's IllConditioned in its RP table, then raises it
+    solve, calls = spectral.spectral_decompose, []
+
+    def first_fails(b, tol=sa.DEFAULT_TOL):
+        calls.append(None)
+        if len(calls) == 1:
+            raise sa.IllConditioned("the first solve is ill-conditioned")
+        return solve(b, tol)
+
+    with mock.patch.object(spectral, "spectral_decompose", first_fails):
+        with pytest.raises(sa.IllConditioned, match="first solve"):
+            sa.analyze(alg)
+    assert calls
+
+
 @pytest.mark.parametrize("make, act", [
     (lambda: sa.matrix_algebra(3), sa.analyze),
     (lambda: sa.build_group_algebra(sa.symmetric_group_3()), sa.analyze),
@@ -659,9 +653,10 @@ def _annihilator_past_a_failed_right_projection(alg):
     (lambda: swap_mutant(1), _failed_quasi_inverse),
     (lambda: swap_mutant(1), _failed_right_projection),
     (lambda: swap_mutant(1), _annihilator_past_a_failed_right_projection),
+    (lambda: swap_mutant(2), _analyze_past_an_ill_conditioned_solve),
 ], ids=["analyze M3", "analyze C[S3]", "analyze [2,2]+1", "analyze swap_mutant(2)", "analyze nilpotent_mutant(1)",
         "analyze nilpotent_line", "check_baer M4", "element queries", "failed quasi_inverse",
-        "failed right_projection", "annihilator past a failed RP"])
+        "failed right_projection", "annihilator past a failed RP", "analyze past an IllConditioned solve"])
 def test_an_algebra_is_freed_with_its_last_reference(make, act):
     _assert_freed(make, act)
 

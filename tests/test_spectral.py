@@ -172,7 +172,8 @@ def test_cstar_norm_basis_independent():
     lambda: semisimple_instance([3, 2], 1, np.random.default_rng(8)),
 ])
 def test_gram_matrix_matches_per_pair_traces(make):
-    """The trace form F and the Gram matrix built from it agree with one trace per pair."""
+    """The trace form F and the Gram matrix built from it agree with one trace per pair in a
+    unitization, restricted to A's coordinates."""
     from staralg.core import _trace_form
     from staralg.spectral import _gram_matrix
 
@@ -184,9 +185,10 @@ def test_gram_matrix_matches_per_pair_traces(make):
     star_left = [big.left_mat(emb @ e.star().coeffs) for e in alg.basis()]
     g = np.array([[np.trace(si @ lj) for lj in left] for si in star_left])
     g = 0.5 * (g + g.conj().T)
+    form = emb.conj().T @ form @ emb  # restricted to A's coordinates
     scale = max(1.0, float(np.max(np.abs(form))))
-    assert np.max(np.abs(_cached(alg, _trace_form, 1e-9) - form)) <= 1e-12 * scale
-    assert np.max(np.abs(_cached(alg, _gram_matrix, 1e-9) - g)) <= 1e-12 * scale
+    assert np.max(np.abs(_cached(alg, _trace_form) - form)) <= 1e-12 * scale
+    assert np.max(np.abs(_cached(alg, _gram_matrix) - g)) <= 1e-12 * scale
 
 
 def test_cstar_norm_rejects_improper():
@@ -197,7 +199,7 @@ def test_cstar_norm_rejects_improper():
 def ref_cstar_norm(a, tol=sa.DEFAULT_TOL):
     """The 2-norm of G^1/2 L_a G^-1/2 from an ``eigh`` of G of its own, as it was computed before;
     None where G is not positive definite."""
-    evals, evecs = np.linalg.eigh(_cached(a.parent, spectral._gram_matrix, tol))
+    evals, evecs = np.linalg.eigh(_cached(a.parent, spectral._gram_matrix))
     if evals[0] <= relative_bound(tol, evals[-1]):
         return None
     ghalf = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
@@ -493,7 +495,7 @@ def test_a_row_lapack_rejects_fails_alone(monkeypatch):
     rows = [alg.element(np.append(sa.random_element(part, rng).coeffs, 0.0)) for _ in range(4)]
     clean = spectral.right_projections(rows)
     h = spectral._selfadjoint_part(rows[2].star() * rows[2])  # the solver's input for RP(rows[2])
-    bad = sa.unitize(alg).left_mat(np.pad(h.coeffs, (1, 0)))  # its L_h; the unit is coordinate 0
+    bad = alg.left_mat(h.coeffs)  # its L_h
     eigvals = np.linalg.eigvals
 
     def picky(m):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from test_kernel import ref_unitization
 
 import staralg as sa
 from staralg import rickart, structure
@@ -20,7 +21,7 @@ from staralg.instances import (
     swap_mutant,
 )
 from staralg.core import _trace_ranks
-from staralg.linalg import certificate_bound
+from staralg.linalg import certificate_bound, subspaces_equal
 from staralg.structure import (
     abelian_split,
     block_star_isomorphism,
@@ -38,6 +39,38 @@ def test_radical_of_unitized_nilpotent():
     assert len(rad) == 1
     x = rad[0]
     assert (x * x).norm() < 1e-10  # the radical here is the nilpotent line
+
+
+def _non_unital_algebras():
+    """Non-unital algebras, each with the coordinates of its nilpotent lines and its radical dimension."""
+    part = semisimple_instance([2], 1, np.random.default_rng(4))
+    return {
+        "C x": (sa.nilpotent_line(), [0], 1),
+        "M2 + C + C x": (direct_sum(part, sa.nilpotent_line()), [part.dim], 1),
+        "C x + C y": (direct_sum(sa.nilpotent_line(), sa.nilpotent_line()), [0, 1], 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_unital_algebras()))
+def test_facts_of_a_non_unital_algebra_are_computed_on_it(name):
+    """Radical, spectrum and analyze on A itself match the unitization, and no unitization is cached."""
+    alg, lines, radical_dim = _non_unital_algebras()[name]
+    assert not alg.is_unital()
+    rad = np.array([x.coeffs for x in sa.radical(alg)]).T
+    assert subspaces_equal(rad, np.eye(alg.dim)[:, lines], 1e-10)
+
+    big, emb, _ = ref_unitization(alg)
+    rng = np.random.default_rng(5)
+    for a in [sa.random_element(alg, rng) for _ in range(3)] + [sa.random_selfadjoint(alg, rng)]:
+        sp = sa.spectrum(a)
+        ref = np.linalg.eigvals(big.left_mat(emb @ a.coeffs))
+        assert sp.includes_forced_zero
+        assert max(np.min(np.abs(ref - p)) for p in sp.points) <= 1e-10
+        assert max(np.min(np.abs(np.array(sp.points) - r)) for r in ref) <= 1e-10
+
+    r = sa.analyze(alg)
+    assert (r.unital, r.proper, r.hermitian, r.radical_dim) == (False, False, True, radical_dim)
+    assert not [key for key, value in alg._cache.items() if isinstance(value, sa.StarAlgebra)]
 
 
 def test_check_proper_matrix_algebra():
@@ -278,6 +311,21 @@ def test_a_failed_central_split_on_a_proper_algebra_is_ill_conditioned(seed, tmp
     path.write_text(json.dumps(sa.algebra_to_json(alg)))
     assert main(["--seed", str(seed), "analyze", str(path)]) == 1
     assert "central split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("s2", [1e5, 1e6])
+def test_a_negative_properness_verdict_needs_a_certified_witness(s2, seed, tmp_path, capsys):
+    """s^2 >= 1e5: the Gram matrix loses positive definiteness to rounding, and no candidate
+    has a*a = 0 within the bound, so analyze raises IllConditioned and the CLI exits 1."""
+    alg = _badly_scaled(s2, seed)
+    with pytest.raises(sa.IllConditioned, match="no witness") as raised:
+        sa.analyze(alg, seed=seed)
+    assert raised.value.residual > certificate_bound(sa.DEFAULT_TOL)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(sa.algebra_to_json(alg)))
+    assert main(["--seed", str(seed), "analyze", str(path)]) == 1
+    assert "no witness" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
