@@ -60,9 +60,12 @@ def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
     """Properness via positive definiteness of <a,b> = tr(L_{b*a}) on A.
 
     On failure the report carries a witness minimizing |a*a| over normalized
-    basis elements and the non-positive eigenspace of the Gram matrix; it
-    raises IllConditioned when the best witness has |a*a| above
-    certificate_bound(tol), as the verdict then rests on no element. On
+    basis elements, the non-positive eigenspace of the Gram matrix G and, when
+    none of those has a*a = 0, their iterated star-squares a*a, (a*a)*(a*a), ...
+    A witness with |a*a| above certificate_bound(tol) is marked uncertified;
+    the verdict then rests on G having an eigenvalue below minus
+    certificate_bound(tol) times the norm of G computed in absolute values,
+    which rounding cannot reach, and without one it raises IllConditioned. On
     success, implementation guard: a random witness search checks that no
     normalized basis or sampled element has a*a ~ 0. Cached per (tol, seed).
     """
@@ -74,30 +77,46 @@ def _check_proper(algebra, tol, seed):
     passed = coords is not None
     details = {"gram_min_eig": float(evals[0]), "gram_max_eig": float(evals[-1])}
     rng = np.random.default_rng(seed)
-    basis = np.eye(algebra.dim, dtype=complex)
+    n = algebra.dim
+    basis = np.eye(n, dtype=complex)
 
     if passed:
         samples = [random_element(algebra, rng).coeffs for _ in range(8)]
-        if np.any(_star_squares(algebra, np.vstack([basis, samples]), tol)[1] <= tol):
+        if np.any(np.linalg.norm(_star_squares(algebra, np.vstack([basis, samples]), tol)[1], axis=1) <= tol):
             raise InternalInconsistency("positive definite trace form but a*a = 0 witness found")
         return CheckReport("proper", True, 0.0, seed, details=details)
 
     bad = evecs[:, ~significant(evals, tol)]
     k = bad.shape[1]
     mixes = [bad @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)) for _ in range(32)]
-    vs, scores = _star_squares(algebra, np.vstack([basis, bad.T, mixes]), tol)
+    vs, squares = _star_squares(algebra, np.vstack([basis, bad.T, mixes]), tol)
+    rows, scores = [vs], [np.linalg.norm(squares, axis=1)]
+    # a in (rad A)^j has a*a in (rad A)^2j, so a radical element's last nonzero star-square is null
+    for _ in range(n.bit_length()):
+        if np.min(np.concatenate(scores)) <= certificate_bound(tol):
+            break
+        vs, squares = _star_squares(algebra, squares, tol)
+        rows.append(vs)
+        scores.append(np.linalg.norm(squares, axis=1))
+    vs, scores = np.concatenate(rows), np.concatenate(scores)
     best = int(np.argmin(scores))
-    require(float(scores[best]), certificate_bound(tol), IllConditioned,
-            "the trace form is not positive definite, but no witness has a*a = 0")
     witness = {"element": _coeffs_json(vs[best]), "norm_a_star_a": float(scores[best])}
+    if scores[best] > certificate_bound(tol):
+        # G in absolute values, |star|^T |F|, bounds how far rounding can move G's eigenvalues
+        c = np.abs(algebra._times_basis(basis))
+        gram_abs = np.abs(algebra.star).T @ c.reshape(n, -1) @ c.transpose(0, 2, 1).reshape(n, -1).T
+        if not -evals[0] > certificate_bound(tol) * np.linalg.norm(gram_abs, 2):
+            raise IllConditioned("the trace form is not clearly indefinite, and no witness has a*a = 0",
+                                 float(scores[best]))
+        witness["certified"] = False
     return CheckReport("proper", False, float(scores[best]), seed, witness=witness, details=details)
 
 
 def _star_squares(algebra, vs, tol):
-    """The rows a of vs with norm above tol, normalised, and the norm of a*a for each."""
+    """The rows a of vs with norm above tol, normalised, and a*a for each."""
     vs = vs[np.linalg.norm(vs, axis=1) > tol]
     vs = vs / np.linalg.norm(vs, axis=1, keepdims=True)
-    return vs, np.linalg.norm((algebra.left_mat(algebra.star_coeffs(vs)) @ vs[:, :, None])[..., 0], axis=1)
+    return vs, (algebra.left_mat(algebra.star_coeffs(vs)) @ vs[:, :, None])[..., 0]
 
 
 def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):

@@ -316,8 +316,9 @@ def test_a_failed_central_split_on_a_proper_algebra_is_ill_conditioned(seed, tmp
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("s2", [1e5, 1e6])
 def test_a_negative_properness_verdict_needs_a_certified_witness(s2, seed, tmp_path, capsys):
-    """s^2 >= 1e5: the Gram matrix loses positive definiteness to rounding, and no candidate
-    has a*a = 0 within the bound, so analyze raises IllConditioned and the CLI exits 1."""
+    """s^2 >= 1e5: the Gram matrix loses positive definiteness to rounding. No candidate has
+    a*a = 0 within the bound, and G's least eigenvalue is within what rounding can reach, so
+    analyze raises IllConditioned and the CLI exits 1."""
     alg = _badly_scaled(s2, seed)
     with pytest.raises(sa.IllConditioned, match="no witness") as raised:
         sa.analyze(alg, seed=seed)
@@ -326,6 +327,91 @@ def test_a_negative_properness_verdict_needs_a_certified_witness(s2, seed, tmp_p
     path.write_text(json.dumps(sa.algebra_to_json(alg)))
     assert main(["--seed", str(seed), "analyze", str(path)]) == 1
     assert "no witness" in capsys.readouterr().err
+
+
+def _rebased(alg, p):
+    """alg in the basis f_a = sum_i p[i, a] e_i."""
+    p_inv = np.linalg.inv(p)
+    return sa.StarAlgebra(alg.products(p.T, p.T) @ p_inv.T, p_inv @ alg.star @ np.conj(p))
+
+
+def _mixed(alg, seed):
+    """alg in a random basis with singular values in [0.5, 2], as semisimple_instance mixes."""
+    rng = np.random.default_rng(seed)
+    n = alg.dim
+    p = random_unitary(n, rng) @ np.diag(0.5 + 1.5 * rng.random(n)) @ random_unitary(n, rng)
+    return _rebased(alg, p)
+
+
+def _indefinite_matrix_algebra(signs):
+    """M_d with the involution x -> H x^H H, H = diag(signs): not proper when the signs differ."""
+    h = np.diag(np.asarray(signs, dtype=complex))
+    mats = _block_matrix_basis([len(signs)], 0)
+    alg = from_matrix_basis(mats)
+    stars = np.stack([(h @ m.conj().T @ h).reshape(-1) for m in mats], axis=1)
+    coords = np.linalg.lstsq(np.stack([m.reshape(-1) for m in mats], axis=1), stars, rcond=None)[0]
+    return sa.StarAlgebra(alg.products(np.eye(alg.dim), np.eye(alg.dim)), coords)
+
+
+def _nilpotent_chain(m):
+    """Span of x, x^2, ..., x^m with x^(m+1) = 0 and x* = x: rad A^2 != 0 for m >= 3."""
+    c = np.zeros((m, m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m - 1 - i):
+            c[i, j, i + j + 1] = 1.0
+    return sa.StarAlgebra(c, np.eye(m, dtype=complex))
+
+
+_INDEFINITE = {
+    "C[Z2], g* = -g": lambda: _rebased(swap_mutant(1), np.array([[1, 1], [1, -1]], dtype=complex)),
+    "M2, H = diag(1, -1)": lambda: _indefinite_matrix_algebra([1, -1]),
+    "M3, H = diag(1, -1, 1) mixed": lambda: _mixed(_indefinite_matrix_algebra([1, -1, 1]), 0),
+    "swap + M2 mixed": lambda: _mixed(direct_sum(swap_mutant(1), matrix_algebra(2)), 1),
+    "swap + C x mixed": lambda: _mixed(direct_sum(swap_mutant(1), sa.nilpotent_line()), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEFINITE))
+def test_a_clearly_indefinite_trace_form_is_a_negative_verdict(name, tmp_path, capsys):
+    """Valid non-proper input whose null elements lie along no basis vector or Gram eigenvector.
+
+    G's least eigenvalue is far below what rounding can reach, so the radical quotient that
+    check_hermitian checks is not proper, with its best witness marked uncertified (for
+    "swap + C x" the quotient is built in nullspace's basis), analyze answers proper=false
+    and the CLI exits 0."""
+    alg = _INDEFINITE[name]()
+    assert sa.validate(alg).passed
+    assert not sa.check_proper(alg).passed
+    witness = sa.check_hermitian(alg).witness["quotient_check"]
+    assert witness["certified"] is False
+    assert witness["norm_a_star_a"] > certificate_bound(sa.DEFAULT_TOL)
+    r = sa.analyze(alg)
+    assert not r.proper and not r.hermitian and not r.baer
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(sa.algebra_to_json(alg)))
+    assert main(["analyze", str(path)]) == 0
+    assert '"proper": false' in capsys.readouterr().out
+
+
+def test_the_null_element_of_c_z2_is_not_proper():
+    """C[Z2] with g* = -g in the basis {e1 + e2, e1 - e2}: e1 = (f1 + f2)/2 has e1* e1 = 0."""
+    alg = _INDEFINITE["C[Z2], g* = -g"]()
+    e1 = alg.element([0.5, 0.5])
+    assert (e1.star() * e1).norm() == 0.0
+    assert sa.check_proper(alg).details["gram_min_eig"] < -1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m", [3, 5])
+def test_a_radical_witness_is_an_iterated_star_square(m, seed):
+    """rad A = span{x, ..., x^m} in a mixed basis: G is only semidefinite and no candidate of the
+    first round has a*a = 0, but the last nonzero star-square of one does, and it is certified."""
+    alg = _mixed(sa.unitize(_nilpotent_chain(m)), seed)
+    report = sa.check_proper(alg)
+    assert not report.passed and "certified" not in report.witness
+    a = alg.element([complex(re, im) for re, im in report.witness["element"]])
+    assert (a.star() * a).norm() <= certificate_bound(sa.DEFAULT_TOL)
+    assert a.norm() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
