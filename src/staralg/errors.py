@@ -1,4 +1,4 @@
-"""Exception hierarchy for the workbench. A stored exception keeps no traceback, whose frames hold the algebra."""
+"""Exception hierarchy for the workbench."""
 
 
 class StarAlgError(Exception):

@@ -10,7 +10,7 @@ from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
 from .errors import DecompositionFailed, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, nullspace, require, require_each,
                      subspaces_equal)
-from .spectral import _PUBLISHED_RPS, _raised, left_projection, right_projection, right_projections
+from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def annihilator(elements, tol=DEFAULT_TOL):
     unit = algebra.unit_vector(tol)
     if unit is not None:
         try:
-            j = None  # 0 v e = e exactly; no local holds an entry, so a raised one dies with its traceback
-            for e in map(_raised, right_projections(elements, tol)):
+            j = None  # 0 v e = e exactly
+            for e in right_projections(elements, tol):
                 j = e if j is None else join(j, e, tol)
             f = Element(algebra, unit) - j
             if _generates(f, kernel, tol):
@@ -155,10 +155,11 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    Cached per (tol, seed). The pass publishes the right projections it made
-    with the algebra's facts (see ``staralg.spectral``), so a later
-    ``right_projections`` call at the same tol, such as the Baer guard's,
-    reuses them."""
+    The elements are taken in order, and the first that fails settles the
+    report; no later one is solved. Cached per (tol, seed). The pass publishes
+    the right projections it reads with the algebra's facts (see
+    ``staralg.spectral``), so a later ``right_projections`` call at the same
+    tol, such as the Baer guard's, reuses them."""
     return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
@@ -171,32 +172,30 @@ def _weakly_rickart_pass(algebra, tol, seed):
     kernels = nullspace(np.array([a.lmat() for a in live]), tol)
     rps = right_projections(live, tol)
     published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
-    published.update((a.coeffs.tobytes(), e.coeffs) for a, e in zip(live, rps) if isinstance(e, Element))
-    try:
-        for a, e, kernel in zip(live, rps, kernels):
-            if isinstance(e, DecompositionFailed):
-                return CheckReport(
-                    "weakly_rickart", False, float("inf"), seed,
-                    witness={"element": _coeffs_json(a.coeffs), "reason": str(e)},
-                )
-            e = _raised(e)
-            res1 = (a * e - a).norm() / max(1.0, a.norm())
-            worst = max(worst, res1)
-            res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
-            over = np.flatnonzero(res2 > bound)
-            if over.size:
-                return CheckReport(
-                    "weakly_rickart", False, float(res2[over[0]]), seed,
-                    witness={"element": _coeffs_json(a.coeffs),
-                             "kernel_vector": _coeffs_json(kernel[:, over[0]])},
-                )
-            worst = max(worst, float(np.max(res2, initial=0.0)))
-            if res1 > bound:
-                return CheckReport(
-                    "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
-                )
-    finally:
-        rps = e = None  # a raised entry's traceback holds this frame, which then holds no entry
+    for a, kernel in zip(live, kernels):
+        try:
+            e = next(rps)
+        except DecompositionFailed as exc:
+            return CheckReport(
+                "weakly_rickart", False, float("inf"), seed,
+                witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)},
+            )
+        published[a.coeffs.tobytes()] = e.coeffs
+        res1 = (a * e - a).norm() / max(1.0, a.norm())
+        worst = max(worst, res1)
+        res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
+        over = np.flatnonzero(res2 > bound)
+        if over.size:
+            return CheckReport(
+                "weakly_rickart", False, float(res2[over[0]]), seed,
+                witness={"element": _coeffs_json(a.coeffs),
+                         "kernel_vector": _coeffs_json(kernel[:, over[0]])},
+            )
+        worst = max(worst, float(np.max(res2, initial=0.0)))
+        if res1 > bound:
+            return CheckReport(
+                "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
+            )
     return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
 
 

@@ -20,19 +20,22 @@ one stacked ``svd`` of W L_a W^-1, with G = W^H W, gives it for a whole
 stack. Each such RP is certified as the one it claims to be; a row that
 fails, and every row of an algebra without that factor, goes to the solver
 as the decomposition of a*a, one element at a time. ``right_projections``
-takes whole stacks: the weakly-Rickart pass asks for the basis and its 8
-samples in one call, and ``annihilator`` for its whole set;
-``right_projection(a)`` is a stack of one. Every product of the stacked path
-runs on slices shaped as for one element, so an element's numbers do not
-depend on the elements stacked with it.
+takes whole stacks and yields their RPs in row order: the weakly-Rickart
+pass asks for the basis and its 8 samples in one call, and ``annihilator``
+for its whole set; ``right_projection(a)`` is the first of a stack of one.
+The solver runs on a row only when that row is reached, so a row whose RP
+cannot be certified raises its own error there, and a caller that stops at
+it leaves the later rows unsolved. Every product of the stacked path runs on
+slices shaped as for one element, so an element's numbers do not depend on
+the elements stacked with it.
 
-The weakly-Rickart pass publishes the coefficients of each RP its one stacked
-call made, keyed by the input's coefficient bytes, in one table per tol in
-``algebra._cache``; no failure is stored. ``right_projections`` reads that
-table, wrapping each hit as an Element, and never creates it: the Baer
-guard's RP(e_i) are the pass's, and an algebra no pass ran on solves every
-input. A published RP is what a fresh solve gives, as a row's numbers do not
-depend on its stack. Each caller's own certificates still run on every call.
+The weakly-Rickart pass publishes the coefficients of each RP it reads,
+keyed by the input's coefficient bytes, in one table per tol in
+``algebra._cache``. ``right_projections`` reads that table, wrapping each
+hit as an Element, and never creates it: the Baer guard's RP(e_i) are the
+pass's, and an algebra no pass ran on solves every input. A published RP is
+what a fresh solve gives, as a row's numbers do not depend on its stack.
+Each caller's own certificates still run on every call.
 """
 
 from __future__ import annotations
@@ -167,32 +170,21 @@ def _rowwise(fn, *stacks):
     return fn(*(s[:, None, :] for s in stacks))[:, 0]
 
 
-def _lapack(fn, mats, errors):
+def _lapack(fn, mats, rejected):
     """``fn`` (the trace-form ``svd``) on a stack of matrices in one call, unless LAPACK rejects the stack.
 
-    Then each matrix is tried alone: one that fails keeps its LinAlgError, without traceback or
-    context, in ``errors`` and becomes the identity in ``mats``, and the stack runs again."""
+    Then each matrix is tried alone: one that fails is marked in the bool mask ``rejected`` and
+    becomes the identity in ``mats``, and the stack runs again."""
     try:
         return fn(mats)
     except np.linalg.LinAlgError:
-        pass  # the rows are tried outside the handler, so that their errors hold no context
-    for i, mat in enumerate(mats):
-        try:
-            fn(mat)
-        except np.linalg.LinAlgError as exc:
-            errors[i] = exc.with_traceback(None)
-            mats[i] = np.eye(len(mat))
+        for i, mat in enumerate(mats):
+            try:
+                fn(mat)
+            except np.linalg.LinAlgError:
+                rejected[i] = True
+                mats[i] = np.eye(len(mat))
     return fn(mats)
-
-
-def _raised(entry):
-    """A ``right_projections`` entry's value, or its exception raised, which this frame lets go of."""
-    if isinstance(entry, Exception):
-        try:
-            raise entry
-        finally:
-            entry = None
-    return entry
 
 
 def _selfadjoint_part(x):
@@ -200,44 +192,30 @@ def _selfadjoint_part(x):
 
 
 def right_projections(xs, tol=DEFAULT_TOL):
-    """RP(a) for each a of ``xs``, all of one parent.
+    """RP(a) for each a of ``xs``, all of one parent, yielded in order.
 
-    The trace-form path takes the whole stack at once; the rows it rejects go
-    to the solver one at a time. Entry i is RP(xs[i]), or the exception
-    ``right_projection(xs[i])`` raises, without its traceback, so a failing row
-    leaves the others as they are. An input whose RP the weakly-Rickart pass
-    published at this tol is answered from that table; the others are solved."""
-    table = xs[0].parent._cache.get((_PUBLISHED_RPS, tol)) if xs else None
-    if table is None:
-        return _right_projections(xs, tol)
-    hits = [table.get(a.coeffs.tobytes()) for a in xs]
-    out = [None if e is None else Element(a.parent, e) for a, e in zip(xs, hits)]
-    misses = [i for i, e in enumerate(out) if e is None]
-    if misses:
-        for i, e in zip(misses, _right_projections([xs[i] for i in misses], tol)):
-            out[i] = e
-    return out
-
-
-def _right_projections(xs, tol):
-    out = [a.parent.zero() if a.norm() <= tol else None for a in xs]
-    live = [i for i, e in enumerate(out) if e is None]
-    if not live:
-        return out
+    An input whose RP the weakly-Rickart pass published at this tol is
+    answered from that table. The trace-form path takes the other inputs in
+    one stack before the first RP is yielded; each row it rejects goes to the
+    solver when it is reached, so a row whose RP cannot be certified raises
+    its own error there and no later row is solved."""
+    if not xs:
+        return
     parent = xs[0].parent
-    coords = _cached(parent, _trace_coordinates, tol)[2]
+    table = parent._cache.get((_PUBLISHED_RPS, tol), {})
+    out = []
+    for a in xs:
+        hit = table.get(a.coeffs.tobytes())
+        out.append(Element(parent, hit) if hit is not None else parent.zero() if a.norm() <= tol else None)
+    misses = [i for i, e in enumerate(out) if e is None]
+    coords = _cached(parent, _trace_coordinates, tol)[2] if misses else None
     if coords is not None and parent.is_unital(tol):
-        for run in _chunks(live, parent.dim ** 2):
+        for run in _chunks(misses, parent.dim ** 2):
             rows = np.array([xs[i].coeffs for i in run])
             for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
                 out[i] = e
-    for i in live:  # the rows the trace-form path rejected, or every row without its coordinates
-        if out[i] is None:
-            try:
-                out[i] = _solved_right_projection(xs[i], tol)
-            except (DecompositionFailed, IllConditioned, np.linalg.LinAlgError) as exc:
-                out[i] = exc.with_traceback(None)
-    return out
+    for a, e in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
+        yield _solved_right_projection(a, tol) if e is None else e
 
 
 def _solved_right_projection(a, tol):
@@ -259,8 +237,8 @@ def _trace_form_projections(parent, a, coords, tol):
     rank L_e = rank L_a together with a e = a gives ker L_a = ker L_e."""
     w, w_inv = coords
     bound = certificate_bound(tol)
-    errors = [None] * len(a)
-    _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, errors)
+    rejected = np.zeros(len(a), dtype=bool)
+    _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, rejected)
     ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
     c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
     e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
@@ -269,14 +247,13 @@ def _trace_form_projections(parent, a, coords, tol):
         _norms(_rowwise(parent.row_products, e, e) - e)),
         _norms(_rowwise(parent.row_products, a, e) - a) / np.maximum(1.0, _norms(a)))
     traced, off = _trace_ranks(parent, e)
-    ok = (np.maximum(worst, off) <= bound) & (traced == ranks)
-    return [Element(parent, row) if good and error is None else None
-            for row, good, error in zip(e, ok.tolist(), errors)]
+    ok = (np.maximum(worst, off) <= bound) & (traced == ranks) & ~rejected
+    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
 
 
 def right_projection(a, tol=DEFAULT_TOL):
     """RP(a): the projection e with ae = a and ker(a.) contained in ker(e.)."""
-    return _raised(right_projections([a], tol)[0])
+    return next(right_projections([a], tol))
 
 
 def left_projection(a, tol=DEFAULT_TOL):

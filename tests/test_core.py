@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
-from staralg import core, groups, structure
+from staralg import core, groups, spectral, structure
 from staralg.core import algebra_from_json, algebra_to_json
 from staralg.instances import swap_mutant
 
@@ -60,6 +60,9 @@ def test_public_names_carry_only_used_options():
         assert not hasattr(structure, name)
     assert params(sa.block_star_isomorphism) == ["atom", "tol", "seed"]
     assert params(structure.matrix_unit_residual) == ["atom", "units"]
+    for name in ("_raised", "_right_projections"):
+        assert not hasattr(spectral, name)
+    assert inspect.isgeneratorfunction(spectral.right_projections)
 
 
 def test_validate_rejects_broken_associativity():

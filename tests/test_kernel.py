@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import staralg as sa
-from staralg import core, groups, spectral, structure
+from staralg import core, groups, rickart, spectral, structure
 from staralg.instances import nilpotent_mutant, swap_mutant
 from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
@@ -561,6 +561,16 @@ def test_per_algebra_facts_live_in_one_cache():
     assert {(path, name) for path, name, _ in found} == allowed
 
 
+def test_right_projections_arrive_in_order_and_no_exception_is_kept():
+    """``right_projections`` is a generator, ``_raised`` and ``_right_projections`` are gone, and no
+    module strips a traceback to keep an exception for later."""
+    tree = ast.parse(Path(spectral.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {"_raised", "_right_projections"} & set(defs)
+    assert any(isinstance(node, ast.Yield) for node in ast.walk(defs["right_projections"]))
+    assert not _package_references({"with_traceback"})
+
+
 def test_no_einsum_in_the_package():
     hits = [f"{path.name}:{lineno}: {line.strip()}"
             for path in sorted(Path(sa.__file__).parent.glob("*.py"))
@@ -626,7 +636,7 @@ def _annihilator_past_a_failed_right_projection(alg):
 
 
 def _analyze_past_an_ill_conditioned_solve(alg):
-    # the pass stores the first solve's IllConditioned in its RP table, then raises it
+    # the pass's first row raises the first solve's IllConditioned out of its right_projections iterator
     solve, calls = spectral.spectral_decompose, []
 
     def first_fails(b, tol=sa.DEFAULT_TOL):
@@ -639,6 +649,17 @@ def _analyze_past_an_ill_conditioned_solve(alg):
         with pytest.raises(sa.IllConditioned, match="first solve"):
             sa.analyze(alg)
     assert calls
+
+
+def _pass_ended_by_a_failed_row(alg):
+    # the first row's RP raises DecompositionFailed, which ends the pass's right_projections iterator
+    assert "reason" in sa.check_weakly_rickart(alg).witness
+
+
+def _pass_ended_by_a_kernel_check(alg):
+    # the first row's kernel check fails while the pass's right_projections iterator is suspended
+    with mock.patch.object(rickart, "certificate_bound", lambda tol: -1.0):
+        assert "kernel_vector" in sa.check_weakly_rickart(alg).witness
 
 
 @pytest.mark.parametrize("make, act", [
@@ -654,9 +675,12 @@ def _analyze_past_an_ill_conditioned_solve(alg):
     (lambda: swap_mutant(1), _failed_right_projection),
     (lambda: swap_mutant(1), _annihilator_past_a_failed_right_projection),
     (lambda: swap_mutant(2), _analyze_past_an_ill_conditioned_solve),
+    (lambda: swap_mutant(3), _pass_ended_by_a_failed_row),
+    (lambda: sa.matrix_algebra(3), _pass_ended_by_a_kernel_check),
 ], ids=["analyze M3", "analyze C[S3]", "analyze [2,2]+1", "analyze swap_mutant(2)", "analyze nilpotent_mutant(1)",
         "analyze nilpotent_line", "check_baer M4", "element queries", "failed quasi_inverse",
-        "failed right_projection", "annihilator past a failed RP", "analyze past an IllConditioned solve"])
+        "failed right_projection", "annihilator past a failed RP", "analyze past an IllConditioned solve",
+        "pass ended by a failed row", "pass ended by a kernel check"])
 def test_an_algebra_is_freed_with_its_last_reference(make, act):
     _assert_freed(make, act)
 

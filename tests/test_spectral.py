@@ -261,11 +261,12 @@ _PHASES = ("pass", "guard", "other")
 def _record_right_projections(monkeypatch):
     """The coefficient bytes of every row ``right_projections`` is asked for, and of every row it solves.
 
-    Each list is kept by phase: "pass" inside the weakly-Rickart pass, "guard"
-    inside ``annihilator`` (the Baer guard's subsets) and "other" elsewhere."""
+    A row is solved when the trace-form stack accepts it or the solver is called
+    on it. Each list is kept by phase: "pass" inside the weakly-Rickart pass,
+    "guard" inside ``annihilator`` (the Baer guard's subsets) and "other" elsewhere."""
     phase = ["other"]
     asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
-    ask, solve = spectral.right_projections, spectral._right_projections
+    ask, stack, solve = spectral.right_projections, spectral._trace_form_projections, spectral._solved_right_projection
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -280,15 +281,21 @@ def _record_right_projections(monkeypatch):
         asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
         return ask(xs, tol)
 
-    def solving(xs, tol):
-        solved[phase[0]].extend(a.coeffs.tobytes() for a in xs)
-        return solve(xs, tol)
+    def stacking(parent, rows, coords, tol):
+        out = stack(parent, rows, coords, tol)
+        solved[phase[0]].extend(row.tobytes() for row, e in zip(rows, out) if e is not None)
+        return out
+
+    def solving(a, tol):
+        solved[phase[0]].append(a.coeffs.tobytes())
+        return solve(a, tol)
 
     monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
     monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
     for module in (spectral, rickart):
         monkeypatch.setattr(module, "right_projections", asking)
-    monkeypatch.setattr(spectral, "_right_projections", solving)
+    monkeypatch.setattr(spectral, "_trace_form_projections", stacking)
+    monkeypatch.setattr(spectral, "_solved_right_projection", solving)
     return asked, solved
 
 
@@ -447,10 +454,34 @@ def _mixed_stacks():
     return [rows, nrows]
 
 
+def _outcome(fn):
+    """``fn()``, or the type and message of the exception it raises."""
+    try:
+        return fn()
+    except (sa.StarAlgError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcomes(rows, tol=sa.DEFAULT_TOL):
+    """Each row's ``right_projections`` outcome: its RP, or the type and message of the exception it raises.
+
+    A row that raises ends its iterator, so the rows after it are asked for in a fresh one."""
+    out = []
+    while len(out) < len(rows):
+        rps = spectral.right_projections(rows[len(out):], tol)
+        try:
+            for e in rps:
+                out.append(e)
+        except (sa.StarAlgError, np.linalg.LinAlgError) as exc:
+            out.append((type(exc), str(exc)))
+            assert next(rps, None) is None
+    return out
+
+
 def _assert_bit_equal(got, ref):
-    """Two right_projections entries: bit-equal elements, or exceptions of one type and message."""
-    if isinstance(ref, Exception):
-        assert type(got) is type(ref) and str(got) == str(ref)
+    """Two outcomes: bit-equal elements, or exceptions of one type and message."""
+    if isinstance(ref, tuple):
+        assert got == ref
     else:
         assert np.array_equal(got.coeffs, ref.coeffs)
 
@@ -460,25 +491,22 @@ def test_solved_rows_match_their_own_decomposition():
     """Each row the solver answers is the projection sum of its own a*a, or that solve's exception."""
     for rows in _mixed_stacks():
         assert _cached(rows[0].parent, spectral._trace_coordinates, sa.DEFAULT_TOL)[2] is None
-        out = spectral.right_projections(rows)
+        out = _outcomes(rows)
         for a, got in zip(rows, out):
             if a.norm() <= sa.DEFAULT_TOL:
                 assert np.array_equal(got.coeffs, a.parent.zero().coeffs)
                 continue
-            try:
-                ref = sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum()
-            except sa.StarAlgError as exc:
-                ref = exc
-            if isinstance(ref, Exception):
-                assert type(got) is type(ref) and str(got) == str(ref)
-            elif isinstance(got, Exception):  # a decomposition whose sum fails a RP(a) = a
-                assert isinstance(got, sa.DecompositionFailed) and str(got).startswith("RP certificate")
+            ref = _outcome(lambda: sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum())
+            if isinstance(ref, tuple):
+                assert got == ref
+            elif isinstance(got, tuple):  # a decomposition whose sum fails a RP(a) = a
+                assert got[0] is sa.DecompositionFailed and got[1].startswith("RP certificate")
             else:
                 assert np.array_equal(got.coeffs, ref.coeffs)
-        assert any(isinstance(e, Exception) for e in out)
+        assert any(isinstance(e, tuple) for e in out)
         assert any(isinstance(e, sa.Element) and e.norm() > 0 for e in out)
         # the rows that succeed come out the same without the rows that fail beside them
-        ok = [i for i, e in enumerate(out) if not isinstance(e, Exception)]
+        ok = [i for i, e in enumerate(out) if isinstance(e, sa.Element)]
         for i, e in zip(ok, spectral.right_projections([rows[i] for i in ok]), strict=True):
             _assert_bit_equal(e, out[i])
     overflow = _mixed_stacks()[0][5]
@@ -487,13 +515,13 @@ def test_solved_rows_match_their_own_decomposition():
 
 
 def test_a_row_lapack_rejects_fails_alone(monkeypatch):
-    """A row whose solve LAPACK rejects keeps the LinAlgError; the rows beside it are unchanged."""
+    """A row whose solve LAPACK rejects raises the LinAlgError, as it does alone; the rows beside it are unchanged."""
     rng = np.random.default_rng(5)
     part = semisimple_instance([2], 1, rng)
     alg = sa.direct_sum(part, sa.nilpotent_line())
     assert not alg.is_unital()  # so every right projection goes to the solver
     rows = [alg.element(np.append(sa.random_element(part, rng).coeffs, 0.0)) for _ in range(4)]
-    clean = spectral.right_projections(rows)
+    clean = list(spectral.right_projections(rows))
     h = spectral._selfadjoint_part(rows[2].star() * rows[2])  # the solver's input for RP(rows[2])
     bad = alg.left_mat(h.coeffs)  # its L_h
     eigvals = np.linalg.eigvals
@@ -504,50 +532,78 @@ def test_a_row_lapack_rejects_fails_alone(monkeypatch):
         return eigvals(m)
 
     monkeypatch.setattr(np.linalg, "eigvals", picky)
-    out = spectral.right_projections(rows)
-    assert isinstance(out[2], np.linalg.LinAlgError) and str(out[2]) == "Eigenvalues did not converge"
+    out = _outcomes(rows)
+    assert out[2] == (np.linalg.LinAlgError, "Eigenvalues did not converge")
     with pytest.raises(np.linalg.LinAlgError):
         sa.spectral_decompose(h)
-    with pytest.raises(np.linalg.LinAlgError):
-        sa.right_projection(rows[2])
+    for a, got in zip(rows, out):
+        _assert_bit_equal(got, _outcome(lambda: sa.right_projection(a)))
     for i in (0, 1, 3):
         _assert_bit_equal(out[i], clean[i])
 
 
 def test_right_projections_match_one_at_a_time():
+    """Each row's outcome in its stack is ``right_projection`` of it alone: the same bits, or the same error."""
     for rows in _mixed_stacks():
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = spectral.right_projections(rows)
-            alone = [spectral.right_projections([a])[0] for a in rows]
+            stacked = _outcomes(rows)
+            alone = [_outcome(lambda: sa.right_projection(a)) for a in rows]
+        assert any(isinstance(e, tuple) for e in stacked)
         for got, ref in zip(stacked, alone):
             _assert_bit_equal(got, ref)
 
 
 def test_the_memo_stores_each_success_once_and_no_failure(monkeypatch):
-    """On M2 + swap_mutant(1) the pass publishes each row it solved once, and none that failed."""
-    alg = sa.direct_sum(sa.matrix_algebra(2), swap_mutant(1))
+    """On M2 + swap_mutant(1) the pass publishes each success before its first failure once, and
+    nothing from that failure on; a later call solves the rest."""
+    def make():
+        return sa.direct_sum(sa.matrix_algebra(2), swap_mutant(1))
+
+    alg = make()
     seen = []
     ask = rickart.right_projections
 
     def asking(xs, tol):
-        seen.append((xs, ask(xs, tol)))
-        return seen[-1][1]
+        seen.append(xs)
+        return ask(xs, tol)
 
     monkeypatch.setattr(rickart, "right_projections", asking)
     assert not sa.check_weakly_rickart(alg).passed
-    [(rows, out)] = seen
-    ok = {a.coeffs.tobytes(): e for a, e in zip(rows, out) if isinstance(e, sa.Element)}
-    assert 0 < len(ok) < len(rows) == len({a.coeffs.tobytes() for a in rows})
+    [rows] = seen
+    fresh = make()
+    truth = _outcomes([fresh.element(a.coeffs) for a in rows])  # on an algebra no pass ran on
+    first = next(i for i, e in enumerate(truth) if isinstance(e, tuple))
+    assert 0 < first < len(rows) == len({a.coeffs.tobytes() for a in rows})
     table = _published(alg)
-    assert table.keys() == ok.keys() and all(table[key].tobytes() == e.coeffs.tobytes() for key, e in ok.items())
+    assert list(table) == [a.coeffs.tobytes() for a in rows[:first]]
+    assert all(table[a.coeffs.tobytes()].tobytes() == e.coeffs.tobytes() for a, e in zip(rows, truth[:first]))
     solves = _count_solves(monkeypatch)
-    again = spectral.right_projections(rows)
-    assert len(solves) == len(rows) - len(ok)  # one solve for each failure, none for a published row
-    for a, e, f in zip(rows, out, again):
-        if isinstance(e, Exception):
-            assert type(f) is type(e) and str(f) == str(e) and f is not e  # solved again, not stored
-        else:
-            assert f.coeffs.tobytes() == table[a.coeffs.tobytes()].tobytes()
+    again = _outcomes(rows)
+    assert len(solves) == len(rows) - first  # one solve for each row from the failure on, none for a published row
+    for got, ref in zip(again, truth):
+        _assert_bit_equal(got, ref)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: swap_mutant(1), lambda: swap_mutant(2), lambda: swap_mutant(3),
+    lambda: nilpotent_mutant(0), lambda: nilpotent_mutant(1), lambda: nilpotent_mutant(2), lambda: nilpotent_mutant(3),
+], ids=["swap_mutant(1)", "swap_mutant(2)", "swap_mutant(3)",
+        "nilpotent_mutant(0)", "nilpotent_mutant(1)", "nilpotent_mutant(2)", "nilpotent_mutant(3)"])
+def test_the_weakly_rickart_pass_stops_at_its_first_failing_row(monkeypatch, make):
+    """On a non-proper algebra every row goes to the solver, and the pass solves up to the row its report names."""
+    alg = make()
+    solved = []
+    solve = spectral._solved_right_projection
+    monkeypatch.setattr(spectral, "_solved_right_projection", lambda a, tol: solved.append(a) or solve(a, tol))
+    report = sa.check_weakly_rickart(alg)
+    assert not report.passed
+    rng = np.random.default_rng(report.seed)
+    tested = alg.basis() + [sa.random_element(alg, rng) for _ in range(8)]
+    live = [a.coeffs for a in tested if a.norm() > sa.DEFAULT_TOL]
+    failing = np.array([complex(re, im) for re, im in report.witness["element"]])
+    first = next(i for i, row in enumerate(live) if np.array_equal(row, failing))
+    assert len(solved) == first + 1
+    assert all(np.array_equal(a.coeffs, row) for a, row in zip(solved, live))
 
 
 # -- right projections in trace-form coordinates --------------------------------
@@ -583,10 +639,10 @@ def test_trace_form_rows_match_one_at_a_time_and_the_solver(monkeypatch, make):
     rows = _rank_deficient_rows(alg, rng)
     refs = [sa.spectral_decompose(spectral._selfadjoint_part(a.star() * a)).projection_sum() for a in rows]
     solves = _count_solves(monkeypatch)
-    stacked = spectral.right_projections(rows)
+    stacked = list(spectral.right_projections(rows))
     assert not solves  # no row went to the solver
     for a, e, ref in zip(rows, stacked, refs):
-        np.testing.assert_array_equal(e.coeffs, spectral.right_projections([a])[0].coeffs)
+        np.testing.assert_array_equal(e.coeffs, spectral.right_projection(a).coeffs)
         assert (e - ref).norm() <= 1e-12 * max(1.0, ref.norm())
     ranks = [_rank(e) for e in stacked]
     assert ranks == [_rank(ref) for ref in refs] and len(set(ranks)) > 2
@@ -602,8 +658,8 @@ def test_a_projection_that_fixes_a_but_has_the_wrong_trace_falls_back(monkeypatc
     basis = np.linalg.qr(np.column_stack([w_one, np.eye(alg.dim)[:, 1:]]))[0]  # first column along W 1
     lapack = spectral._lapack
 
-    def rotated(fn, mats, errors):
-        out = lapack(fn, mats, errors)
+    def rotated(fn, mats, rejected):
+        out = lapack(fn, mats, rejected)
         if fn is not np.linalg.svd:
             return out
         u, s, vh = out

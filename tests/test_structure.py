@@ -414,6 +414,29 @@ def test_a_radical_witness_is_an_iterated_star_square(m, seed):
     assert a.norm() == pytest.approx(1.0)
 
 
+_DEEP_RADICALS = {
+    "unitize x..x^3": (lambda: sa.unitize(_nilpotent_chain(3)), 3),
+    "unitize x..x^4": (lambda: sa.unitize(_nilpotent_chain(4)), 4),
+    "unitize x..x^5": (lambda: sa.unitize(_nilpotent_chain(5)), 5),
+    "M2 + x..x^4": (lambda: direct_sum(matrix_algebra(2), _nilpotent_chain(4)), 4),
+    "x..x^4": (lambda: _nilpotent_chain(4), 4),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_DEEP_RADICALS))
+def test_a_radical_of_index_four_or_more_is_hermitian(name, seed):
+    """Valid hermitian input whose radical is nilpotent of index m + 1 >= 4, in a mixed basis.
+
+    In A itself a selfadjoint element's repeated eigenvalue splits by about eps^(1/m), which reads
+    as non-real spectrum; the guard samples A / rad, where sigma_A(b) = sigma_{A/rad}(b + rad)."""
+    make, m = _DEEP_RADICALS[name]
+    alg = _mixed(make(), seed)
+    r = sa.analyze(alg)
+    assert not r.proper and r.hermitian and not r.semisimple and r.radical_dim == m
+    assert sa.check_hermitian(alg).worst_residual <= certificate_bound(sa.DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("s2", [1.0, 1e2, 1e3, 1e4])
 def test_the_cstar_norm_is_certified_on_a_badly_scaled_basis(s2, seed):
