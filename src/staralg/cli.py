@@ -3,7 +3,7 @@
 Exit codes: 0 coherent report, 1 file/parse error, input too large to
 allocate, or a result that cannot be certified (such as IllConditioned),
 2 validation failure or a failed check, 3 internal inconsistency among checks
-that must agree.
+that must agree (so check --property baer exits 3, not 2, when its guard fails).
 """
 
 import argparse

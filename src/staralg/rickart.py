@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
-from .errors import DecompositionFailed, NotARightIdeal
+from .errors import DecompositionFailed, InternalInconsistency, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, nullspace, require, require_each,
                      subspaces_equal)
 from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
@@ -199,19 +199,19 @@ def _weakly_rickart_pass(algebra, tol, seed):
     return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
 
 
-def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples=8,
-               singleton_limit=None):
-    """Baer check: unital + weakly Rickart, plus randomized direct witnesses.
+def check_baer(algebra, tol=DEFAULT_TOL, seed=0):
+    """Baer check: unital + weakly Rickart, plus a fixed guard that raises on disagreement.
 
     In finite dimension the projection lattice of a Rickart *-algebra is
     automatically complete, so the reduction to 'unital and weakly Rickart'
     is exact. The weakly-Rickart part is ``check_weakly_rickart``, so it
     reuses the cached pass when one ran at the same (tol, seed).
-    Implementation guard: the sampled annihilator-generator witnesses check
-    the code, not the theorem.
-
-    The guard's RP(e_i) are the right projections the weakly-Rickart pass
-    published (see ``staralg.spectral``); only its other inputs are solved.
+    Implementation guard, checking the code, not the theorem: the right
+    annihilators of min(4, n(n-1)/2) basis pairs and 2 random subsets must
+    have projection generators, else InternalInconsistency. No singleton {a}
+    is sampled: the pass certified a RP(a) = a and L_RP(a) = 0 on ker L_a, so
+    ann_r({a}) = (1 - RP(a))A. The pairs' RP(e_i) are the pass's (see
+    ``staralg.spectral``).
     """
     rng = np.random.default_rng(seed)
     if not algebra.is_unital(tol):
@@ -222,21 +222,22 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0, pair_samples=32, subset_samples
                            witness={"reason": "not weakly Rickart", "inner": wr.witness})
 
     n = algebra.dim
-    singles = algebra.basis()
-    if singleton_limit is not None:
-        singles = singles[:singleton_limit]
-    subsets = [[s] for s in singles]
-    pair_pool = min(pair_samples, n * (n - 1) // 2 if n > 1 else 0)
-    for _ in range(pair_pool):
+    subsets = []
+    for _ in range(min(4, n * (n - 1) // 2)):
         i, j = rng.choice(n, size=2, replace=False)
         subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
-    for _ in range(subset_samples):
+    for _ in range(2):
         k = int(rng.integers(1, n + 1))
         subsets.append([random_element(algebra, rng) for _ in range(k)])
 
     failures = sum(not annihilator(s, tol).is_principal_projection_ideal for s in subsets)
-    return CheckReport("baer", failures == 0, wr.worst_residual, seed,
-                       details={"witness_subsets": len(subsets), "generator_failures": failures})
+    if failures:
+        raise InternalInconsistency(
+            f"unital and weakly Rickart, but {failures} of {len(subsets)} "
+            "sampled annihilators have no projection generator"
+        )
+    return CheckReport("baer", True, wr.worst_residual, seed,
+                       details={"witness_subsets": len(subsets), "generator_failures": 0})
 
 
 def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):
@@ -248,10 +249,7 @@ def orthogonal_family(algebra, seed=0, tol=DEFAULT_TOL):
     this exactly.
     """
     rng = np.random.default_rng(seed)
-    unit = algebra.unit_vector(tol)
-    if unit is None:
-        raise NotARightIdeal("orthogonal family builder needs a unital algebra")
-    one = Element(algebra, unit)
+    one = algebra.one(tol)
     family = []
     total = algebra.zero()
     for _ in range(4 * algebra.dim):

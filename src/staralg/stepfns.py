@@ -352,5 +352,8 @@ def step_to_coeffs(f):
 
 
 def coeffs_to_step(backend, coeffs):
+    """The finite-backend step function with these point-mass coefficients, one per point."""
+    if len(coeffs) != backend.n:
+        raise MalformedInput(f"{len(coeffs)} coefficients for a universe of {backend.n} points")
     cells = [(backend.subset([i]), ExactComplex.of(complex(z))) for i, z in enumerate(coeffs)]
     return StepFunction(backend, _normalize(backend, cells))

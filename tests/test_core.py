@@ -42,6 +42,7 @@ def test_public_names_carry_only_used_options():
 
     assert params(sa.annihilator) == ["elements", "tol"]
     assert params(sa.check_weakly_rickart) == ["algebra", "tol", "seed"]
+    assert params(sa.check_baer) == ["algebra", "tol", "seed"]
     assert params(sa.sf_indicator) == ["backend", "subset"]
     assert params(swap_mutant) == ["pairs"]
     for name in ("swap_algebra", "sf_sub"):

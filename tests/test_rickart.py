@@ -182,6 +182,27 @@ def test_check_baer_scrambled_semisimple():
     assert report.passed
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(3),
+    lambda: sa.build_group_algebra(sa.symmetric_group_3()),
+    lambda: semisimple_instance([2, 2], 1, np.random.default_rng(1)),
+], ids=["M3", "C[S3]", "scrambled [2,2]+1"])
+def test_a_basis_singleton_annihilator_is_generated_by_one_minus_its_rp(make):
+    """What the Baer guard no longer samples: ann_r({e_i}) = (1 - RP(e_i))A, as the weakly-Rickart pass proves."""
+    alg = make()
+    assert sa.check_weakly_rickart(alg).passed
+    one = alg.one()
+    for e in alg.basis():
+        ann = sa.annihilator([e])
+        assert ann.is_principal_projection_ideal
+        assert (ann.generator - (one - sa.right_projection(e))).norm() <= 1e-8
+
+
+def test_orthogonal_family_needs_a_unit():
+    with pytest.raises(sa.MalformedInput, match="algebra has no unit"):
+        orthogonal_family(sa.nilpotent_line())
+
+
 def test_orthogonal_family_bounded_by_dim(m2):
     family = orthogonal_family(m2, seed=0)
     assert len(family) <= m2.dim

@@ -312,7 +312,7 @@ def _basis_rows(alg):
     lambda: sa.build_group_algebra(sa.symmetric_group_3()),
 ], ids=["M3", "C[S3]"])
 def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    """The pass solves each basis row once; the guard's singletons and pairs read them from its table."""
+    """The pass solves each basis row once; the guard's pairs read them from its table."""
     alg = make()
     asked, solved = _record_right_projections(monkeypatch)
     sa.analyze(alg)
@@ -320,7 +320,7 @@ def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
     every = [row for name in _PHASES for row in solved[name]]
     assert Counter(row for row in every if row in basis) == Counter(basis)
     assert basis <= set(solved["pass"])
-    assert len(basis & set(asked["guard"])) >= 3  # the singletons e_0, e_1, e_2, and the pairs
+    assert len(basis & set(asked["guard"])) >= 3  # the pairs' e_i
     assert not basis & set(solved["guard"])
 
 
@@ -371,7 +371,7 @@ def test_the_memo_ends_with_its_analyze_call(monkeypatch):
 
 
 def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
-    """The guard's singletons ask for RP(e_i) again; none of its misses repeats one of the pass.
+    """The guard's pairs ask for RP(e_i) again; none of its misses repeats one of the pass.
 
     One row is solved twice on M3. The pairs {E_ab, E_cd} with b != d join RP(E_ab) = E_bb and
     RP(E_cd) as RP(E_bb - E_bb E_dd), an input that equals E_bb but, being computed, has other
@@ -382,7 +382,7 @@ def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
     assert sa.analyze(alg).baer
     basis = _basis_rows(alg)
     assert basis <= set(solved["pass"])
-    assert len(basis & set(asked["guard"])) >= 3  # the guard's singletons e_0, e_1, e_2
+    assert len(basis & set(asked["guard"])) >= 3  # the e_i of the guard's pairs
     assert not set(solved["guard"]) & set(solved["pass"])
     every = Counter(row for name in _PHASES for row in solved[name])
     repeated = [row for row, count in every.items() if count > 1]

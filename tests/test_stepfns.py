@@ -177,6 +177,13 @@ def test_bridge_round_trip():
     assert sf_equal(back, f)
 
 
+@pytest.mark.parametrize("coeffs", [[1, 2], [1, 2, 3, 4]], ids=["short", "long"])
+def test_coeffs_to_step_needs_one_coefficient_per_point(coeffs):
+    """Too few coefficients would leave points outside every cell, and sums on them would be lost."""
+    with pytest.raises(sa.MalformedInput, match=f"{len(coeffs)} coefficients for a universe of 3 points"):
+        coeffs_to_step(FiniteSubsets(3), coeffs)
+
+
 def test_float_pipeline_matches_exact_rp():
     b = FiniteSubsets(4)
     alg = export_finite_backend(b)

@@ -222,18 +222,36 @@ def test_analyze_nilpotent_mutant():
     assert r.radical_dim == 1 and not r.baer
 
 
-def test_analyze_raises_when_the_baer_guard_fails_on_a_baer_algebra(monkeypatch, tmp_path, capsys):
-    """Unital and weakly Rickart is Baer in finite dimension, so a failing guard is an inconsistency."""
+def _no_annihilator_has_a_generator(monkeypatch):
     def non_principal(elements, tol=sa.DEFAULT_TOL):
         return rickart.AnnihilatorResult([], None, False)
 
     monkeypatch.setattr(rickart, "annihilator", non_principal)
-    with pytest.raises(sa.InternalInconsistency, match="9 of 9 sampled annihilators"):
+
+
+def test_analyze_raises_when_the_baer_guard_fails_on_a_baer_algebra(monkeypatch, tmp_path, capsys):
+    """Unital and weakly Rickart is Baer in finite dimension, so a failing guard is an inconsistency."""
+    _no_annihilator_has_a_generator(monkeypatch)
+    with pytest.raises(sa.InternalInconsistency, match="6 of 6 sampled annihilators"):  # 4 pairs, 2 subsets
         sa.analyze(matrix_algebra(2))
     path = tmp_path / "m2.json"
     path.write_text(json.dumps(sa.algebra_to_json(matrix_algebra(2))))
     assert main(["analyze", str(path)]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_baer_raises_when_its_guard_fails_on_a_baer_algebra(monkeypatch, tmp_path, capsys):
+    """A failing guard is no "not Baer" verdict: ``check_baer`` and ``check --property baer`` report an inconsistency."""
+    _no_annihilator_has_a_generator(monkeypatch)
+    with pytest.raises(sa.InternalInconsistency, match="6 of 6 sampled annihilators"):
+        sa.check_baer(matrix_algebra(2))
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps(sa.algebra_to_json(matrix_algebra(2))))
+    assert main(["check", str(path), "--property", "baer"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal inconsistency: unital and weakly Rickart")
+    assert "Traceback" not in captured.err
 
 
 def test_analyze_rejects_malformed():
