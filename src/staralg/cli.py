@@ -15,7 +15,7 @@ import numpy as np
 from .core import DEFAULT_TOL, _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
 from .errors import DecompositionFailed, InternalInconsistency, NotPositive, StarAlgError, ValidationFailed
 from .groups import certify_group_theorem, group_from_json
-from .linalg import sampled_identity_bound
+from .linalg import relative, sampled_identity_bound
 from .rickart import CheckReport, check_baer, check_weakly_rickart
 from .spectral import positive_sqrt, quasi_inverse, spectral_decompose
 from .stepfns import FiniteSubsets, export_finite_backend
@@ -99,10 +99,10 @@ def _identity_residual(prop, a, tol):
     """Relative residual of axa = a, xax = x (regular) or y^2 = a*a (sqrt) at one sample a."""
     if prop == "regular":
         x = quasi_inverse(a, tol)
-        return max((a * x * a - a).norm() / max(1.0, a.norm()), (x * a * x - x).norm() / max(1.0, x.norm()))
+        return max(relative((a * x * a - a).norm(), a.norm()), relative((x * a * x - x).norm(), x.norm()))
     x = a.star() * a
     y = positive_sqrt(x, tol)
-    return (y * y - x).norm() / max(1.0, x.norm())
+    return relative((y * y - x).norm(), x.norm())
 
 
 def _sampled_identity_check(prop, algebra, tol, seed):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import MalformedInput, ParentMismatch
-from .linalg import cluster_points, relative_bound
+from .linalg import cluster_points, negligible, relative, relative_bound
 
 DEFAULT_TOL = 1e-9
 
@@ -111,7 +111,7 @@ class StarAlgebra:
     def unit_vector(self, tol=DEFAULT_TOL):
         """Coefficients of the two-sided unit, or None if the algebra is non-unital."""
         u, res = _cached(self, _unit_solution)
-        return u if res <= tol else None
+        return u if negligible(res, tol) else None
 
     def is_unital(self, tol=DEFAULT_TOL):
         return self.unit_vector(tol) is not None
@@ -294,7 +294,7 @@ def _nearest_integers(traces, scales):
     """The integers nearest the real parts of ``traces``, and each trace's distance from its
     integer relative to max(1, its scale)."""
     ints = np.round(np.real(traces))
-    return ints.astype(int), np.abs(traces - ints) / np.maximum(1.0, scales)
+    return ints.astype(int), relative(np.abs(traces - ints), scales)
 
 
 def _trace_ranks(algebra, zs):

@@ -7,11 +7,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, StarAlgebra, unitize
 from .errors import MalformedInput
-from .linalg import certificate_bound, relative_bound, require_each
-
-
-# the closure check's tolerance: the expansions are exact up to rounding
-_SPAN_TOL = 1e-12
+from .linalg import SPAN_TOL, certificate_bound, relative_bound, require_each
 
 
 def from_matrix_basis(mats):
@@ -29,7 +25,7 @@ def from_matrix_basis(mats):
         v = stack.reshape(len(stack), d * d).T
         x, *_ = np.linalg.lstsq(basis, v, rcond=None)
         require_each(np.linalg.norm(basis @ x - v, axis=0),
-                     certificate_bound(_SPAN_TOL) * np.maximum(1.0, np.linalg.norm(v, axis=0)),
+                     certificate_bound(SPAN_TOL, np.linalg.norm(v, axis=0)),
                      MalformedInput, "matrix span is not closed under the operation")
         return x
 

@@ -1,29 +1,53 @@
 """Small numerical helpers shared by all modules, and the tolerance policy.
 
 All subspace computations are SVD-based with relative tolerances; bases are
-returned as matrices with orthonormal columns. Every residual bound is one of
-the named functions of ``tol`` below; no other module scales ``tol`` itself.
+returned as matrices with orthonormal columns. Only this module decides what a
+residual is measured against: each bound is a named function of ``tol`` and of
+the size of what it compares, floored at 1 here, and ``negligible`` is the zero
+rule. No other module scales ``tol``, floors a size or compares with ``tol``.
 """
 
 import numpy as np
 
-#: slack factor for kernel/rank based assertions; reported, never hidden
-KAPPA = 1e3
+KAPPA = 1e3  #: slack factor for kernel/rank based assertions; reported, never hidden
+SPAN_TOL = 1e-12  #: for expansions in an exact matrix span, which are exact up to rounding
 
 
-def certificate_bound(tol):
-    """Bound on a certified residual: projection, reconstruction and relation defects."""
-    return tol * KAPPA
+def _floor(size):
+    """max(1, size), elementwise on an array; a scalar NaN reads as 1, as with the builtin max, at less cost."""
+    if isinstance(size, np.ndarray):
+        return np.maximum(1.0, size)
+    return size if size > 1.0 else 1.0
 
 
-def membership_bound(tol):
-    """Bound on a vector's distance to a subspace it must lie in (right ideals, corners)."""
-    return np.sqrt(tol)
+def certificate_bound(tol, size=0.0):
+    """Bound on a certified residual (projection, reconstruction, relation defects): tol KAPPA max(1, size)."""
+    return tol * KAPPA * _floor(size)
+
+
+def membership_bound(tol, size=0.0):
+    """Bound on a vector's distance to a subspace it lies in (right ideals, corners): sqrt(tol) max(1, size)."""
+    return np.sqrt(tol) * _floor(size)
 
 
 def relative_bound(tol, size):
-    """``tol`` relative to a magnitude (a norm, an eigenvalue, a product size), never below ``tol``."""
-    return tol * max(1.0, size)
+    """``tol`` relative to a magnitude (a norm, an eigenvalue, a product size): tol max(1, size)."""
+    return tol * _floor(size)
+
+
+def rounding_bound(tol, size):
+    """certificate_bound(tol) times ``size``, the 2-norm of a matrix in absolute values, unfloored."""
+    return certificate_bound(tol) * size
+
+
+def relative(residual, size):
+    """``residual`` relative to max(1, size), the size of what it compares."""
+    return residual / _floor(size)
+
+
+def negligible(norm, tol):
+    """The zero rule: a norm at most ``tol`` reads as zero (a NaN never does)."""
+    return norm <= tol
 
 
 def significant(values, tol):
@@ -72,29 +96,15 @@ def colspace(mat, tol):
     return u[:, :np.count_nonzero(significant(s, tol))]
 
 
-def subspace_residual(u, v):
-    """Largest norm of a column of `u` after projecting out span(v).
-
-    Both arguments must have orthonormal columns. Zero-column `u` gives 0.
-    """
-    if u.shape[1] == 0:
-        return 0.0
-    res = u - v @ (v.conj().T @ u)
-    return float(np.max(np.linalg.norm(res, axis=0)))
-
-
 def subspaces_equal(u, v, tol):
-    """Tolerance-equality of two subspaces via mutual projection residuals."""
-    if u.shape[1] != v.shape[1]:
-        return False
-    return subspace_residual(u, v) <= tol and subspace_residual(v, u) <= tol
+    """Tolerance-equality of two subspaces, each given by orthonormal columns: every column of either
+    lies within tol of the other's span."""
+    return u.shape[1] == v.shape[1] and all(
+        np.max(np.linalg.norm(x - y @ (y.conj().T @ x), axis=0), initial=0.0) <= tol for x, y in ((u, v), (v, u)))
 
 
 def cluster_points(points, tol):
-    """Greedy merge of complex points closer than tol*max(1, max|point|).
-
-    Returns the list of cluster means, each distinct at the merged scale.
-    """
+    """Cluster means of a greedy merge of complex points closer than relative_bound(tol, max|point|)."""
     pts = list(points)
     if not pts:
         return []

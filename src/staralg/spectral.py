@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _trace_form, _trace_ranks
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
-from .linalg import certificate_bound, cluster_points, relative_bound, require, significant
+from .linalg import certificate_bound, cluster_points, negligible, relative, relative_bound, require, significant
 
 
 @dataclass(frozen=True)
@@ -87,16 +87,15 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     LinAlgError when LAPACK rejects L_b. Every step runs on L_b over A itself.
     """
     parent = b.parent
-    bound = certificate_bound(tol)
     norm = _norms(b.coeffs)
     both = np.array([b.coeffs, parent.star_coeffs(b.coeffs)])
     squares = parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*
     # an overflow or a NaN fails here, before LAPACK sees it
-    normality = float(_norms(squares[1, 0] - squares[0, 1]) / np.maximum(1.0, norm) ** 2)
+    normality = float(relative(_norms(squares[1, 0] - squares[0, 1]), norm ** 2))
     if not np.isfinite(normality):
         raise IllConditioned("the products of the element with its adjoint overflow or are not finite", normality)
-    require(normality, bound, DecompositionFailed, "element is not normal")
-    if norm <= tol:
+    require(normality, certificate_bound(tol), DecompositionFailed, "element is not normal")
+    if negligible(norm, tol):
         return SpectralDecomposition(b, ())
 
     one = parent.unit_vector(tol)
@@ -146,7 +145,7 @@ def _certify(b, ps, lams, tol):
     worst = max(
         _norms(ps - parent.star_coeffs(ps)).max(initial=0.0),
         _norms(pairs).max(initial=0.0),
-        _norms(b.coeffs - total) / max(1.0, _norms(b.coeffs)))
+        relative(_norms(b.coeffs - total), _norms(b.coeffs)))
     require(float(worst), bound, DecompositionFailed,
             "decomposition certificates fail; the involution is likely not proper")
 
@@ -203,10 +202,9 @@ def right_projections(xs, tol=DEFAULT_TOL):
         return
     parent = xs[0].parent
     table = parent._cache.get((_PUBLISHED_RPS, tol), {})
-    out = []
-    for a in xs:
-        hit = table.get(a.coeffs.tobytes())
-        out.append(Element(parent, hit) if hit is not None else parent.zero() if a.norm() <= tol else None)
+    hits = [table.get(a.coeffs.tobytes()) for a in xs]
+    out = [Element(parent, hit) if hit is not None else parent.zero() if negligible(a.norm(), tol) else None
+           for a, hit in zip(xs, hits)]
     misses = [i for i, e in enumerate(out) if e is None]
     coords = _cached(parent, _trace_coordinates, tol)[2] if misses else None
     if coords is not None and parent.is_unital(tol):
@@ -221,7 +219,7 @@ def right_projections(xs, tol=DEFAULT_TOL):
 def _solved_right_projection(a, tol):
     """RP(a) as the projection sum of the decomposition of a*a, certified by a RP(a) = a."""
     e = spectral_decompose(_selfadjoint_part(a.star() * a), tol).projection_sum()
-    require(float(_norms((a * e - a).coeffs)) / max(1.0, a.norm()), certificate_bound(tol),
+    require(relative(float(_norms((a * e - a).coeffs)), a.norm()), certificate_bound(tol),
             DecompositionFailed, "RP certificate a*RP(a) = a fails")
     return e
 
@@ -236,7 +234,6 @@ def _trace_form_projections(parent, a, coords, tol):
     a e = a hold at certificate_bound and tau . e = r (see ``_trace_ranks``):
     rank L_e = rank L_a together with a e = a gives ker L_a = ker L_e."""
     w, w_inv = coords
-    bound = certificate_bound(tol)
     rejected = np.zeros(len(a), dtype=bool)
     _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, rejected)
     ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
@@ -245,9 +242,9 @@ def _trace_form_projections(parent, a, coords, tol):
     worst = np.maximum(np.maximum(
         _norms(e - _rowwise(parent.star_coeffs, e)),
         _norms(_rowwise(parent.row_products, e, e) - e)),
-        _norms(_rowwise(parent.row_products, a, e) - a) / np.maximum(1.0, _norms(a)))
+        relative(_norms(_rowwise(parent.row_products, a, e) - a), _norms(a)))
     traced, off = _trace_ranks(parent, e)
-    ok = (np.maximum(worst, off) <= bound) & (traced == ranks) & ~rejected
+    ok = (np.maximum(worst, off) <= certificate_bound(tol)) & (traced == ranks) & ~rejected
     return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
 
 
@@ -262,35 +259,36 @@ def left_projection(a, tol=DEFAULT_TOL):
 
 def quasi_inverse(a, tol=DEFAULT_TOL):
     """x with axa = a (and xax = x for this construction)."""
-    if a.norm() <= tol:
+    if negligible(a.norm(), tol):
         return a.parent.zero()
     dec = spectral_decompose(_selfadjoint_part(a.star() * a), tol)
     x = dec.map_values(lambda lam: 1.0 / lam) * a.star()
-    res = (a * x * a - a).norm() / max(1.0, a.norm())
+    res = relative((a * x * a - a).norm(), a.norm())
     require(res, certificate_bound(tol), DecompositionFailed, "quasi-inverse certificate axa = a fails")
     return x
 
 
 def positive_sqrt(x, tol=DEFAULT_TOL):
     """The positive y with y^2 = x, inside the subalgebra generated by x."""
-    scale = max(1.0, x.norm())
-    require((x - x.star()).norm() / scale, certificate_bound(tol), NotPositive, "element is not selfadjoint")
-    if x.norm() <= tol:
+    size = x.norm()
+    require(relative((x - x.star()).norm(), size), certificate_bound(tol), NotPositive,
+            "element is not selfadjoint")
+    if negligible(size, tol):
         return x.parent.zero()
     dec = spectral_decompose(_selfadjoint_part(x), tol)
-    bound = certificate_bound(tol) * max(1.0, max((abs(l) for l, _ in dec.terms), default=0.0))
+    bound = certificate_bound(tol, max((abs(l) for l, _ in dec.terms), default=0.0))
     for lam, _ in dec.terms:
         if abs(lam.imag) > bound or lam.real < -bound:
             raise NotPositive(f"negative/complex spectral value {lam}")
     y = dec.map_values(lambda lam: np.sqrt(max(lam.real, 0.0)))
-    res = (y * y - x).norm() / scale
+    res = relative((y * y - x).norm(), size)
     require(res, certificate_bound(tol), DecompositionFailed, "square-root certificate y^2 = x fails")
     return y
 
 
 def ep_witness(a, tol=DEFAULT_TOL):
     """Selfadjoint w in the subalgebra generated by a*a with (a*a)w^2 = RP(a) != 0."""
-    if a.norm() <= tol:
+    if negligible(a.norm(), tol):
         raise DegenerateInput("EP witness undefined for the zero element")
     h = _selfadjoint_part(a.star() * a)
     dec = spectral_decompose(h, tol)
@@ -303,7 +301,7 @@ def ep_witness(a, tol=DEFAULT_TOL):
     w = dec.map_values(lambda lam: 1.0 / np.sqrt(lam.real))
     proj = h * w * w
     res = (proj - dec.projection_sum()).norm()
-    require(res, certificate_bound(tol) * max(1.0, proj.norm()), DecompositionFailed,
+    require(res, certificate_bound(tol, proj.norm()), DecompositionFailed,
             "EP witness certificate (a*a)w^2 = RP(a) fails")
     return w
 
@@ -349,6 +347,6 @@ def cstar_norm(a, tol=DEFAULT_TOL):
     pi = w @ a.lmat() @ w_inv
     square = pi.conj().T @ pi
     lam = float(np.linalg.eigh(square)[0][-1])
-    require(float(np.linalg.norm(square - w @ (a.star() * a).lmat() @ w_inv)) / max(1.0, lam),
+    require(relative(float(np.linalg.norm(square - w @ (a.star() * a).lmat() @ w_inv)), lam),
             certificate_bound(tol), IllConditioned, "pi(a)^H pi(a) is not pi(a*a) in trace-form coordinates")
     return float(np.sqrt(lam))

@@ -334,17 +334,22 @@ def sf_sup_norm(f):
 
 # -- bridge to the structure-constant world -----------------------------------
 
-def export_finite_backend(backend):
-    """The finite-backend algebra as structure constants (point-mass basis)."""
+def _point_count(backend):
+    """The number of points of a finite backend; MalformedInput for any other backend."""
     if not isinstance(backend, FiniteSubsets):
         raise MalformedInput("only finite backends export to structure constants")
-    return diagonal_algebra(backend.n)
+    return backend.n
+
+
+def export_finite_backend(backend):
+    """The finite-backend algebra as structure constants (point-mass basis)."""
+    return diagonal_algebra(_point_count(backend))
 
 
 def step_to_coeffs(f):
     """Coefficients of a finite-backend step function in the point-mass basis."""
     b = f.backend
-    out = np.zeros(b.n, dtype=complex)
+    out = np.zeros(_point_count(b), dtype=complex)
     for s, v in f.cells:
         for i in b.points(s):
             out[i] = v.to_complex()
@@ -353,7 +358,7 @@ def step_to_coeffs(f):
 
 def coeffs_to_step(backend, coeffs):
     """The finite-backend step function with these point-mass coefficients, one per point."""
-    if len(coeffs) != backend.n:
+    if len(coeffs) != _point_count(backend):
         raise MalformedInput(f"{len(coeffs)} coefficients for a universe of {backend.n} points")
     cells = [(backend.subset([i]), ExactComplex.of(complex(z))) for i, z in enumerate(coeffs)]
     return StepFunction(backend, _normalize(backend, cells))

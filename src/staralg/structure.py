@@ -28,7 +28,8 @@ from .errors import (
     InternalInconsistency,
     ValidationFailed,
 )
-from .linalg import certificate_bound, colspace, membership_bound, nullspace, require, significant
+from .linalg import (certificate_bound, colspace, membership_bound, negligible, nullspace, relative, require,
+                     rounding_bound, significant)
 from .rickart import CheckReport, check_baer, check_weakly_rickart, is_projection
 from .spectral import _trace_coordinates, spectral_decompose
 
@@ -50,8 +51,8 @@ def _radical(algebra, tol):
     rows = nullspace(_cached(algebra, _trace_form), tol).T
     for x in rows:
         m = algebra.left_mat(x)
-        s = max(1.0, float(np.linalg.norm(m, 2)))
-        require(float(np.linalg.norm(np.linalg.matrix_power(m / s, algebra.dim), 2)), certificate_bound(tol),
+        m = relative(m, float(np.linalg.norm(m, 2)))
+        require(float(np.linalg.norm(np.linalg.matrix_power(m, algebra.dim), 2)), certificate_bound(tol),
                 InternalInconsistency, "trace-form kernel element is not nilpotent")
     return rows
 
@@ -81,8 +82,8 @@ def _check_proper(algebra, tol, seed):
     basis = np.eye(n, dtype=complex)
 
     if passed:
-        samples = [random_element(algebra, rng).coeffs for _ in range(8)]
-        if np.any(np.linalg.norm(_star_squares(algebra, np.vstack([basis, samples]), tol)[1], axis=1) <= tol):
+        samples = np.vstack([basis, [random_element(algebra, rng).coeffs for _ in range(8)]])
+        if negligible(np.linalg.norm(_star_squares(algebra, samples, tol)[1], axis=1), tol).any():
             raise InternalInconsistency("positive definite trace form but a*a = 0 witness found")
         return CheckReport("proper", True, 0.0, seed, details=details)
 
@@ -105,7 +106,7 @@ def _check_proper(algebra, tol, seed):
         # G in absolute values, |star|^T |F|, bounds how far rounding can move G's eigenvalues
         c = np.abs(algebra._times_basis(basis))
         gram_abs = np.abs(algebra.star).T @ c.reshape(n, -1) @ c.transpose(0, 2, 1).reshape(n, -1).T
-        if not -evals[0] > certificate_bound(tol) * np.linalg.norm(gram_abs, 2):
+        if not -evals[0] > rounding_bound(tol, np.linalg.norm(gram_abs, 2)):
             raise IllConditioned("the trace form is not clearly indefinite, and no witness has a*a = 0",
                                  float(scores[best]))
         witness["certified"] = False
@@ -114,7 +115,7 @@ def _check_proper(algebra, tol, seed):
 
 def _star_squares(algebra, vs, tol):
     """The rows a of vs with norm above tol, normalised, and a*a for each."""
-    vs = vs[np.linalg.norm(vs, axis=1) > tol]
+    vs = vs[~negligible(np.linalg.norm(vs, axis=1), tol)]
     vs = vs / np.linalg.norm(vs, axis=1, keepdims=True)
     return vs, (algebra.left_mat(algebra.star_coeffs(vs)) @ vs[:, :, None])[..., 0]
 
@@ -152,9 +153,8 @@ def check_hermitian(algebra, tol=DEFAULT_TOL, seed=0):
     rng = np.random.default_rng(seed)
     worst_imag = 0.0
     for _ in range(6 if quotient is not None else 0):
-        sp = spectrum(random_selfadjoint(quotient, rng), tol)
-        scale = max(1.0, max(abs(p) for p in sp.points))
-        worst_imag = max(worst_imag, max(abs(p.imag) for p in sp.points) / scale)
+        points = spectrum(random_selfadjoint(quotient, rng), tol).points
+        worst_imag = max(worst_imag, relative(max(abs(p.imag) for p in points), max(map(abs, points))))
     spectra_real = worst_imag <= certificate_bound(tol)
     passed = inner.passed and spectra_real
     if inner.passed != spectra_real:
@@ -233,11 +233,9 @@ def _central_atoms(algebra, tol, seed):
         # has a certified decomposition: a failed one is a conditioning failure
         raise IllConditioned("a central split fails its decomposition certificates", exc.residual) from exc
 
-    total = algebra.zero()
-    for z in atoms:
-        total = total + z
     bound = certificate_bound(tol)
-    require((total - one).norm(), bound, InternalInconsistency, "central atoms do not sum to the unit")
+    require((sum(atoms, algebra.zero()) - one).norm(), bound, InternalInconsistency,
+            "central atoms do not sum to the unit")
     zs = np.array([z.coeffs for z in atoms])
     cross = np.linalg.norm(algebra.products(zs, zs), axis=-1)[~np.eye(len(atoms), dtype=bool)]
     require(float(np.max(cross, initial=0.0)), bound, InternalInconsistency,
@@ -288,10 +286,7 @@ def abelian_split(algebra, tol=DEFAULT_TOL, seed=0):
     count cross-checks them.
     """
     dec = central_atoms(algebra, tol, seed)
-    h = algebra.zero()
-    for z, dim in zip(dec.atoms, dec.block_dims):
-        if dim == 1:
-            h = h + z
+    h = sum((z for z, dim in zip(dec.atoms, dec.block_dims) if dim == 1), algebra.zero())
     return h, colspace(h.lmat(), tol).shape[1]
 
 
@@ -341,9 +336,8 @@ def _integer_dims(rounded, tol):
 
     Raises IllConditioned unless each trace lies within certificate_bound(tol) of its integer."""
     ints, off = rounded
-    worst = float(np.max(off, initial=0.0))
-    if not worst <= certificate_bound(tol):
-        raise IllConditioned("the trace of the projection is not an integer rank", worst)
+    require(float(np.max(off, initial=0.0)), certificate_bound(tol), IllConditioned,
+            "the trace of the projection is not an integer rank")
     return ints
 
 
@@ -384,7 +378,7 @@ def _matrix_units_once(atom, dim, tol, rng):
         s = x.star() * x                      # a positive multiple of e_p
         ep = projections[p]
         t = complex(np.vdot(ep.coeffs, s.coeffs) / np.vdot(ep.coeffs, ep.coeffs))
-        if t.real <= tol or (s - t.real * ep).norm() > membership_bound(tol) * max(1.0, abs(t)):
+        if negligible(t.real, tol) or (s - t.real * ep).norm() > membership_bound(tol, abs(t)):
             raise DegenerateRandomness("corner element is not a scalar multiple of the atom")
         row.append((1.0 / np.sqrt(t.real)) * x)
 
@@ -461,7 +455,7 @@ def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     isomorphisms = []
     abelian_atoms = []
     if baer:
-        residuals["baer_generator_failures"] = check_baer(algebra, tol, seed).details["generator_failures"]
+        check_baer(algebra, tol, seed)  # its guard raises InternalInconsistency on disagreement
         dec = central_atoms(algebra, tol, seed)
         h, abelian_dim = abelian_split(algebra, tol, seed)
         h_json = _coeffs_json(h.coeffs)

@@ -527,6 +527,57 @@ def test_the_cut_off_is_decided_in_linalg():
     assert others <= calls
 
 
+def _called(call):
+    """The name of the function or method a call node calls."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+
+
+def _is_bound(node, bound_names):
+    """A call of a linalg ``*_bound`` function, or a name assigned one in the same module."""
+    if isinstance(node, ast.Call):
+        return _called(node).endswith("_bound")
+    return isinstance(node, ast.Name) and node.id in bound_names
+
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1.0
+
+
+def _scale_decisions(tree):
+    """``(line, what)`` of each floor at 1.0, scaled bound, and comparison or arithmetic with bare ``tol``."""
+    bound_names = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign) and _is_bound(node.value, ())
+                   for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if _called(node) in ("max", "maximum") and any(_is_one(a) for a in node.args):
+                yield node.lineno, f"{_called(node)}(1.0, ...) floor"
+        elif isinstance(node, ast.BinOp):
+            operands = (node.left, node.right)
+            if isinstance(node.op, (ast.Mult, ast.Div)) and any(_is_bound(x, bound_names) for x in operands):
+                yield node.lineno, "a bound scaled at its call site"
+            if any(isinstance(x, ast.Name) and x.id == "tol" for x in operands):
+                yield node.lineno, "arithmetic on bare tol"
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Name) and x.id == "tol" for x in operands):
+                yield node.lineno, "a comparison with bare tol"
+            if any(_is_one(x) for x in operands):
+                yield node.lineno, "a comparison with 1.0 floor"
+
+
+def test_the_tolerance_policy_lives_in_linalg():
+    """Only ``linalg`` floors a size at 1, scales a bound or ``tol``, or compares a norm with ``tol``: every
+    other module passes the residual and the size of what it compares to a ``linalg`` function."""
+    hits = [f"{path.name}:{lineno}: {what}" for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+            if path.name != "linalg.py" for lineno, what in _scale_decisions(ast.parse(path.read_text()))]
+    assert not hits, "a scale decided outside linalg:\n" + "\n".join(hits)
+    # the detector sees each kind of decision it forbids
+    probe = "max(1.0, s); np.maximum(1.0, s); b = certificate_bound(tol); b * s; s <= tol; tol * s; s > 1.0"
+    assert {what for _, what in _scale_decisions(ast.parse(probe))} == {
+        "max(1.0, ...) floor", "maximum(1.0, ...) floor", "a bound scaled at its call site",
+        "a comparison with bare tol", "arithmetic on bare tol", "a comparison with 1.0 floor"}
+
+
 def test_the_gram_matrix_is_factored_in_one_place():
     """Only ``_trace_coordinates`` reads ``_gram_matrix``; ``check_proper`` and ``cstar_norm`` read its factors."""
     found = {(path, name) for path, name, _, _ in _package_references({"_gram_matrix"})}

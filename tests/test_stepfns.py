@@ -184,6 +184,17 @@ def test_coeffs_to_step_needs_one_coefficient_per_point(coeffs):
         coeffs_to_step(FiniteSubsets(3), coeffs)
 
 
+@pytest.mark.parametrize("convert", [
+    pytest.param(lambda u: coeffs_to_step(u, [1]), id="coeffs_to_step"),
+    pytest.param(lambda u: step_to_coeffs(sf_constant(u, 1)), id="step_to_coeffs"),
+    pytest.param(export_finite_backend, id="export_finite_backend"),
+])
+def test_only_finite_backends_convert_to_coefficients(convert):
+    """An ultimately periodic backend has no point-mass basis: each bridge raises MalformedInput."""
+    with pytest.raises(sa.MalformedInput, match="only finite backends"):
+        convert(UltimatelyPeriodicSets())
+
+
 def test_float_pipeline_matches_exact_rp():
     b = FiniteSubsets(4)
     alg = export_finite_backend(b)

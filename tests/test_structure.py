@@ -347,6 +347,56 @@ def test_a_negative_properness_verdict_needs_a_certified_witness(s2, seed, tmp_p
     assert "no witness" in capsys.readouterr().err
 
 
+# name: (construction, its non-abelian blocks, its abelian dimension)
+_SCALED = {
+    "M2": (lambda: matrix_algebra(2), [2], 0),
+    "M3": (lambda: matrix_algebra(3), [3], 0),
+    "[2, 2] + 1": (lambda: semisimple_instance([2, 2], 1, np.random.default_rng(1)), [2, 2], 1),
+}
+_WRONG_REPORT = pytest.mark.xfail(
+    raises=AssertionError,
+    reason="a wrong report with exit 0: proper=False, semisimple=False, radical_dim = dim, as the "
+           "trace form's eigenvalues (about c^2) fall below the absolute cut-off")
+_INCONSISTENT = pytest.mark.xfail(
+    raises=sa.InternalInconsistency,
+    reason="InternalInconsistency: check_proper passes, but a right projection of norm about 1/c misses "
+           "the absolute certificate_bound, so the weakly-Rickart pass fails")
+_DEGENERATE = pytest.mark.xfail(
+    raises=sa.DegenerateRandomness,
+    reason="DegenerateRandomness: projections of norm about 1/c fail the absolute zero-projection test")
+
+
+def _scaled_cases():
+    for name in _SCALED:
+        for c in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8):
+            marks = (_WRONG_REPORT if c < 1e-5 else _INCONSISTENT if c == 1e-4
+                     else _DEGENERATE if c == 1e8 and name != "[2, 2] + 1" else ())
+            yield pytest.param(name, c, marks=marks, id=f"{name}-{c:g}")
+
+
+@pytest.mark.parametrize("name, c", _scaled_cases())
+def test_scaled_constants_give_the_construction_or_ill_conditioned(name, c, tmp_path, capsys):
+    """StarAlgebra(b.mul * c, b.star) is a valid *-isomorphic copy of b: analyze and the CLI must
+    report b's structure, or refuse with IllConditioned (exit 1)."""
+    make, blocks, abelian_dim = _SCALED[name]
+    b = make()
+    alg = sa.StarAlgebra(b.mul * c, b.star)
+    try:
+        r = sa.analyze(alg)
+    except sa.IllConditioned:
+        refused = True
+    else:
+        refused = False
+        got = (r.proper, r.hermitian, r.semisimple, r.radical_dim, r.weakly_rickart, r.baer)
+        assert got == (True, True, True, 0, True, True)
+        assert (sorted(r.block_sizes_nonabelian), r.abelian_dim) == (blocks, abelian_dim)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(sa.algebra_to_json(alg)))
+    assert main(["analyze", str(path)]) == (1 if refused else 0)
+    if not refused:
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(r.to_dict()))
+
+
 def _rebased(alg, p):
     """alg in the basis f_a = sum_i p[i, a] e_i."""
     p_inv = np.linalg.inv(p)
