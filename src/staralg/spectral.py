@@ -134,11 +134,13 @@ def _certify(b, ps, lams, tol):
 
     Each projection (a row of ps) must be nonzero and selfadjoint, the
     projections idempotent and pairwise orthogonal, and the sum must give b,
-    all within certificate_bound(tol)."""
+    all within certificate_bound(tol). A zero projection's residual is the
+    smallest projection norm, the one at or under the bound."""
     parent = b.parent
     bound = certificate_bound(tol)
-    if (_norms(ps) <= bound).any():
-        raise DecompositionFailed("zero projection in decomposition")
+    norms = _norms(ps)
+    if (norms <= bound).any():
+        raise DecompositionFailed("zero projection in decomposition", float(np.nanmin(norms)))
     # [i, j, :] = p_i p_j - delta_ij p_i
     pairs = parent.products(ps, ps) - np.eye(len(ps))[:, :, None] * ps
     total = (ps * lams[:, None]).sum(axis=0)

@@ -1,9 +1,12 @@
-"""Commutative Baer model: step functions over a pluggable Boolean set-algebra.
+"""Commutative Baer model: step functions over the subsets of a finite set.
 
-Values are exact complex rationals, so this module has zero numerical error
-and serves as the oracle for the floating-point pipeline on commutative
-instances. Two backends: finite subsets of {0..n-1} as bitmasks, and
-ultimately periodic subsets of the naturals (genuinely infinite-dimensional).
+In the paper the commutative summand is spanned by the characteristic
+functions of the clopen sets of a Stonean space; for a finite-dimensional
+algebra that space is the discrete set {0..n-1}, and its clopen sets are the
+bitmasks of ``FiniteSubsets(n)``. Values are exact complex rationals (a float,
+real or complex, is read as the exact binary rational it holds), so this
+module has zero numerical error and serves as the oracle for the
+floating-point pipeline on commutative instances.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ class ExactComplex:
             return value
         try:
             if isinstance(value, complex):
-                return ExactComplex(Fraction(value.real).limit_denominator(10**12),
-                                    Fraction(value.imag).limit_denominator(10**12))
+                return ExactComplex(Fraction(value.real), Fraction(value.imag))
             return ExactComplex(Fraction(value), Fraction(0))
         except (ValueError, OverflowError) as exc:
             raise MalformedInput(f"value {value!r} is not a finite number") from exc
@@ -63,10 +65,10 @@ ZERO = ExactComplex(Fraction(0), Fraction(0))
 ONE = ExactComplex(Fraction(1), Fraction(0))
 
 
-# -- backends -----------------------------------------------------------------
+# -- the set algebra ----------------------------------------------------------
 
 class FiniteSubsets:
-    """Subsets of {0..n-1} as integer bitmasks."""
+    """Subsets of {0..n-1} as integer bitmasks: & meets, | joins, 0 is the empty set."""
 
     def __init__(self, n):
         if n < 1:
@@ -74,23 +76,8 @@ class FiniteSubsets:
         self.n = n
         self.universe = (1 << n) - 1
 
-    def empty(self):
-        return 0
-
     def complement(self, s):
         return self.universe & ~s
-
-    def intersect(self, a, b):
-        return a & b
-
-    def union(self, a, b):
-        return a | b
-
-    def is_empty(self, s):
-        return s == 0
-
-    def equal(self, a, b):
-        return a == b
 
     def subset(self, members):
         s = 0
@@ -104,161 +91,58 @@ class FiniteSubsets:
         return [i for i in range(self.n) if (s >> i) & 1]
 
 
-@dataclass(frozen=True)
-class UPSet:
-    """Ultimately periodic subset of N: bits 0..pre_len-1 then a repeating period."""
-    pre: int
-    pre_len: int
-    period: int
-    period_len: int
-
-    def bit(self, i):
-        if i < self.pre_len:
-            return (self.pre >> i) & 1
-        return (self.period >> ((i - self.pre_len) % self.period_len)) & 1
-
-
-def _canonical_upset(pre, pre_len, period, period_len):
-    # minimize the period: smallest divisor whose repetition gives the pattern
-    for d in range(1, period_len + 1):
-        if period_len % d:
-            continue
-        blockmask = (1 << d) - 1
-        block = period & blockmask
-        if all(((period >> (d * t)) & blockmask) == block for t in range(period_len // d)):
-            period, period_len = block, d
-            break
-    # absorb preperiod bits that already follow the periodic pattern
-    while pre_len > 0:
-        last = (pre >> (pre_len - 1)) & 1
-        tail = (period >> (period_len - 1)) & 1
-        if last != tail:
-            break
-        # rotate period right so it starts one step earlier
-        period = ((period << 1) | tail) & ((1 << period_len) - 1)
-        pre_len -= 1
-        pre &= (1 << pre_len) - 1
-    return UPSet(pre, pre_len, period, period_len)
-
-
-class UltimatelyPeriodicSets:
-    """Ultimately periodic subsets of the naturals, exact and infinite-capable.
-
-    Only finite joins and meets are provided. The step-function algebra over
-    this backend is weakly Rickart; we conjecture it is not Baer (its Boolean
-    algebra is not complete), but that claim is not certified computationally.
-    """
-
-    def __init__(self):
-        self.universe = _canonical_upset(0, 0, 1, 1)
-
-    def empty(self):
-        return _canonical_upset(0, 0, 0, 1)
-
-    def from_bits(self, pre_bits, period_bits):
-        pre = sum(1 << i for i, b in enumerate(pre_bits) if b)
-        period = sum(1 << i for i, b in enumerate(period_bits) if b)
-        if not period_bits:
-            raise MalformedInput("period must be non-empty")
-        return _canonical_upset(pre, len(pre_bits), period, len(period_bits))
-
-    def multiples_of(self, n):
-        bits = [1] + [0] * (n - 1)
-        return self.from_bits([], bits)
-
-    def _aligned(self, a, b):
-        pre_len = max(a.pre_len, b.pre_len)
-        period_len = math.lcm(a.period_len, b.period_len)
-
-        def expand(s):
-            pre = sum(s.bit(i) << i for i in range(pre_len))
-            period = sum(s.bit(pre_len + j) << j for j in range(period_len))
-            return pre, period
-
-        return pre_len, period_len, expand(a), expand(b)
-
-    def complement(self, s):
-        pre = (~s.pre) & ((1 << s.pre_len) - 1)
-        period = (~s.period) & ((1 << s.period_len) - 1)
-        return _canonical_upset(pre, s.pre_len, period, s.period_len)
-
-    def intersect(self, a, b):
-        n, p, (pa, qa), (pb, qb) = self._aligned(a, b)
-        return _canonical_upset(pa & pb, n, qa & qb, p)
-
-    def union(self, a, b):
-        n, p, (pa, qa), (pb, qb) = self._aligned(a, b)
-        return _canonical_upset(pa | pb, n, qa | qb, p)
-
-    def is_empty(self, s):
-        return s.pre == 0 and s.period == 0
-
-    def equal(self, a, b):
-        return a == b
-
-
 # -- step functions -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class StepFunction:
-    backend: object
-    cells: tuple  # of (set, ExactComplex); disjoint, covering the universe
+    backend: FiniteSubsets
+    cells: tuple  # of (bitmask, ExactComplex); disjoint, covering the universe
 
     def value_on(self, cell_set):
         """Value on a set known to lie inside a single cell."""
         for s, v in self.cells:
-            if not self.backend.is_empty(self.backend.intersect(s, cell_set)):
+            if s & cell_set:
                 return v
         return ZERO
 
 
-def _normalize(backend, cells):
+def _normalize(cells):
+    """The canonical cells: empty ones dropped, one cell per value, sorted by the exact value."""
     merged = {}
     for s, v in cells:
-        if backend.is_empty(s):
-            continue
-        key = (v.re, v.im)
-        merged[key] = backend.union(merged[key], s) if key in merged else s
-    out = tuple(sorted(
-        ((s, ExactComplex(re, im)) for (re, im), s in merged.items()),
-        key=lambda sv: (float(sv[1].re), float(sv[1].im)),
-    ))
-    return out
+        if s:
+            key = (v.re, v.im)
+            merged[key] = merged.get(key, 0) | s
+    return tuple((s, ExactComplex(re, im)) for (re, im), s in sorted(merged.items()))
 
 
 def step_function(backend, cells):
     """Build a canonical step function; cells must be disjoint and cover."""
     cells = [(s, ExactComplex.of(v)) for s, v in cells]
-    total = backend.empty()
+    total = 0
     for i, (s, _) in enumerate(cells):
         for t, _ in cells[i + 1:]:
-            if not backend.is_empty(backend.intersect(s, t)):
+            if s & t:
                 raise MalformedInput("cells are not pairwise disjoint")
-        total = backend.union(total, s)
-    if not backend.equal(total, backend.universe):
+        total |= s
+    if total != backend.universe:
         raise MalformedInput("cells do not cover the universe")
-    return StepFunction(backend, _normalize(backend, cells))
+    return StepFunction(backend, _normalize(cells))
 
 
 def sf_constant(backend, value):
-    return StepFunction(backend, _normalize(backend, [(backend.universe, ExactComplex.of(value))]))
+    return StepFunction(backend, _normalize([(backend.universe, ExactComplex.of(value))]))
 
 
 def sf_indicator(backend, subset):
-    return StepFunction(backend, _normalize(backend, [(subset, ONE), (backend.complement(subset), ZERO)]))
+    return StepFunction(backend, _normalize([(subset, ONE), (backend.complement(subset), ZERO)]))
 
 
 def _combine(f, g, op):
     if f.backend is not g.backend:
         raise ParentMismatch("step functions over different backends")
-    b = f.backend
-    cells = []
-    for s1, v1 in f.cells:
-        for s2, v2 in g.cells:
-            inter = b.intersect(s1, s2)
-            if not b.is_empty(inter):
-                cells.append((inter, op(v1, v2)))
-    return StepFunction(b, _normalize(b, cells))
+    cells = [(s1 & s2, op(v1, v2)) for s1, v1 in f.cells for s2, v2 in g.cells]
+    return StepFunction(f.backend, _normalize(cells))
 
 
 def sf_add(f, g):
@@ -270,12 +154,12 @@ def sf_mul(f, g):
 
 
 def sf_star(f):
-    return StepFunction(f.backend, _normalize(f.backend, [(s, v.conj()) for s, v in f.cells]))
+    return StepFunction(f.backend, _normalize([(s, v.conj()) for s, v in f.cells]))
 
 
 def sf_scale(lam, f):
     lam = ExactComplex.of(lam)
-    return StepFunction(f.backend, _normalize(f.backend, [(s, lam * v) for s, v in f.cells]))
+    return StepFunction(f.backend, _normalize([(s, lam * v) for s, v in f.cells]))
 
 
 def sf_equal(f, g):
@@ -283,11 +167,10 @@ def sf_equal(f, g):
 
 
 def sf_support(f):
-    b = f.backend
-    supp = b.empty()
+    supp = 0
     for s, v in f.cells:
         if not v.is_zero():
-            supp = b.union(supp, s)
+            supp |= s
     return supp
 
 
@@ -308,7 +191,7 @@ def sf_rp(f):
 def sf_quasi_inverse(f):
     inv = [(s, ZERO if v.is_zero() else _reciprocal(v.conj() * v) * v.conj())
            for s, v in f.cells]
-    return StepFunction(f.backend, _normalize(f.backend, inv))
+    return StepFunction(f.backend, _normalize(inv))
 
 
 def _reciprocal(v):
@@ -323,7 +206,7 @@ def sf_annihilator(fs):
     b = fs[0].backend
     zero = b.universe
     for f in fs:
-        zero = b.intersect(zero, sf_zero_set(f))
+        zero &= sf_zero_set(f)
     return sf_indicator(b, zero)
 
 
@@ -334,22 +217,15 @@ def sf_sup_norm(f):
 
 # -- bridge to the structure-constant world -----------------------------------
 
-def _point_count(backend):
-    """The number of points of a finite backend; MalformedInput for any other backend."""
-    if not isinstance(backend, FiniteSubsets):
-        raise MalformedInput("only finite backends export to structure constants")
-    return backend.n
-
-
 def export_finite_backend(backend):
-    """The finite-backend algebra as structure constants (point-mass basis)."""
-    return diagonal_algebra(_point_count(backend))
+    """The algebra of functions on the backend's points as structure constants (point-mass basis)."""
+    return diagonal_algebra(backend.n)
 
 
 def step_to_coeffs(f):
-    """Coefficients of a finite-backend step function in the point-mass basis."""
+    """Coefficients of a step function in the point-mass basis."""
     b = f.backend
-    out = np.zeros(_point_count(b), dtype=complex)
+    out = np.zeros(b.n, dtype=complex)
     for s, v in f.cells:
         for i in b.points(s):
             out[i] = v.to_complex()
@@ -357,8 +233,8 @@ def step_to_coeffs(f):
 
 
 def coeffs_to_step(backend, coeffs):
-    """The finite-backend step function with these point-mass coefficients, one per point."""
-    if len(coeffs) != _point_count(backend):
+    """The step function with these point-mass coefficients, one per point."""
+    if len(coeffs) != backend.n:
         raise MalformedInput(f"{len(coeffs)} coefficients for a universe of {backend.n} points")
     cells = [(backend.subset([i]), ExactComplex.of(complex(z))) for i, z in enumerate(coeffs)]
-    return StepFunction(backend, _normalize(backend, cells))
+    return StepFunction(backend, _normalize(cells))

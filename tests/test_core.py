@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import staralg as sa
-from staralg import core, groups, spectral, structure
+from staralg import core, groups, spectral, stepfns, structure
 from staralg.core import algebra_from_json, algebra_to_json
 from staralg.instances import swap_mutant
 
@@ -54,6 +54,8 @@ def test_public_names_carry_only_used_options():
     assert [f.name for f in fields(sa.CentralDecomposition)] == ["atoms", "block_dims"]
     assert params(sa.from_matrix_basis) == ["mats"]
     assert params(sa.coeffs_to_step) == ["backend", "coeffs"]
+    for name in ("UltimatelyPeriodicSets", "UPSet", "_point_count"):
+        assert not hasattr(sa, name) and not hasattr(stepfns, name)
     assert not hasattr(sa.Element, "is_zero")
     for name in ("unital_hull", "UnitalHull"):
         assert not hasattr(sa, name) and not hasattr(core, name)

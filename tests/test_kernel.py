@@ -315,6 +315,7 @@ def test_decomposition_certificate_matches_its_loop():
     assert _certificate_failure(good) is None
     zero = _certificate_failure(sa.SpectralDecomposition(e11, ((1.0, e11), (2.0, 0.0 * e22))))
     assert isinstance(zero, sa.DecompositionFailed) and "zero projection" in str(zero)
+    assert zero.residual == 0.0  # the smallest projection norm, not NaN
 
 
 def test_validate_memory_is_cubic():
