@@ -6,8 +6,24 @@ An algebra of dimension n is given by a tensor ``mul`` with
 as ``v -> star @ conj(v)``.
 
 ``mul`` is the input format: only the product kernel, ``_times_basis`` and
-``right_mat``, reads it. Every other site takes the basis products from the
-kernel as ``_times_basis(I)`` or ``products(I, I)``, in ``mul``'s layout.
+``right_mat``, reads it, and ``__post_init__``, once, to choose its storage
+form. Every other site takes the basis products from the kernel as
+``_times_basis(I)`` or ``products(I, I)``, in ``mul``'s layout.
+
+The kernel has two storage forms:
+
+- monomial: every line of ``mul`` along each of its three axes holds at most
+  one nonzero, so each e_i e_j is a scalar times one basis element and each
+  basis element arises from at most one product with a given e_j on either
+  side. Matrix units, group algebras, C^n, the swap and nilpotent mutants and
+  direct sums of these take this form. The kernel is then a gather,
+  coefficient k of x e_j being ``x[src[j, k]] * w[j, k]``, and ``validate``
+  checks associativity on the product table e_i e_j = w[i, j] e_t[i, j];
+- dense: any other ``mul``, including every scrambled basis. The kernel is one
+  matrix product with ``mul`` reshaped to (n, n^2).
+
+On monomial input with real weights both forms give the same coefficients,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +46,8 @@ class StarAlgebra:
     unit: np.ndarray | None = None  # optional coefficient vector, validated not trusted
     labels: tuple[str, ...] | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # the monomial form's gather tables, or None for dense mul; see _monomial_tables
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mul = np.asarray(self.mul, dtype=complex)
@@ -51,6 +69,7 @@ class StarAlgebra:
             raise MalformedInput("mul, star and unit must be finite")
         if self.labels is not None and len(self.labels) != n:
             raise MalformedInput(f"{len(self.labels)} labels for an algebra of dimension {n}")
+        object.__setattr__(self, "_tables", _monomial_tables(self.mul))
 
     @property
     def dim(self):
@@ -81,6 +100,8 @@ class StarAlgebra:
 
     def _times_basis(self, xs):
         """``[..., j, :]`` holds the coefficients of x e_j, for x a vector or each row of a stack."""
+        if self._tables is not None:
+            return _gather(xs, *self._tables[0])
         n = self.dim
         return (xs @ self.mul.reshape(n, n * n)).reshape(np.shape(xs)[:-1] + (n, n))
 
@@ -90,6 +111,8 @@ class StarAlgebra:
 
     def right_mat(self, coeffs):
         """Matrix of x -> x a on coefficient vectors."""
+        if self._tables is not None:
+            return np.swapaxes(_gather(coeffs, *self._tables[1]), -1, -2)
         return np.moveaxis(coeffs @ self.mul, 0, -1)
 
     def star_coeffs(self, coeffs):
@@ -121,6 +144,45 @@ class StarAlgebra:
         if u is None:
             raise MalformedInput("algebra has no unit")
         return Element(self, u)
+
+
+def _monomial_tables(mul):
+    """Gather tables for ``mul`` when every line along each of its three axes holds at most one
+    nonzero, else None. Three (src, w) pairs of (n, n) arrays, each read as ``x[src] * w``:
+
+    - ``[j, k]``: coefficient k of x e_j is ``x[src[j, k]] * w[j, k]``;
+    - ``[i, k]``: coefficient k of e_i x is ``x[src[i, k]] * w[i, k]``;
+    - ``[i, j]``: the product table, e_i e_j = w[i, j] e_src[i, j].
+
+    A line with no nonzero has weight +0.0 and source 0."""
+    n = len(mul)
+    # one flag per entry, set when its real or imaginary part is nonzero (-0.0 is zero): the two
+    # bools of each contiguous (re, im) pair read as one uint16, at a tenth of the cost of mul != 0
+    nonzero = (mul.view(np.float64) != 0).view(np.uint16)
+    if np.count_nonzero(nonzero) > n * n:  # some e_i e_j has two terms
+        return None
+    flat = np.flatnonzero(nonzero.astype(bool))
+    i, j, k = flat // (n * n), flat // n % n, flat % n
+    weights = mul.reshape(-1)[flat]
+    tables = []
+    for line, src in ((j * n + k, i), (i * n + k, j), (i * n + j, k)):
+        if np.bincount(line, minlength=1).max() > 1:
+            return None
+        s, w = np.zeros(n * n, dtype=np.intp), np.zeros(n * n, dtype=complex)
+        s[line], w[line] = src, weights
+        tables.append((s.reshape(n, n), w.reshape(n, n)))
+    return tuple(tables)
+
+
+def _gather(xs, src, w):
+    """``xs[..., src] * w``, C-contiguous as the dense kernel's product is, with +0.0 wherever it
+    is zero, as a sum of products started at zero gives: x * 0 alone can be -0.0."""
+    # the method, as np.take's wrapper costs more than the gather at small n; in place, so that the
+    # gather holds one array of the output's size
+    out = np.asarray(xs, dtype=complex).take(src, axis=-1)
+    out *= w
+    out += 0.0
+    return out
 
 
 def _cached(algebra, fn, *args):
@@ -226,11 +288,14 @@ def validate(algebra, tol=DEFAULT_TOL):
     s = algebra.star
     pairs = c.reshape(n * n, n)  # row (i, j): e_i e_j
     with np.errstate(over="ignore", invalid="ignore"):
-        # (e_i e_j) e_k against e_i (e_j e_k), one n^3 slab [j, k, :] per i; np.max keeps a NaN
-        assoc = float(np.max([
-            np.max(np.abs(algebra._times_basis(c[i]) - (pairs @ c[i]).reshape(n, n, n)))
-            for i in range(n)
-        ]))
+        if algebra._tables is not None:
+            assoc = _table_associativity(*algebra._tables[2])
+        else:
+            # (e_i e_j) e_k against e_i (e_j e_k), one n^3 slab [j, k, :] per i; np.max keeps a NaN
+            assoc = float(np.max([
+                np.max(np.abs(algebra._times_basis(c[i]) - (pairs @ c[i]).reshape(n, n, n)))
+                for i in range(n)
+            ]))
 
         # (e_i)** = e_i : star is antilinear, so applying it twice conjugates
         dstar = float(np.max(np.abs(s @ np.conj(s) - np.eye(n))))
@@ -249,6 +314,19 @@ def validate(algebra, tol=DEFAULT_TOL):
     bound = relative_bound(tol, size * size)
     passed = bool(np.isfinite(bound)) and all(d <= bound for d in (assoc, inv, unit_defect))
     return ValidationReport(algebra.dim, assoc, inv, unit_defect, tol, passed)
+
+
+def _table_associativity(t, w):
+    """The associativity defect on the product table e_i e_j = w[i, j] e_t[i, j], one n^2 slab
+    [j, k] per i. Where both sides land on one basis element it is |L - R|, else max(|L|, |R|):
+    the largest coefficient of their difference, as the dense check measures it."""
+    worst = []
+    for i in range(len(t)):
+        left, left_at = w[i][:, None] * w[t[i]], t[t[i]]  # (e_i e_j) e_k = w[i, j] w[t[i, j], k] e_t[t[i, j], k]
+        right, right_at = w * w[i][t], t[i][t]           # e_i (e_j e_k) = w[j, k] w[i, t[j, k]] e_t[i, t[j, k]]
+        apart = np.maximum(np.abs(left), np.abs(right))
+        worst.append(np.max(np.where(left_at == right_at, np.abs(left - right), apart)))
+    return float(np.max(worst))  # np.max keeps a NaN
 
 
 # -- unitization --------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import ast
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import weakref
@@ -14,7 +17,7 @@ import pytest
 
 import staralg as sa
 from staralg import core, groups, rickart, spectral, structure
-from staralg.instances import nilpotent_mutant, swap_mutant
+from staralg.instances import nilpotent_mutant, swap_mutant, unitized_nilpotent
 from staralg.linalg import nullspace, relative_bound, subspaces_equal
 
 
@@ -95,7 +98,91 @@ def test_kernel_matches_the_einsum_reference(alg):
     assert _close(alg.row_products(xs[:3], ys), np.array([ref_mul_coeffs(c, a, b) for a, b in zip(xs, ys)]))
 
 
-@pytest.mark.parametrize("alg", _random_algebras(), ids=_IDS)
+def _group_algebras():
+    """The 17 group algebras C1..C12, S3, D4, Q8, D6 and S4."""
+    named = {f"C[C{k}]": sa.cyclic_group(k) for k in range(1, 13)}
+    named.update({"C[S3]": sa.symmetric_group_3(), "C[D4]": sa.dihedral_group(4), "C[Q8]": sa.quaternion_group(),
+                  "C[D6]": sa.dihedral_group(6),
+                  "C[S4]": groups.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])})
+    return {name: groups.build_group_algebra(g) for name, g in named.items()}
+
+
+def _monomial_algebras():
+    """Algebras whose constants take the kernel's monomial form, one with -0.0 for its zero constants."""
+    out = {f"M{k}": sa.matrix_algebra(k) for k in range(1, 7)}
+    out.update(_group_algebras())
+    out["C^3"] = sa.diagonal_algebra(3)
+    out.update({f"swap_mutant({p})": swap_mutant(p) for p in (1, 2, 3)})
+    out.update({f"nilpotent_mutant({a})": nilpotent_mutant(a) for a in range(4)})
+    out["unitized_nilpotent"] = unitized_nilpotent()
+    out["M2+C[C3]"] = sa.direct_sum(sa.matrix_algebra(2), groups.build_group_algebra(sa.cyclic_group(3)))
+    m3 = sa.matrix_algebra(3)
+    out["M3 with -0.0"] = sa.StarAlgebra(np.where(m3.mul == 0, complex(-0.0, -0.0), m3.mul), m3.star, unit=m3.unit)
+    return out
+
+
+def _same_bits(actual, expected):
+    """Equal values and equal sign bits, so a -0.0 against 0.0 fails."""
+    return (actual.shape == expected.shape and np.array_equal(actual, expected)
+            and np.array_equal(np.signbit(actual.real), np.signbit(expected.real))
+            and np.array_equal(np.signbit(actual.imag), np.signbit(expected.imag)))
+
+
+@pytest.mark.parametrize("name", list(_monomial_algebras()))
+def test_the_gather_kernel_is_the_einsum_reference_bit_for_bit(name):
+    alg = _monomial_algebras()[name]
+    assert alg._tables is not None  # the monomial form
+    rng = np.random.default_rng(5)
+    n, c = alg.dim, np.array(alg.mul)
+    xs, ys = _random_complex(rng, 4, n), _random_complex(rng, 3, n)
+    xs[0, 0], ys[0, -1] = -1.0 + 0.0j, -0.0 - 1.0j  # x * 0 alone would give -0.0 here
+    left = np.einsum("ai,ijk->akj", xs, c)  # one term per coefficient, so exact
+    assert _same_bits(alg.left_mat(xs), left)
+    assert _same_bits(alg.right_mat(xs), np.einsum("aj,ijk->aki", xs, c))
+    for a, ref in zip(xs, left):
+        assert _same_bits(alg.left_mat(a), ref_left_mat(c, a))
+        assert _same_bits(alg.right_mat(a), ref_right_mat(c, a))
+        # a product sums several terms, in the order of one matrix product of b with L_a
+        for b in ys:
+            assert _same_bits(alg.mul_coeffs(a, b), ref @ b)
+    # stacks give one product per pair or per row
+    assert _same_bits(alg.products(xs, ys), ys @ np.swapaxes(left, -1, -2))
+    assert _same_bits(alg.row_products(xs[:3], ys), (ys[:, None, :] @ np.swapaxes(left[:3], -1, -2))[:, 0, :])
+
+
+def test_a_table_with_two_terms_in_a_line_takes_the_dense_path():
+    # e_0 e_1 = e_1 = e_1 e_1: two i give (j, k) = (1, 1), so no gather table holds x e_1
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 1, 1] = 1.0
+    alg = sa.StarAlgebra(c, np.eye(2))
+    assert alg._tables is None
+    rng = np.random.default_rng(1)
+    xs, ys = _random_complex(rng, 3, 2), _random_complex(rng, 3, 2)
+    assert _close(alg.left_mat(xs), np.array([ref_left_mat(c, a) for a in xs]))
+    assert _close(alg.right_mat(xs), np.array([ref_right_mat(c, a) for a in xs]))
+    assert _close(alg.products(xs, ys), np.array([[ref_mul_coeffs(c, a, b) for b in ys] for a in xs]))
+
+
+def _monomial_mutants():
+    """Monomial constants that are not associative: M3 with E00 E00 = 2 E00; C[C5] with random complex
+    weights on its Cayley table and a random star; and e_i e_j = w[i, j] e_(2i + j mod 3), whose two
+    sides land on different basis elements unless i = 0, with integral weights."""
+    m3 = sa.matrix_algebra(3)
+    doubled = np.array(m3.mul)
+    doubled[0, 0, 0] = 2.0
+    rng = np.random.default_rng(4)
+    i, j = np.indices((5, 5))
+    cyclic = np.zeros((5, 5, 5), dtype=complex)
+    cyclic[i, j, (i + j) % 5] = _random_complex(rng, 5, 5)
+    i, j = np.indices((3, 3))
+    latin = np.zeros((3, 3, 3), dtype=complex)
+    latin[i, j, (2 * i + j) % 3] = rng.integers(1, 4, (3, 3))
+    return [sa.StarAlgebra(doubled, m3.star, unit=m3.unit), sa.StarAlgebra(cyclic, _random_complex(rng, 5, 5)),
+            sa.StarAlgebra(latin, np.eye(3))]
+
+
+@pytest.mark.parametrize("alg", _random_algebras() + _monomial_mutants(),
+                         ids=_IDS + ["M3 weight 2", "C5 complex weights", "2i+j mod 3"])
 def test_validate_defects_match_the_einsum_reference(alg):
     report = sa.validate(alg)
     expected = ref_defects(np.array(alg.mul), alg.star, alg.unit)
@@ -103,6 +190,23 @@ def test_validate_defects_match_the_einsum_reference(alg):
     scale = max(1.0, float(np.max(np.abs(alg.mul))) ** 2)
     for g, e in zip(got, expected):
         assert abs(g - e) <= 1e-12 * max(scale, e)
+    if alg._tables is not None and np.array_equal(alg.mul, np.round(alg.mul.real)):
+        assert got[0] == expected[0]  # integral weights: the table check is exact
+
+
+def test_the_table_check_finds_what_the_dense_check_finds():
+    doubled, cyclic, latin = _monomial_mutants()
+    assert all(alg._tables is not None for alg in (doubled, cyclic, latin))
+    report = sa.validate(doubled)  # (E00 E00) E01 = 2 E01 against E00 (E00 E01) = E01
+    assert report.associativity_defect == 1.0 and not report.passed
+    assert sa.validate(cyclic).associativity_defect > 1.0
+    assert sa.validate(latin).associativity_defect >= 1.0  # the sides apart: the larger of the two
+    # a monomial algebra with a broken involution still fails, on the involution alone
+    m3 = sa.matrix_algebra(3)
+    broken = sa.StarAlgebra(m3.mul, np.eye(9), unit=m3.unit)  # E_pq* = E_pq is not antimultiplicative
+    assert broken._tables is not None
+    report = sa.validate(broken)
+    assert report.associativity_defect == 0.0 and report.involution_defect == 1.0 and not report.passed
 
 
 def _loop_matrix_unit_residual(atom, units):
@@ -318,9 +422,11 @@ def test_decomposition_certificate_matches_its_loop():
     assert zero.residual == 0.0  # the smallest projection norm, not NaN
 
 
-def test_validate_memory_is_cubic():
-    # one n^3 slab at a time takes about 2.4 MB on M6; the n^4 intermediates took 80.6 MB
-    alg = sa.matrix_algebra(6)
+@pytest.mark.parametrize("table", [True, False], ids=["M6 table", "dense dim 36"])
+def test_validate_memory_is_cubic(table):
+    # about 3 MB at dim 36 on either path, one slab at a time; the n^4 intermediates took 80.6 MB
+    alg = sa.matrix_algebra(6) if table else sa.semisimple_instance([6], 0, np.random.default_rng(0))
+    assert alg.dim == 36 and (alg._tables is not None) == table
     tracemalloc.start()
     try:
         sa.validate(alg)
@@ -418,6 +524,20 @@ def test_spectral_decompose_matches_its_loop(name):
     for (lam, p), (ref_lam, ref_p) in zip(got, ref):
         assert abs(lam - ref_lam) <= 1e-10 * max(1.0, abs(ref_lam))
         assert np.linalg.norm(p.coeffs - ref_p) <= 1e-10 * max(1.0, np.linalg.norm(ref_p))
+
+
+def test_importing_the_package_loads_numpy_alone():
+    """Importing staralg adds no top-level module outside the standard library but numpy and itself;
+    in particular no SciPy, which is installed but not a dependency."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import staralg\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names)))\n")
+    src = str(Path(sa.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.strip() == str(["numpy", "staralg"])
 
 
 def test_mul_is_stored_contiguous():
