@@ -1,9 +1,11 @@
 """Command-line front end: load algebras/groups, run analyses, emit reports.
 
 Exit codes: 0 coherent report, 1 file/parse error, input too large to
-allocate, or a result that cannot be certified (such as IllConditioned),
-2 validation failure or a failed check, 3 internal inconsistency among checks
-that must agree (so check --property baer exits 3, not 2, when its guard fails).
+allocate, or a result that cannot be certified (such as IllConditioned, which
+check --property regular|sqrt raises for a sample it cannot certify on a proper
+algebra, a C*-algebra), 2 validation failure or a failed check, 3 internal
+inconsistency among checks that must agree (so check --property baer exits 3,
+not 2, when its guard fails).
 """
 
 import argparse
@@ -13,13 +15,14 @@ import sys
 import numpy as np
 
 from .core import DEFAULT_TOL, _coeffs_json, algebra_from_json, algebra_to_json, random_element, validate
-from .errors import DecompositionFailed, InternalInconsistency, NotPositive, StarAlgError, ValidationFailed
+from .errors import (DecompositionFailed, IllConditioned, InternalInconsistency, NotPositive, StarAlgError,
+                     ValidationFailed)
 from .groups import certify_group_theorem, group_from_json
 from .linalg import relative, sampled_identity_bound
 from .rickart import CheckReport, check_baer, check_weakly_rickart
 from .spectral import positive_sqrt, quasi_inverse, spectral_decompose
 from .stepfns import FiniteSubsets, export_finite_backend
-from .structure import analyze
+from .structure import analyze, check_proper
 
 
 def _load_json(path):
@@ -106,7 +109,11 @@ def _identity_residual(prop, a, tol):
 
 
 def _sampled_identity_check(prop, algebra, tol, seed):
-    """The identity of ``prop`` at 16 random samples; a sample whose construction fails ends the check."""
+    """The identity of ``prop`` at 16 random samples; a sample whose construction fails ends the check.
+
+    A proper algebra is a C*-algebra, in which every element is regular and every a*a has a positive
+    root. There a failed construction or a residual over the bound is a conditioning failure, so it
+    raises IllConditioned; only an algebra that ``check_proper`` refuses gets a failed report."""
     rng = np.random.default_rng(seed)
     name = "regular" if prop == "regular" else "positive_sqrt"
     residuals = []
@@ -115,10 +122,14 @@ def _sampled_identity_check(prop, algebra, tol, seed):
         try:
             residuals.append(_identity_residual(prop, a, tol))
         except (DecompositionFailed, NotPositive) as exc:
+            if check_proper(algebra, tol, seed).passed:
+                raise IllConditioned(f"the {name} construction fails on a C*-algebra: {exc}") from exc
             return CheckReport(name, False, float("inf"), seed,
                                witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)})
     worst = max(residuals)
     bound = sampled_identity_bound(tol)
+    if not worst <= bound and check_proper(algebra, tol, seed).passed:
+        raise IllConditioned(f"the {name} identity misses its bound on a C*-algebra", worst)
     return CheckReport(name, worst <= bound, worst, seed, details={"bound": bound})
 
 

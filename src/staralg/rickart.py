@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
-from .errors import DecompositionFailed, InternalInconsistency, NotARightIdeal
+from .errors import DecompositionFailed, IllConditioned, InternalInconsistency, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, negligible, nullspace, relative, require,
                      require_each, subspaces_equal)
 from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
@@ -83,10 +83,16 @@ def annihilator(elements, tol=DEFAULT_TOL):
     """Right annihilator {x : a x = 0 for every a in the set}, with projection generator.
 
     The subspace is the exact kernel of the stacked left-multiplication
-    operators. The generator search uses the complement of the join of the
-    right projections of the input elements when the algebra is unital and
-    proper, falling back to the generic right-ideal search. Left annihilators
-    follow through the involution: ann_l(S) = ann_r(S*)*.
+    operators; a kernel {0} is generated by 0. Otherwise, on a unital
+    algebra, the generator candidate is 1 - RP(h), one right projection, with
+    h = sum s^* s over the normalised elements s/|s| above the zero rule:
+    scaling leaves an annihilator alone and keeps a small s's square above
+    ``negligible``. In a C*-algebra h x = 0 gives x^* h x =
+    sum (s x)^* (s x) = 0, hence every s x = 0, so ann_r(S) = ann_r(h) =
+    (1 - RP(h))A. The candidate is kept only if it generates the exact
+    kernel; otherwise, and on a non-unital algebra, the generic right-ideal
+    search decides. Left annihilators follow through the
+    involution: ann_l(S) = ann_r(S*)*.
     """
     if not elements:
         raise NotARightIdeal("annihilator of the empty set is not defined")
@@ -97,20 +103,21 @@ def annihilator(elements, tol=DEFAULT_TOL):
     kernel = nullspace(np.concatenate([a.lmat() for a in elements], axis=0), tol)
     basis = [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
-    generator = None
+    generator = algebra.zero() if kernel.shape[1] == 0 else None  # {0} = 0A
     unit = algebra.unit_vector(tol)
-    if unit is not None:
+    if generator is None and unit is not None:
+        norms = [a.norm() for a in elements]
+        xs = np.array([a.coeffs / r for a, r in zip(elements, norms) if not negligible(r, tol)],
+                      dtype=complex).reshape(-1, algebra.dim)
+        h = algebra.row_products(algebra.star_coeffs(xs), xs).sum(axis=0)
         try:
-            j = None  # 0 v e = e exactly
-            for e in right_projections(elements, tol):
-                j = e if j is None else join(j, e, tol)
-            f = Element(algebra, unit) - j
+            f = Element(algebra, unit) - right_projection(Element(algebra, h), tol)
             if _generates(f, kernel, tol):
                 generator = f
         except DecompositionFailed:
-            pass  # no certified join: the generic search below decides
+            pass  # no certified RP(h): the generic search below decides
     if generator is None:
-        generator = algebra.zero() if kernel.shape[1] == 0 else _ideal_generator(algebra, basis, tol)
+        generator = _ideal_generator(algebra, basis, tol)
     return AnnihilatorResult(basis, generator, generator is not None)
 
 
@@ -205,11 +212,15 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0):
     is exact. The weakly-Rickart part is ``check_weakly_rickart``, so it
     reuses the cached pass when one ran at the same (tol, seed).
     Implementation guard, checking the code, not the theorem: the right
-    annihilators of min(4, n(n-1)/2) basis pairs and 2 random subsets must
-    have projection generators, else InternalInconsistency. No singleton {a}
-    is sampled: the pass certified a RP(a) = a and L_RP(a) = 0 on ker L_a, so
-    ann_r({a}) = (1 - RP(a))A. The pairs' RP(e_i) are the pass's (see
-    ``staralg.spectral``).
+    annihilators of min(4, n(n-1)/2) distinct basis pairs and 2 random
+    subsets must have projection generators, each found from at most one
+    right projection (see ``annihilator``), else InternalInconsistency. Each pair {e_i, e_j} is also
+    checked by a second route, the lattice join: its generator must equal
+    1 - RP(e_i) v RP(e_j) within certificate_bound(tol), else
+    InternalInconsistency, and a join that fails its own certificates raises
+    IllConditioned. The pairs' RP(e_i) are the pass's (see
+    ``staralg.spectral``). No singleton {a} is sampled: the pass certified
+    a RP(a) = a and L_RP(a) = 0 on ker L_a, so ann_r({a}) = (1 - RP(a))A.
     """
     rng = np.random.default_rng(seed)
     if not algebra.is_unital(tol):
@@ -220,20 +231,27 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0):
                            witness={"reason": "not weakly Rickart", "inner": wr.witness})
 
     n = algebra.dim
-    subsets = []
-    for _ in range(min(4, n * (n - 1) // 2)):
-        i, j = rng.choice(n, size=2, replace=False)
-        subsets.append([algebra.basis_element(int(i)), algebra.basis_element(int(j))])
-    for _ in range(2):
-        k = int(rng.integers(1, n + 1))
-        subsets.append([random_element(algebra, rng) for _ in range(k)])
+    first, second = np.triu_indices(n, 1)
+    picks = rng.choice(len(first), size=min(4, len(first)), replace=False)
+    pairs = [[algebra.basis_element(int(first[k])), algebra.basis_element(int(second[k]))] for k in picks]
+    subsets = pairs + [[random_element(algebra, rng) for _ in range(int(rng.integers(1, n + 1)))]
+                       for _ in range(2)]
 
-    failures = sum(not annihilator(s, tol).is_principal_projection_ideal for s in subsets)
+    results = [annihilator(s, tol) for s in subsets]
+    failures = sum(not r.is_principal_projection_ideal for r in results)
     if failures:
         raise InternalInconsistency(
             f"unital and weakly Rickart, but {failures} of {len(subsets)} "
             "sampled annihilators have no projection generator"
         )
+    one = algebra.one(tol)
+    for pair, result in zip(pairs, results):
+        try:
+            complement = one - join(*right_projections(pair, tol), tol)
+        except DecompositionFailed as exc:
+            raise IllConditioned("a guard pair's join fails its certificates", exc.residual) from exc
+        require((result.generator - complement).norm(), certificate_bound(tol), InternalInconsistency,
+                "a guard pair's annihilator generator is not 1 - RP(e_i) v RP(e_j)")
     return CheckReport("baer", True, wr.worst_residual, seed, details={"witness_subsets": len(subsets)})
 
 

@@ -21,8 +21,9 @@ stack. Each such RP is certified as the one it claims to be; a row that
 fails, and every row of an algebra without that factor, goes to the solver
 as the decomposition of a*a, one element at a time. ``right_projections``
 takes whole stacks and yields their RPs in row order: the weakly-Rickart
-pass asks for the basis and its 8 samples in one call, and ``annihilator``
-for its whole set; ``right_projection(a)`` is the first of a stack of one.
+pass asks for the basis and its 8 samples in one call, and the Baer guard
+for each pair's two; ``right_projection(a)`` is the first of a stack of one,
+as ``join`` and ``annihilator`` (one RP(h) per set) ask.
 The solver runs on a row only when that row is reached, so a row whose RP
 cannot be certified raises its own error there, and a caller that stops at
 it leaves the later rows unsolved. Every product of the stacked path runs on

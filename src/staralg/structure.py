@@ -419,7 +419,8 @@ class StructureReport:
 def analyze(algebra, tol=DEFAULT_TOL, seed=0):
     """Run every checker and certify the block structure on Baer instances.
 
-    On Baer input ``check_baer``'s guard runs too, raising InternalInconsistency if it disagrees."""
+    On Baer input ``check_baer``'s guard runs too, raising InternalInconsistency if it disagrees and
+    IllConditioned if a pair's join cannot be certified."""
     report = validate(algebra, tol)
     if not report.passed:
         raise ValidationFailed(report)

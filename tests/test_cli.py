@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_structure import _badly_scaled
 
 import staralg as sa
 from staralg import cli
@@ -169,7 +170,8 @@ def test_check_properties(m2_file, capsys):
 
 
 @pytest.mark.parametrize("prop", ["regular", "sqrt"])
-@pytest.mark.parametrize("make", [lambda: swap_mutant(1), lambda: nilpotent_mutant(0)], ids=["swap", "nilpotent"])
+@pytest.mark.parametrize("make", [lambda: swap_mutant(1), lambda: nilpotent_mutant(0), lambda: nilpotent_mutant(1)],
+                         ids=["swap", "nilpotent", "nilpotent_mutant(1)"])
 def test_check_of_a_sampled_identity_fails_with_exit_two(tmp_path, capsys, make, prop):
     """A sample whose quasi-inverse or square root cannot be built ends the check as a FAIL, as ``rp`` does."""
     path = tmp_path / "alg.json"
@@ -179,6 +181,30 @@ def test_check_of_a_sampled_identity_fails_with_exit_two(tmp_path, capsys, make,
     assert out["pass"] is False and out["worst_residual"] == float("inf")
     assert set(out["witness"]) == {"element", "reason"} and "certificates fail" in out["witness"]["reason"]
     assert main(["check", str(path), "--property", "rp"]) == 2
+
+
+def _scaled_m2():
+    m2 = sa.matrix_algebra(2)
+    return sa.StarAlgebra(m2.mul * 1e6, m2.star)
+
+
+@pytest.mark.parametrize("make, prop", [
+    (_scaled_m2, "regular"), (_scaled_m2, "sqrt"), (lambda: _badly_scaled(1e3, 0), "regular"),
+], ids=["M2x1e6-regular", "M2x1e6-sqrt", "badly_scaled(1e3)-regular"])
+def test_check_of_a_sampled_identity_on_a_cstar_algebra_is_ill_conditioned(tmp_path, capsys, make, prop):
+    """On a proper algebra, a C*-algebra, every element is regular and every a*a has a root: a sample whose
+    construction or identity misses its certificate is a conditioning failure (exit 1), not a FAIL (exit 2)."""
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(algebra_to_json(make())))
+    assert main(["check", str(path), "--property", prop]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith("error: the ") and "on a C*-algebra" in captured.err
+
+
+def test_a_sampled_identity_over_its_bound_on_a_cstar_algebra_is_ill_conditioned(m2_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_identity_residual", lambda prop, a, tol: 1.0)
+    assert main(["check", m2_file, "--property", "regular"]) == 1
+    assert "identity misses its bound on a C*-algebra (residual 1.000e+00)" in capsys.readouterr().err
 
 
 def test_check_of_a_sampled_identity_keeps_exit_one_for_other_errors(m2_file, monkeypatch, capsys):

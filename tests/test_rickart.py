@@ -9,6 +9,7 @@ import staralg as sa
 from staralg.core import _coeffs_json
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
 from staralg.linalg import certificate_bound, nullspace
+from staralg import rickart
 from staralg.rickart import CheckReport, orthogonal_family
 
 
@@ -197,6 +198,81 @@ def test_a_basis_singleton_annihilator_is_generated_by_one_minus_its_rp(make):
         ann = sa.annihilator([e])
         assert ann.is_principal_projection_ideal
         assert (ann.generator - (one - sa.right_projection(e))).norm() <= 1e-8
+
+
+# flags and dims the annihilator gave on these cases when its generator was 1 - the join of the RPs:
+# the dims of the cases in order, one digit each, and the indices of the cases without a projection generator
+_ANNIHILATOR_PINS = {
+    "M2": ("0200202222000222", []),
+    "M3": ("336336333363363336336336333363336333666666666000666", []),
+    "scrambled [2,2]+1": ("000000000000000000000000000000000000000000000000777", []),
+    "swap_mutant(1)": ("011000", [1, 2]),
+    "swap_mutant(2)": ("2222223333000", list(range(10))),
+    "swap_mutant(3)": ("444444444444444555555000", list(range(21))),
+    "nilpotent_mutant(0)": ("001000", [2]),
+    "nilpotent_mutant(1)": ("101122000", [2, 4]),
+    "nilpotent_mutant(2)": ("2112222333000", [3, 4, 7]),
+    "nilpotent_mutant(3)": ("322233333334444000", [4, 5, 6, 11]),
+    "unitized_nilpotent": ("001000", [2]),
+}
+_CSTAR = ("M2", "M3", "scrambled [2,2]+1")
+_ANNIHILATOR_ALGEBRAS = {
+    "M2": lambda: sa.matrix_algebra(2),
+    "M3": lambda: sa.matrix_algebra(3),
+    "scrambled [2,2]+1": lambda: semisimple_instance([2, 2], 1, np.random.default_rng(1)),
+    **{f"swap_mutant({k})": (lambda k=k: swap_mutant(k)) for k in (1, 2, 3)},
+    **{f"nilpotent_mutant({k})": (lambda k=k: nilpotent_mutant(k)) for k in range(4)},
+    "unitized_nilpotent": sa.unitized_nilpotent,
+}
+
+
+def _annihilator_cases(alg, cstar):
+    """Every basis pair, every basis singleton, sets of 1-3 random elements and, on a C*-algebra, sets of
+    1-3 random elements times one spectral projection, whose annihilators are not {0}."""
+    rng = np.random.default_rng(5)
+    n = alg.dim
+    cases = ([[alg.basis_element(i), alg.basis_element(j)] for i in range(n) for j in range(i + 1, n)]
+             + [[e] for e in alg.basis()]
+             + [[sa.random_element(alg, rng) for _ in range(k)] for k in (1, 2, 3)])
+    if cstar:
+        p = sa.spectral_decompose(sa.random_selfadjoint(alg, rng)).projections()[0]
+        cases += [[sa.random_element(alg, rng) * p for _ in range(k)] for k in (1, 2, 3)]
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_ANNIHILATOR_PINS))
+def test_annihilators_from_one_right_projection_keep_their_answers(name):
+    """The generator 1 - RP(sum s^* s) answers as the join of the RPs did: the same flag and dim on every case,
+    and on a C*-algebra the generator 1 - RP(s_1) v ... v RP(s_k), with the join taken here."""
+    alg = _ANNIHILATOR_ALGEBRAS[name]()
+    cases = _annihilator_cases(alg, name in _CSTAR)
+    results = [sa.annihilator(s) for s in cases]
+    dims, refused = _ANNIHILATOR_PINS[name]
+    assert "".join(str(r.dim) for r in results) == dims
+    assert [i for i, r in enumerate(results) if not r.is_principal_projection_ideal] == refused
+    if name not in _CSTAR:
+        return
+    one = alg.one()
+    for subset, result in zip(cases, results):
+        rps = [sa.right_projection(s) for s in subset]
+        joined = rps[0]
+        for e in rps[1:]:
+            joined = sa.join(joined, e)
+        assert (result.generator - (one - joined)).norm() <= certificate_bound(sa.DEFAULT_TOL)
+
+
+def test_a_small_element_keeps_its_annihilator(monkeypatch):
+    """Each s enters h = sum s^* s normalised: 1e-6 E11 counts in h though its own s^* s, 1e-12 E11, would fall
+    under E22's zero rule, and the one right projection answers without the generic search."""
+    def no_search(algebra, basis, tol):
+        raise AssertionError("the generic right-ideal search ran")
+
+    monkeypatch.setattr(rickart, "_ideal_generator", no_search)
+    alg = sa.matrix_algebra(3)
+    unit = np.eye(9)
+    result = sa.annihilator([alg.element(1e-6 * unit[0]), alg.element(unit[4])])  # 1e-6 E11, E22
+    assert result.dim == 3 and result.is_principal_projection_ideal
+    assert (result.generator - alg.element(unit[8])).norm() <= certificate_bound(sa.DEFAULT_TOL)  # E33
 
 
 def test_orthogonal_family_needs_a_unit():

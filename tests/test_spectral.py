@@ -282,7 +282,7 @@ def test_cstar_identity_random(seed):
 
 # -- one right projection per input while analyze runs ------------------------
 
-_PHASES = ("pass", "guard", "other")
+_PHASES = ("pass", "guard", "cross", "other")
 
 
 def _record_right_projections(monkeypatch):
@@ -290,7 +290,8 @@ def _record_right_projections(monkeypatch):
 
     A row is solved when the trace-form stack accepts it or the solver is called
     on it. Each list is kept by phase: "pass" inside the weakly-Rickart pass,
-    "guard" inside ``annihilator`` (the Baer guard's subsets) and "other" elsewhere."""
+    "guard" inside ``annihilator`` (the Baer guard's subsets), "cross" in the rest
+    of ``check_baer`` (its pairs' RP(e_i) and joins) and "other" elsewhere."""
     phase = ["other"]
     asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
     ask, stack, solve = spectral.right_projections, spectral._trace_form_projections, spectral._solved_right_projection
@@ -319,6 +320,9 @@ def _record_right_projections(monkeypatch):
 
     monkeypatch.setattr(rickart, "_weakly_rickart_pass", in_phase("pass", rickart._weakly_rickart_pass))
     monkeypatch.setattr(rickart, "annihilator", in_phase("guard", rickart.annihilator))
+    cross = in_phase("cross", rickart.check_baer)
+    for module in (rickart, structure):
+        monkeypatch.setattr(module, "check_baer", cross)
     for module in (spectral, rickart):
         monkeypatch.setattr(module, "right_projections", asking)
     monkeypatch.setattr(spectral, "_trace_form_projections", stacking)
@@ -334,21 +338,39 @@ def _basis_rows(alg):
     return {e.coeffs.tobytes() for e in alg.basis()}
 
 
+def _record_annihilator_dims(monkeypatch):
+    """The dim of every annihilator the Baer guard computes, in order."""
+    dims = []
+    ann = rickart.annihilator
+
+    def recording(elements, tol=sa.DEFAULT_TOL):
+        result = ann(elements, tol)
+        dims.append(result.dim)
+        return result
+
+    monkeypatch.setattr(rickart, "annihilator", recording)
+    return dims
+
+
 @pytest.mark.parametrize("make", [
     lambda: sa.matrix_algebra(3),
     lambda: sa.build_group_algebra(sa.symmetric_group_3()),
 ], ids=["M3", "C[S3]"])
 def test_analyze_runs_the_solver_once_per_distinct_input(monkeypatch, make):
-    """The pass solves each basis row once; the guard's pairs read them from its table."""
+    """The pass solves each basis row once; the guard's pair cross-check reads them from its table, and each
+    guard annihilator solves one row, RP(h), or none when it is {0}."""
     alg = make()
     asked, solved = _record_right_projections(monkeypatch)
+    dims = _record_annihilator_dims(monkeypatch)
     sa.analyze(alg)
     basis = _basis_rows(alg)
     every = [row for name in _PHASES for row in solved[name]]
     assert Counter(row for row in every if row in basis) == Counter(basis)
     assert basis <= set(solved["pass"])
-    assert len(basis & set(asked["guard"])) >= 3  # the pairs' e_i
-    assert not basis & set(solved["guard"])
+    assert len(basis & set(asked["cross"])) >= 3  # the pairs' e_i
+    assert not basis & set(solved["guard"] + solved["cross"])
+    assert len(dims) == 6 and solved["guard"] == asked["guard"]
+    assert len(asked["guard"]) == sum(dim > 0 for dim in dims)
 
 
 @pytest.mark.parametrize("make", [
@@ -398,23 +420,40 @@ def test_the_memo_ends_with_its_analyze_call(monkeypatch):
 
 
 def test_the_baer_guard_reuses_the_weakly_rickart_decompositions(monkeypatch):
-    """The guard's pairs ask for RP(e_i) again; none of its misses repeats one of the pass.
+    """The guard's pair cross-check asks for RP(e_i) again; none of the guard's solves repeats one of the pass.
 
-    One row is solved twice on M3. The pairs {E_ab, E_cd} with b != d join RP(E_ab) = E_bb and
-    RP(E_cd) as RP(E_bb - E_bb E_dd), an input that equals E_bb but, being computed, has other
-    coefficient bytes than e_i; two such pairs with the same b ask for it twice. The table holds
-    the pass's rows only, so the second is solved afresh, to the same bits."""
+    One row is solved twice on M3. Its pairs are distinct, but two of them, {E_12, E_21} and {E_21, E_22},
+    have the same h = sum s^* s = E_11 + E_22. The table holds the pass's rows only, so the second RP(h) is
+    solved afresh, to the same bits. Each pair's join solves at most one row."""
     alg = sa.matrix_algebra(3)
     asked, solved = _record_right_projections(monkeypatch)
     assert sa.analyze(alg).baer
     basis = _basis_rows(alg)
     assert basis <= set(solved["pass"])
-    assert len(basis & set(asked["guard"])) >= 3  # the e_i of the guard's pairs
-    assert not set(solved["guard"]) & set(solved["pass"])
+    assert len(basis & set(asked["cross"])) >= 3  # the e_i of the guard's pairs
+    assert not set(solved["guard"] + solved["cross"]) & set(solved["pass"])
+    assert len(solved["cross"]) <= 4
     every = Counter(row for name in _PHASES for row in solved[name])
     repeated = [row for row, count in every.items() if count > 1]
     assert len(repeated) <= 1 and not set(repeated) & basis
     assert all(every[row] == 2 and row in solved["guard"] for row in repeated)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sa.matrix_algebra(4),
+    lambda: sa.build_group_algebra(sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+], ids=["M4", "C[S4]"])
+def test_check_baer_alone_solves_no_input_twice(monkeypatch, make):
+    """``staralg check --property baer``'s path, with no analyze before it: the pass publishes its rows, and the
+    guard solves at most one row per subset, RP(h), plus one per pair join, none of them twice."""
+    alg = make()
+    asked, solved = _record_right_projections(monkeypatch)
+    assert rickart.check_baer(alg).passed
+    every = [row for name in _PHASES for row in solved[name]]
+    assert len(every) == len(set(every))
+    assert solved["pass"] == asked["pass"] and len(solved["pass"]) == alg.dim + 8
+    assert len(solved["guard"]) <= 4 + 2 and len(solved["cross"]) <= 4  # RP(h) per subset, a row per pair join
+    assert not solved["other"]
 
 
 def _memo_corpus():

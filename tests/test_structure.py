@@ -254,6 +254,22 @@ def test_check_baer_raises_when_its_guard_fails_on_a_baer_algebra(monkeypatch, t
     assert "Traceback" not in captured.err
 
 
+def test_the_baer_guard_raises_when_its_two_routes_disagree(monkeypatch):
+    """A pair's generator 1 - RP(h) and the lattice join 1 - RP(e_i) v RP(e_j) are two routes to one projection:
+    a join that returns another projection is an inconsistency, and one that cannot be certified ill-conditioned."""
+    join = rickart.join
+    monkeypatch.setattr(rickart, "join", lambda e, f, tol=sa.DEFAULT_TOL: join(e, f, tol) * 0.0)
+    with pytest.raises(sa.InternalInconsistency, match="not 1 - RP"):
+        sa.check_baer(matrix_algebra(3))
+
+    def uncertified(e, f, tol=sa.DEFAULT_TOL):
+        raise sa.DecompositionFailed("join output failed projection certification", 1.0)
+
+    monkeypatch.setattr(rickart, "join", uncertified)
+    with pytest.raises(sa.IllConditioned, match="join fails its certificates"):
+        sa.analyze(matrix_algebra(3))
+
+
 def test_analyze_rejects_malformed():
     c = np.zeros((2, 2, 2), dtype=complex)
     c[0, 0, 1] = 1.0
