@@ -37,6 +37,16 @@ hit as an Element, and never creates it: the Baer guard's RP(e_i) are the
 pass's, and an algebra no pass ran on solves every input. A published RP is
 what a fresh solve gives, as a row's numbers do not depend on its stack.
 Each caller's own certificates still run on every call.
+
+``spectral_decompose`` keeps its most recent success, one slot per tol in
+``algebra._cache``: the input's coefficient bytes, the kept eigenvalues and
+the certified projection rows, as read-only arrays. An input with the same
+bytes is answered from the slot, wrapped as Elements of the caller's b; a
+miss overwrites it and a failure never enters it. ``quasi_inverse(a)``,
+``ep_witness(a)`` and the solved RP(a) hand the solver
+``_selfadjoint_square(a)``, and ``positive_sqrt(a*a)`` the same bits, so asked
+one after another on one a they solve it once. A hit is what a fresh solve
+gives, as the input bits are equal. The slot is freed with the algebra.
 """
 
 from __future__ import annotations
@@ -72,6 +82,8 @@ class SpectralDecomposition:
 
 # with tol, the ``algebra._cache`` key of the right projections the weakly-Rickart pass published
 _PUBLISHED_RPS = "published right projections"
+# with tol, the ``algebra._cache`` key of the last decomposition ``spectral_decompose`` certified
+_LAST_DECOMPOSITION = "last spectral decomposition"
 
 
 def _norms(x):
@@ -86,8 +98,17 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     normal or the certificates cannot be met, which is the expected signal
     on non-proper algebras; IllConditioned when b*b or bb* overflows; and
     LinAlgError when LAPACK rejects L_b. Every step runs on L_b over A itself.
+
+    The last success per tol is kept in the algebra's cache (its input bytes,
+    eigenvalues and read-only projection rows), and an input with the same
+    bytes is answered from it; a failure is not kept. The projections'
+    coefficients are read-only views of those rows, on a hit and a miss alike.
     """
     parent = b.parent
+    key = b.coeffs.tobytes()
+    last = parent._cache.get((_LAST_DECOMPOSITION, tol))
+    if last is not None and last[0] == key:
+        return _wrapped(b, *last[1:])
     norm = _norms(b.coeffs)
     both = np.array([b.coeffs, parent.star_coeffs(b.coeffs)])
     squares = parent.products(both, both)  # [1, 0] = b* b, [0, 1] = b b*
@@ -127,7 +148,15 @@ def spectral_decompose(b, tol=DEFAULT_TOL):
     else:
         ps = parent.row_products(p2, one * 3.0 - ps * 2.0)
     _certify(b, ps, kept, tol)
-    return SpectralDecomposition(b, tuple((lam, Element(parent, p)) for lam, p in zip(kept.tolist(), ps)))
+    for x in (kept, ps):
+        x.setflags(write=False)
+    parent._cache[(_LAST_DECOMPOSITION, tol)] = (key, kept, ps)
+    return _wrapped(b, kept, ps)
+
+
+def _wrapped(b, lams, ps):
+    """The decomposition of b with eigenvalues ``lams`` and projection rows ``ps``."""
+    return SpectralDecomposition(b, tuple((lam, Element(b.parent, p)) for lam, p in zip(lams.tolist(), ps)))
 
 
 def _certify(b, ps, lams, tol):
@@ -193,6 +222,11 @@ def _selfadjoint_part(x):
     return 0.5 * (x + x.star())
 
 
+def _selfadjoint_square(a):
+    """The selfadjoint part of a*a: what the solver decomposes for RP(a), ``quasi_inverse`` and ``ep_witness``."""
+    return _selfadjoint_part(a.star() * a)
+
+
 def right_projections(xs, tol=DEFAULT_TOL):
     """RP(a) for each a of ``xs``, all of one parent, yielded in order.
 
@@ -221,7 +255,7 @@ def right_projections(xs, tol=DEFAULT_TOL):
 
 def _solved_right_projection(a, tol):
     """RP(a) as the projection sum of the decomposition of a*a, certified by a RP(a) = a."""
-    e = spectral_decompose(_selfadjoint_part(a.star() * a), tol).projection_sum()
+    e = spectral_decompose(_selfadjoint_square(a), tol).projection_sum()
     require(relative(float(_norms((a * e - a).coeffs)), a.norm()), certificate_bound(tol),
             DecompositionFailed, "RP certificate a*RP(a) = a fails")
     return e
@@ -261,10 +295,14 @@ def left_projection(a, tol=DEFAULT_TOL):
 
 
 def quasi_inverse(a, tol=DEFAULT_TOL):
-    """x with axa = a (and xax = x for this construction)."""
+    """x with axa = a (and xax = x for this construction).
+
+    x is read off the decomposition of a*a, which the solver's slot answers when
+    the last decomposition on this algebra was of the same a*a; the certificate
+    axa = a runs on every call."""
     if negligible(a.norm(), tol):
         return a.parent.zero()
-    dec = spectral_decompose(_selfadjoint_part(a.star() * a), tol)
+    dec = spectral_decompose(_selfadjoint_square(a), tol)
     x = dec.map_values(lambda lam: 1.0 / lam) * a.star()
     res = relative((a * x * a - a).norm(), a.norm())
     require(res, certificate_bound(tol), DecompositionFailed, "quasi-inverse certificate axa = a fails")
@@ -272,7 +310,11 @@ def quasi_inverse(a, tol=DEFAULT_TOL):
 
 
 def positive_sqrt(x, tol=DEFAULT_TOL):
-    """The positive y with y^2 = x, inside the subalgebra generated by x."""
+    """The positive y with y^2 = x, inside the subalgebra generated by x.
+
+    For x = a*a the decomposition is the one ``quasi_inverse(a)`` and ``ep_witness(a)``
+    read, answered from the solver's slot when it was the last one on this algebra;
+    the certificate y^2 = x runs on every call."""
     size = x.norm()
     require(relative((x - x.star()).norm(), size), certificate_bound(tol), NotPositive,
             "element is not selfadjoint")
@@ -290,10 +332,14 @@ def positive_sqrt(x, tol=DEFAULT_TOL):
 
 
 def ep_witness(a, tol=DEFAULT_TOL):
-    """Selfadjoint w in the subalgebra generated by a*a with (a*a)w^2 = RP(a) != 0."""
+    """Selfadjoint w in the subalgebra generated by a*a with (a*a)w^2 = RP(a) != 0.
+
+    w is read off the decomposition of a*a, which the solver's slot answers when
+    the last decomposition on this algebra was of the same a*a; the certificate
+    (a*a)w^2 = RP(a) runs on every call."""
     if negligible(a.norm(), tol):
         raise DegenerateInput("EP witness undefined for the zero element")
-    h = _selfadjoint_part(a.star() * a)
+    h = _selfadjoint_square(a)
     dec = spectral_decompose(h, tol)
     floor = relative_bound(tol, max((abs(l) for l, _ in dec.terms), default=1.0))
     for lam, _ in dec.terms:

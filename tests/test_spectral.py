@@ -672,6 +672,121 @@ def test_the_weakly_rickart_pass_stops_at_its_first_failing_row(monkeypatch, mak
     assert all(np.array_equal(a.coeffs, row) for a, row in zip(solved, live))
 
 
+# -- one decomposition per input: the solver's last-success slot ----------------
+
+def _slot(alg, tol=sa.DEFAULT_TOL):
+    return alg._cache.get((spectral._LAST_DECOMPOSITION, tol))
+
+
+def _count_eig(monkeypatch):
+    """The matrices handed to ``np.linalg.eig`` from now on."""
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(m) or eig(m))
+    return calls
+
+
+def _nonunital_part_element(alg, rng):
+    """A random element of the semisimple summand of ``[2]+1 + nilpotent line``, 0 on the nilpotent line."""
+    return alg.element(np.append(rng.standard_normal(alg.dim - 1) + 1j * rng.standard_normal(alg.dim - 1), 0.0))
+
+
+_SLOT_CASES = {
+    "M3": (lambda: sa.matrix_algebra(3), sa.random_element),
+    "[3,2]+1": (lambda: semisimple_instance([3, 2], 1, np.random.default_rng(4)), sa.random_element),
+    "C[D4]": (lambda: sa.build_group_algebra(sa.dihedral_group(4)), sa.random_element),
+    # not unital and not proper (x* x = 0 on the line), so its right projections go to the solver
+    "[2]+1 + nilpotent line": (lambda: sa.direct_sum(semisimple_instance([2], 1, np.random.default_rng(5)),
+                                                     sa.nilpotent_line()), _nonunital_part_element),
+}
+
+_SQUARE_QUERIES = {
+    "right_projection": sa.right_projection,
+    "quasi_inverse": sa.quasi_inverse,
+    "positive_sqrt": lambda a: sa.positive_sqrt(a.star() * a),
+    "ep_witness": sa.ep_witness,
+}
+
+
+@pytest.mark.parametrize("case", list(_SLOT_CASES))
+def test_the_queries_on_one_element_solve_its_square_once(monkeypatch, case):
+    """RP(a), ``quasi_inverse(a)``, ``positive_sqrt(a*a)`` and ``ep_witness(a)`` run ``eig`` once between them,
+    and each answer is bit-equal to that query alone on a fresh copy of the algebra."""
+    make, draw = _SLOT_CASES[case]
+    alg = make()
+    a = draw(alg, np.random.default_rng(9))
+    solver_rps = _cached(alg, spectral._trace_coordinates, sa.DEFAULT_TOL)[2] is None
+    assert solver_rps == (case == "[2]+1 + nilpotent line")
+    refs = {}
+    for name, query in _SQUARE_QUERIES.items():
+        fresh = make()
+        refs[name] = query(fresh.element(a.coeffs))
+    eigs, solves = _count_eig(monkeypatch), _count_solves(monkeypatch)
+    got = {name: query(a) for name, query in _SQUARE_QUERIES.items()}
+    assert len(eigs) == 1
+    assert len(solves) == 3 + solver_rps
+    assert len({b.coeffs.tobytes() for b in solves}) == 1
+    for name in _SQUARE_QUERIES:
+        assert got[name].coeffs.tobytes() == refs[name].coeffs.tobytes(), name
+
+
+@pytest.mark.parametrize("make, coeffs, lapack", [
+    (lambda: sa.matrix_algebra(2), [0, 1.0, 0, 0], 0),  # E12: not normal, refused before LAPACK
+    (lambda: swap_mutant(1), [1 - 1j, 1 + 1j], 1),      # normal; its certificates fail
+], ids=["E12 on M2", "swap_mutant(1)"])
+def test_a_failed_decomposition_is_not_kept(monkeypatch, make, coeffs, lapack):
+    """A failure leaves the last success in the slot, and a second call solves again and raises the same error."""
+    alg = make()
+    sa.spectral_decompose(alg.one())
+    slot = _slot(alg)
+    b = alg.element(coeffs)
+    first = _outcome(lambda: sa.spectral_decompose(b))
+    assert first[0] is sa.DecompositionFailed
+    assert _slot(alg) is slot and slot[0] == alg.one().coeffs.tobytes()
+    eigs = _count_eig(monkeypatch)
+    assert _outcome(lambda: sa.spectral_decompose(alg.element(coeffs))) == first
+    assert len(eigs) == lapack and _slot(alg) is slot
+
+
+def test_the_memo_holds_one_decomposition_per_tol(monkeypatch):
+    """Each tol has one slot, of bytes and arrays only, and a miss overwrites it; a slot serves its own tol alone."""
+    alg = sa.matrix_algebra(3)
+    rng = np.random.default_rng(7)
+    hs = [sa.random_selfadjoint(alg, rng) for _ in range(3)]
+    eigs = _count_eig(monkeypatch)
+    for tol in (sa.DEFAULT_TOL, 1e-7):
+        for h in hs:
+            sa.spectral_decompose(h, tol)
+            assert _slot(alg, tol)[0] == h.coeffs.tobytes()
+    assert len(eigs) == 6  # the same inputs at the other tol are solved again
+    slots = {key: value for key, value in alg._cache.items() if key[0] == spectral._LAST_DECOMPOSITION}
+    assert set(slots) == {(spectral._LAST_DECOMPOSITION, tol) for tol in (sa.DEFAULT_TOL, 1e-7)}
+    for bits, lams, ps in slots.values():
+        assert isinstance(bits, bytes) and isinstance(lams, np.ndarray) and isinstance(ps, np.ndarray)
+    sa.spectral_decompose(alg.element(hs[-1].coeffs.copy()), 1e-7)
+    assert len(eigs) == 6
+
+
+def test_a_returned_projection_cannot_change_a_later_hit(monkeypatch):
+    """The slot keeps read-only rows, and every returned projection, on a miss or a hit, is a read-only view of
+    them: writing into one raises, and a later hit returns the first solve's bits."""
+    alg = sa.matrix_algebra(3)
+    h = sa.random_selfadjoint(alg, np.random.default_rng(8))
+    first = sa.spectral_decompose(h)
+    bits = [(lam, p.coeffs.tobytes()) for lam, p in first.terms]
+    eigs = _count_eig(monkeypatch)
+    b = alg.element(h.coeffs.copy())
+    hit = sa.spectral_decompose(b)
+    assert not eigs and hit.source is b
+    for dec in (first, hit):
+        for p in dec.projections():
+            with pytest.raises(ValueError, match="read-only"):
+                p.coeffs[0] = 7.0
+    total = hit.projection_sum()
+    total.coeffs[0] = 7.0  # what callers build from the projections is their own
+    assert [(lam, p.coeffs.tobytes()) for lam, p in sa.spectral_decompose(h).terms] == bits
+    assert not eigs
+
+
 # -- right projections in trace-form coordinates --------------------------------
 
 def _count_solves(monkeypatch):
