@@ -17,8 +17,12 @@ The kernel has two storage forms:
   basis element arises from at most one product with a given e_j on either
   side. Matrix units, group algebras, C^n, the swap and nilpotent mutants and
   direct sums of these take this form. The kernel is then a gather,
-  coefficient k of x e_j being ``x[src[j, k]] * w[j, k]``, and ``validate``
-  checks associativity on the product table e_i e_j = w[i, j] e_t[i, j];
+  coefficient k of x e_j being ``x[src[j, k]] * w[j, k]``. ``validate``
+  checks associativity on the product table e_i e_j = w[i, j] e_t[i, j],
+  and the involution there too when ``star`` is monomial (each of its
+  columns holds at most one nonzero, e_i* = s_i e_p(i)). The kernel of
+  L_x for x a multiple of one basis element is read off the same table
+  (``_table_singular_values``);
 - dense: any other ``mul``, including every scrambled basis. The kernel is one
   matrix product with ``mul`` reshaped to (n, n^2).
 
@@ -185,6 +189,26 @@ def _gather(xs, src, w):
     return out
 
 
+def _table_singular_values(algebra, xs):
+    """On the monomial form, ``[r, j] = |c w[i, j]|`` for each row r = c e_i of ``xs``; else None.
+
+    L_{c e_i} maps e_j to c w[i, j] e_t[i, j], and the e_j with w[i, j] != 0 land on distinct
+    t[i, j], so the columns of L_x are orthogonal and column j's norm is a singular value of L_x.
+    So ker L_x is spanned by the e_j whose value is not ``significant``, as the SVD finds it, and
+    the common kernel of a stack by the e_j whose column norm over the stack is not. Declines on
+    the dense form, and at the first row with two nonzero coefficients."""
+    if algebra._tables is None:
+        return None
+    at = []
+    for x in xs:
+        nonzero = x.nonzero()[0]
+        if len(nonzero) > 1:
+            return None
+        at.append(nonzero[0] if len(nonzero) else 0)
+    scale = np.abs(np.asarray(xs)[np.arange(len(at)), at])
+    return scale[:, None] * np.abs(algebra._tables[2][1][at])
+
+
 def _cached(algebra, fn, *args):
     """``fn(algebra, *args)``, memoised in ``algebra._cache`` under ``(fn, *args)``.
 
@@ -282,26 +306,33 @@ class ValidationReport:
 def validate(algebra, tol=DEFAULT_TOL):
     """Check the *-algebra axioms on basis elements, to tolerance.
 
-    A NaN defect fails, and so does a product size that overflows; neither raises."""
+    On the monomial form associativity is checked on the product table, and so is the involution
+    when ``star`` is monomial too (see ``_monomial_star``); every other check runs on the kernel's
+    products. A NaN defect fails, and so does a product size that overflows; neither raises."""
     n = algebra.dim
-    c = algebra._times_basis(np.eye(n))
     s = algebra.star
-    pairs = c.reshape(n * n, n)  # row (i, j): e_i e_j
+    table = algebra._tables[2] if algebra._tables is not None else None
+    star = _monomial_star(s) if table is not None else None
+    c = algebra._times_basis(np.eye(n)) if star is None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        if algebra._tables is not None:
-            assoc = _table_associativity(*algebra._tables[2])
+        if table is not None:
+            assoc = _table_associativity(*table)
         else:
+            pairs = c.reshape(n * n, n)  # row (i, j): e_i e_j
             # (e_i e_j) e_k against e_i (e_j e_k), one n^3 slab [j, k, :] per i; np.max keeps a NaN
             assoc = float(np.max([
                 np.max(np.abs(algebra._times_basis(c[i]) - (pairs @ c[i]).reshape(n, n, n)))
                 for i in range(n)
             ]))
 
-        # (e_i)** = e_i : star is antilinear, so applying it twice conjugates
-        dstar = float(np.max(np.abs(s @ np.conj(s) - np.eye(n))))
-        # (e_i e_j)* = (e_j)* (e_i)*; row i of s.T is (e_i)*
-        lhs = algebra.star_coeffs(pairs).reshape(n, n, n).transpose(1, 0, 2)
-        inv = float(np.max([dstar, np.max(np.abs(lhs - algebra.products(s.T, s.T)))]))  # NaN stays
+        if star is not None:
+            inv = _table_involution(*table, *star)
+        else:
+            # (e_i)** = e_i : star is antilinear, so applying it twice conjugates
+            dstar = float(np.max(np.abs(s @ np.conj(s) - np.eye(n))))
+            # (e_i e_j)* = (e_j)* (e_i)*; row i of s.T is (e_i)*
+            lhs = algebra.star_coeffs(c.reshape(n * n, n)).reshape(n, n, n).transpose(1, 0, 2)
+            inv = float(np.max([dstar, np.max(np.abs(lhs - algebra.products(s.T, s.T)))]))  # NaN stays
 
         unit_defect = 0.0
         if algebra.unit is not None:
@@ -309,24 +340,52 @@ def validate(algebra, tol=DEFAULT_TOL):
             sides = np.stack([algebra.left_mat(algebra.unit), algebra.right_mat(algebra.unit)]) - np.eye(n)
             unit_defect = float(np.max(np.linalg.norm(sides, axis=1)))
 
-    # relative to the size of a product of two structure constants
-    size = float(np.max(np.abs(c)))
+    # relative to the size of a product of two structure constants, the largest of which the table holds
+    size = float(np.max(np.abs(table[1] if table is not None else c)))
     bound = relative_bound(tol, size * size)
     passed = bool(np.isfinite(bound)) and all(d <= bound for d in (assoc, inv, unit_defect))
     return ValidationReport(algebra.dim, assoc, inv, unit_defect, tol, passed)
 
 
+def _apart(left, left_at, right, right_at):
+    """The largest coefficient of the difference of two monomials, left e_left_at and right e_right_at,
+    elementwise: |left - right| where they land on one basis element, else max(|left|, |right|)."""
+    return np.where(left_at == right_at, np.abs(left - right), np.maximum(np.abs(left), np.abs(right)))
+
+
 def _table_associativity(t, w):
     """The associativity defect on the product table e_i e_j = w[i, j] e_t[i, j], one n^2 slab
-    [j, k] per i. Where both sides land on one basis element it is |L - R|, else max(|L|, |R|):
-    the largest coefficient of their difference, as the dense check measures it."""
+    [j, k] per i, each coefficient measured as the dense check measures it (see ``_apart``)."""
     worst = []
     for i in range(len(t)):
         left, left_at = w[i][:, None] * w[t[i]], t[t[i]]  # (e_i e_j) e_k = w[i, j] w[t[i, j], k] e_t[t[i, j], k]
         right, right_at = w * w[i][t], t[i][t]           # e_i (e_j e_k) = w[j, k] w[i, t[j, k]] e_t[i, t[j, k]]
-        apart = np.maximum(np.abs(left), np.abs(right))
-        worst.append(np.max(np.where(left_at == right_at, np.abs(left - right), apart)))
+        worst.append(np.max(_apart(left, left_at, right, right_at)))
     return float(np.max(worst))  # np.max keeps a NaN
+
+
+def _monomial_star(star):
+    """``(p, s)`` with e_i* = s[i] e_p[i] when each column of ``star`` holds at most one nonzero, else None.
+
+    A column with no nonzero has s = 0 and p = 0."""
+    nonzero = star != 0
+    if (np.count_nonzero(nonzero, axis=0) > 1).any():
+        return None
+    p = nonzero.argmax(axis=0)
+    return p, star[p, np.arange(len(p))]
+
+
+def _table_involution(t, w, p, s):
+    """The involution defect on the product table for the monomial star e_i* = s[i] e_p[i], in O(n^2):
+    (e_i)** = e_i and (e_i e_j)* = e_j* e_i*, each coefficient measured as the dense check measures it
+    (see ``_apart``), with each product in the order the dense check's matrix products take it."""
+    n = len(p)
+    # (e_i)** = conj(s[i]) s[p[i]] e_p[p[i]] against e_i
+    twice = _apart(s[p] * np.conj(s), p[p], 1.0, np.arange(n))
+    # (e_i e_j)* = conj(w[i, j]) s[t[i, j]] e_p[t[i, j]]; e_j* e_i* = s[i] s[j] w[p[j], p[i]] e_t[p[j], p[i]]
+    left, left_at = np.conj(w) * s[t], p[t]
+    right, right_at = s[:, None] * (s * w[p[:, None], p].T), t[p[:, None], p].T
+    return float(np.max([np.max(twice), np.max(_apart(left, left_at, right, right_at))]))  # NaN stays
 
 
 # -- unitization --------------------------------------------------------------

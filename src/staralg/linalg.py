@@ -52,7 +52,11 @@ def negligible(norm, tol):
 
 def significant(values, tol):
     """Mask of the values above ``relative_bound(tol, largest)`` (a NaN largest reads as 1): the one
-    cut-off that decides numerical rank, zero eigenvalues and positive definiteness."""
+    cut-off that decides numerical rank, zero eigenvalues and positive definiteness. On a stack of
+    rows, each row against its own largest."""
+    if values.ndim > 1:
+        largest = values.max(axis=-1, keepdims=True)
+        return values > relative_bound(tol, np.where(np.isnan(largest), 1.0, largest))
     return values > relative_bound(tol, float(values.max()))
 
 

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, random_element
+from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, _table_singular_values, random_element
 from .errors import DecompositionFailed, IllConditioned, InternalInconsistency, NotARightIdeal
 from .linalg import (certificate_bound, colspace, membership_bound, negligible, nullspace, relative, require,
-                     require_each, subspaces_equal)
+                     require_each, significant, subspaces_equal)
 from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
 
 
@@ -83,7 +83,10 @@ def annihilator(elements, tol=DEFAULT_TOL):
     """Right annihilator {x : a x = 0 for every a in the set}, with projection generator.
 
     The subspace is the exact kernel of the stacked left-multiplication
-    operators; a kernel {0} is generated by 0. Otherwise, on a unital
+    operators, read off the product table when every element is a multiple
+    of one basis element of a monomial algebra (see
+    ``core._table_singular_values``) and found by an SVD otherwise; a kernel
+    {0} is generated by 0. Otherwise, on a unital
     algebra, the generator candidate is 1 - RP(h), one right projection, with
     h = sum s^* s over the normalised elements s/|s| above the zero rule:
     scaling leaves an annihilator alone and keeps a small s's square above
@@ -100,7 +103,11 @@ def annihilator(elements, tol=DEFAULT_TOL):
     for a in elements[1:]:
         elements[0]._check(a)
 
-    kernel = nullspace(np.concatenate([a.lmat() for a in elements], axis=0), tol)
+    sizes = _table_singular_values(algebra, [a.coeffs for a in elements])
+    if sizes is None:
+        kernel = nullspace(np.concatenate([a.lmat() for a in elements], axis=0), tol)
+    else:  # the e_j whose column of the stacked operators is not significant
+        kernel = np.eye(algebra.dim, dtype=complex)[:, ~significant(np.linalg.norm(sizes, axis=0), tol)]
     basis = [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
 
     generator = algebra.zero() if kernel.shape[1] == 0 else None  # {0} = 0A
@@ -160,48 +167,71 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    The elements are taken in order, and the first that fails settles the
-    report; no later one is solved. Cached per (tol, seed). The pass publishes
-    the right projections it reads with the algebra's facts (see
+    The first element that fails, in order, settles the report. ker L_a is
+    read off the product table for each basis element of a monomial algebra
+    (see ``core._table_singular_values``); one stacked SVD finds it for the
+    samples, and for every element on the dense form. Cached per (tol, seed).
+    The pass publishes the right projections it read, up to the first
+    failure, as read-only arrays with the algebra's facts (see
     ``staralg.spectral``), so a later ``right_projections`` call at the same
     tol, such as the Baer guard's, reuses them."""
     return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
 def _weakly_rickart_pass(algebra, tol, seed):
+    """The pass in one batch: the RPs up to the first that cannot be certified, then a RP(a) = a
+    with one ``row_products`` and L_RP(a) = 0 on ker L_a for every row at once. A failure keeps
+    its message alone, as the exception's traceback would hold this frame."""
     rng = np.random.default_rng(seed)
+    basis = [a for a in algebra.basis() if not negligible(a.norm(), tol)]
+    samples = [a for a in (random_element(algebra, rng) for _ in range(8)) if not negligible(a.norm(), tol)]
+    live = basis + samples
+    xs = np.array([a.coeffs for a in live]).reshape(-1, algebra.dim)
+    sizes = _table_singular_values(algebra, xs[:len(basis)])
+    tabled = 0 if sizes is None else len(basis)  # rows whose kernel the table gives
+    kernels = nullspace(np.array([a.lmat() for a in live[tabled:]]), tol) if live[tabled:] else []
+
+    rps, failure = [], None
+    try:
+        for e in right_projections(live, tol):
+            rps.append(e.coeffs)
+    except DecompositionFailed as exc:
+        failure = str(exc)
+    solved = len(rps)
+    es = np.array(rps, dtype=complex).reshape(solved, algebra.dim)
+    es.setflags(write=False)
+    a = xs[:solved]
+    res1 = relative(np.linalg.norm(algebra.row_products(a, es) - a, axis=-1), np.linalg.norm(a, axis=-1))
+    # |L_e x| for x = e_j in ker L_a on the table (NaN, never over a bound, for e_j outside it), and for each
+    # column x of the SVD kernels
+    inside = np.zeros((0, algebra.dim))
+    if tabled:  # |e e_j|^2 = sum_i |e_i w[i, j]|^2, as the e_i e_j land on distinct t[i, j]
+        table = es[:tabled]
+        norms = np.sqrt((table * table.conj()).real @ np.abs(algebra._tables[2][1]) ** 2)
+        inside = np.where(significant(sizes[:len(table)], tol), np.nan, norms)
+    loose = [np.linalg.norm(algebra.left_mat(e) @ kernel, axis=0) for e, kernel in zip(es[tabled:], kernels)]
+
     bound = certificate_bound(tol)
-    worst = 0.0
-    tested = algebra.basis() + [random_element(algebra, rng) for _ in range(8)]
-    live = [a for a in tested if not negligible(a.norm(), tol)]
-    kernels = nullspace(np.array([a.lmat() for a in live]), tol)
-    rps = right_projections(live, tol)
+    over = np.concatenate([(inside > bound).any(axis=1), [(x > bound).any() for x in loose]]).astype(bool)
+    failed = over | (res1 > bound)
+    r = int(np.argmax(failed)) if failed.any() else solved  # the first row that fails its checks
     published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
-    for a, kernel in zip(live, kernels):
-        try:
-            e = next(rps)
-        except DecompositionFailed as exc:
-            return CheckReport(
-                "weakly_rickart", False, float("inf"), seed,
-                witness={"element": _coeffs_json(a.coeffs), "reason": str(exc)},
-            )
-        published[a.coeffs.tobytes()] = e.coeffs
-        res1 = relative((a * e - a).norm(), a.norm())
-        worst = max(worst, res1)
-        res2 = np.linalg.norm(e.lmat() @ kernel, axis=0)
-        over = np.flatnonzero(res2 > bound)
-        if over.size:
-            return CheckReport(
-                "weakly_rickart", False, float(res2[over[0]]), seed,
-                witness={"element": _coeffs_json(a.coeffs),
-                         "kernel_vector": _coeffs_json(kernel[:, over[0]])},
-            )
-        worst = max(worst, float(np.max(res2, initial=0.0)))
-        if res1 > bound:
-            return CheckReport(
-                "weakly_rickart", False, res1, seed, witness={"element": _coeffs_json(a.coeffs)},
-            )
-    return CheckReport("weakly_rickart", True, worst, seed, details={"tested": len(tested)})
+    for x, e in zip(xs[:r + 1], es):
+        published[x.tobytes()] = e
+    if r < solved:
+        element = _coeffs_json(xs[r])
+        if not over[r]:
+            return CheckReport("weakly_rickart", False, float(res1[r]), seed, witness={"element": element})
+        column = inside[r] if r < tabled else loose[r - tabled]
+        j = np.flatnonzero(column > bound)[0]
+        vector = np.eye(algebra.dim)[j] if r < tabled else kernels[r - tabled][:, j]
+        return CheckReport("weakly_rickart", False, float(column[j]), seed,
+                           witness={"element": element, "kernel_vector": _coeffs_json(vector)})
+    if failure is not None:
+        return CheckReport("weakly_rickart", False, float("inf"), seed,
+                           witness={"element": _coeffs_json(xs[solved]), "reason": failure})
+    worst = np.fmax.reduce(np.concatenate([res1, inside.ravel(), *loose]), initial=0.0)  # a NaN is passed over
+    return CheckReport("weakly_rickart", True, float(worst), seed, details={"tested": algebra.dim + 8})
 
 
 def check_baer(algebra, tol=DEFAULT_TOL, seed=0):

@@ -30,9 +30,9 @@ it leaves the later rows unsolved. Every product of the stacked path runs on
 slices shaped as for one element, so an element's numbers do not depend on
 the elements stacked with it.
 
-The weakly-Rickart pass publishes the coefficients of each RP it reads,
-keyed by the input's coefficient bytes, in one table per tol in
-``algebra._cache``. ``right_projections`` reads that table, wrapping each
+The weakly-Rickart pass publishes read-only copies of the coefficients of
+each RP it reads, up to its first failing row, keyed by the input's
+coefficient bytes, in one table per tol in ``algebra._cache``. ``right_projections`` reads that table, wrapping each
 hit as an Element, and never creates it: the Baer guard's RP(e_i) are the
 pass's, and an algebra no pass ran on solves every input. A published RP is
 what a fresh solve gives, as a row's numbers do not depend on its stack.

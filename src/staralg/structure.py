@@ -185,11 +185,35 @@ class CentralDecomposition:
     block_dims: list
 
 
-def center(algebra, tol=DEFAULT_TOL):
-    """Orthonormal basis of the center: the common kernel of L_e - R_e over the basis."""
-    eye = np.eye(algebra.dim)
-    kernel = nullspace((algebra.left_mat(eye) - algebra.right_mat(eye)).reshape(-1, algebra.dim), tol)
+def center(algebra, tol=DEFAULT_TOL, seed=0):
+    """Orthonormal basis of the center: the common kernel of L_e - R_e over the basis.
+
+    The center lies in the kernel of L_x - R_x for every x, and for two
+    random elements x and y, drawn from ``seed``, the common kernel of theirs
+    is the center itself unless the pair is degenerate (Murota, Kanno, Kojima
+    and Kojima, 2010). That (2n, n) kernel is kept only if every column
+    commutes with every basis element within certificate_bound(tol) of the
+    size of the products; otherwise the (n^2, n) stack over the whole basis
+    decides."""
+    rng = np.random.default_rng(seed)
+    xs = np.array([random_element(algebra, rng).coeffs for _ in range(2)])
+    kernel = nullspace(_commutators(algebra, xs), tol)
+    if not _central(algebra, kernel.T, tol):
+        kernel = nullspace(_commutators(algebra, np.eye(algebra.dim)), tol)
     return [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]
+
+
+def _commutators(algebra, xs):
+    """The operators L_x - R_x of the rows x of ``xs``, stacked as one (len(xs) n, n) matrix."""
+    return (algebra.left_mat(xs) - algebra.right_mat(xs)).reshape(-1, algebra.dim)
+
+
+def _central(algebra, zs, tol):
+    """Whether every row z of ``zs`` has z e_j = e_j z for every j, within certificate_bound(tol)
+    of the largest of those products; a NaN is not central."""
+    left, right = algebra.left_mat(zs), algebra.right_mat(zs)  # column j: z e_j, and e_j z
+    size = float(np.max(np.linalg.norm([left, right], axis=-2), initial=0.0))
+    return bool(np.max(np.linalg.norm(left - right, axis=-2), initial=0.0) <= certificate_bound(tol, size))
 
 
 def central_atoms(algebra, tol=DEFAULT_TOL, seed=0):

@@ -18,7 +18,7 @@ import pytest
 import staralg as sa
 from staralg import core, groups, rickart, spectral, structure
 from staralg.instances import nilpotent_mutant, swap_mutant, unitized_nilpotent
-from staralg.linalg import nullspace, relative_bound, subspaces_equal
+from staralg.linalg import nullspace, relative_bound, significant, subspaces_equal
 
 
 # -- the reference: the contractions as written before the kernel --------------
@@ -340,11 +340,15 @@ def test_batched_sites_match_their_loops():
     u = nullspace(np.stack([x.coeffs for x in rad], axis=1).conj().T, 1e-9)  # the complement of the radical
     assert _close(sa.quotient_by_radical(mutant, rad, 1e-9).mul, _loop_compress(mutant, u))
 
-    center = np.array([z.coeffs for z in sa.center(alg)]).T
-    eye = np.eye(alg.dim)
-    stack = np.concatenate([ref_left_mat(alg.mul, e) - ref_right_mat(alg.mul, e) for e in eye])
-    ref = sa.linalg.nullspace(stack, 1e-9)
-    assert _close(center @ center.conj().T, ref @ ref.conj().T)
+    # the two-commutator center spans what the stack over the whole basis spans
+    shapes = [([2, 2], 1), ([3, 2], 2), ([2], 3), ([4], 0)]
+    scrambled = [sa.semisimple_instance(blocks, ab, rng) for blocks, ab in shapes]
+    for other in [alg, *scrambled, *_table_kernel_algebras().values()]:
+        center = np.array([z.coeffs for z in sa.center(other)]).reshape(-1, other.dim).T
+        eye = np.eye(other.dim)
+        stack = np.concatenate([ref_left_mat(other.mul, e) - ref_right_mat(other.mul, e) for e in eye])
+        ref = sa.linalg.nullspace(stack, 1e-9)
+        assert _close(center @ center.conj().T, ref @ ref.conj().T)
 
     # the sites that take basis products from the kernel give what reading mul gave, bit for bit
     s4 = groups.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
@@ -373,6 +377,46 @@ def test_batched_sites_match_their_loops():
         got = (report.associativity_defect, report.involution_defect, report.unit_defect, report.passed)
         assert got == ref_validate(alg)
     assert adjoined == {False, True}  # compared with the trace over A itself and over a unitization
+    # the involution checked on the product table gives the dense check's defects, bit for bit
+    for name, alg in _monomial_star_algebras().items():
+        assert alg._tables is not None and core._monomial_star(alg.star) is not None, name
+        report = sa.validate(alg)
+        got = (report.associativity_defect, report.involution_defect, report.unit_defect, report.passed)
+        assert got == ref_validate(alg), name
+        assert report.passed == (name != "C[C3] with e_g* = i e_g^-1"), name
+    assert sa.validate(_monomial_star_algebras()["C[C3] with e_g* = i e_g^-1"]).involution_defect == np.sqrt(2.0)
+
+
+def _phased_group_algebra(group, phases):
+    """C[G] in the basis f_g = phases[g] g, with f_g f_h = phases[g] phases[h] / phases[gh] f_gh and
+    f_g* = conj(phases[g]) / phases[g^-1] f_g^-1: complex unit weights on the table and on the star."""
+    n = group.order
+    c = np.zeros((n, n, n), dtype=complex)
+    s = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        s[group.inverse[i], i] = np.conj(phases[i]) / phases[group.inverse[i]]
+        for j in range(n):
+            k = group.cayley[i, j]
+            c[i, j, k] = phases[i] * phases[j] / phases[k]
+    return sa.StarAlgebra(c, s)
+
+
+def _monomial_star_algebras():
+    """Monomial constants with a monomial star: ``validate`` checks their involution on the product table.
+    The phases are powers of i, so every product is exact on either path; the last star is broken,
+    as (gh)* = i (gh)^-1 while g* h* = -(gh)^-1."""
+    m3 = sa.matrix_algebra(3)
+    q8 = groups.quaternion_group()
+    phases = 1j ** np.random.default_rng(12).integers(0, 4, q8.order)
+    c3 = groups.build_group_algebra(sa.cyclic_group(3))
+    return {
+        "M3": m3,
+        "C[S4]": groups.build_group_algebra(groups.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])),
+        "C[Q8] with phases": _phased_group_algebra(q8, phases),
+        "M3 x 1e-8": sa.StarAlgebra(m3.mul * 1e-8, m3.star),
+        "M3 x 1e6": sa.StarAlgebra(m3.mul * 1e6, m3.star),
+        "C[C3] with e_g* = i e_g^-1": sa.StarAlgebra(c3.mul, 1j * c3.star),
+    }
 
 
 def _loop_certificate_residual(dec):
@@ -477,6 +521,109 @@ def test_nullspace_matches_the_full_svd(name):
     assert len(kernels) == len(stack)
     for one, kernel in zip(stack, kernels):
         assert np.array_equal(kernel, nullspace(one, tol))
+
+
+# -- kernels read off the product table --------------------------------------
+
+def _table_kernel_algebras():
+    """Monomial algebras, proper and not, unital and not, whose basis kernels the table gives."""
+    return {
+        **{f"M{k}": sa.matrix_algebra(k) for k in (2, 3, 4)},
+        "C[S3]": groups.build_group_algebra(sa.symmetric_group_3()),
+        "C[Q8]": groups.build_group_algebra(groups.quaternion_group()),
+        "C^4": sa.diagonal_algebra(4),
+        "M2+C[C3]": sa.direct_sum(sa.matrix_algebra(2), groups.build_group_algebra(sa.cyclic_group(3))),
+        **{f"swap_mutant({p})": swap_mutant(p) for p in (1, 2, 3)},
+        **{f"nilpotent_mutant({a})": nilpotent_mutant(a) for a in range(4)},
+        "unitized_nilpotent": unitized_nilpotent(),
+    }
+
+
+def _projector(columns):
+    return columns @ columns.conj().T
+
+
+@pytest.mark.parametrize("name", list(_table_kernel_algebras()))
+def test_table_kernels_are_the_svd_kernels(name):
+    """ker L_x of each basis multiple x, and the common kernel of a stack of them, as the annihilator reads it,
+    span what ``nullspace`` of the (stacked) L_x spans; a row with two nonzeros, or the dense form, is declined."""
+    alg, tol = _table_kernel_algebras()[name], 1e-9
+    n = alg.dim
+    assert alg._tables is not None
+    scales = np.array([1.0, 2.5j, -1e-12, 1e3])  # -1e-12 e_i has no significant singular value
+    rows = np.eye(n, dtype=complex) * scales[np.arange(n) % 4][:, None]
+    sizes = core._table_singular_values(alg, rows)
+    for row, kept in zip(rows, significant(sizes, tol), strict=True):
+        assert np.allclose(_projector(np.eye(n)[:, ~kept]), _projector(nullspace(alg.left_mat(row), tol)),
+                           rtol=0, atol=1e-12)
+    rng = np.random.default_rng(6)
+    for count in (1, 2, 3):
+        picks = rng.choice(n, size=min(count, n), replace=False)
+        ann = sa.annihilator([alg.element(rows[i]) for i in picks])
+        got = np.array([x.coeffs for x in ann.subspace_basis]).reshape(-1, n).T
+        ref = nullspace(np.concatenate([alg.left_mat(rows[i]) for i in picks]), tol)
+        assert np.allclose(_projector(got), _projector(ref), rtol=0, atol=1e-12)
+    dense = rows[0] + rows[-1]
+    assert core._table_singular_values(alg, [dense, rows[0]]) is None
+    assert core._table_singular_values(alg, [rows[0], dense]) is None
+    scrambled = sa.semisimple_instance([2], 1, rng)
+    assert core._table_singular_values(scrambled, np.eye(scrambled.dim)) is None
+
+
+@pytest.mark.parametrize("name", list(_table_kernel_algebras()))
+def test_the_pass_gives_the_same_report_on_the_table_kernels(monkeypatch, name):
+    """The weakly-Rickart pass reads the same verdict and witness element with table kernels as with the SVD's;
+    with every check made to fail, both name the first row, and a kernel vector of the table's lies in ker L_a."""
+    def report():
+        return sa.check_weakly_rickart(_table_kernel_algebras()[name])
+
+    table = report()
+    with monkeypatch.context() as patch:
+        patch.setattr(rickart, "certificate_bound", lambda tol: -1.0)
+        failed_table = report()
+    monkeypatch.setattr(rickart, "_table_singular_values", lambda algebra, xs: None)
+    svd = report()
+    assert table.passed == svd.passed and table.details == svd.details
+    assert (table.witness or {}).get("element") == (svd.witness or {}).get("element")
+    assert table.worst_residual == pytest.approx(svd.worst_residual, rel=0, abs=1e-12)
+    monkeypatch.setattr(rickart, "certificate_bound", lambda tol: -1.0)
+    failed_svd = report()
+    assert set(failed_table.witness) == set(failed_svd.witness)
+    assert failed_table.witness["element"] == failed_svd.witness["element"]
+    if "kernel_vector" in failed_table.witness:
+        a, v = (np.array([complex(*z) for z in failed_table.witness[key]]) for key in ("element", "kernel_vector"))
+        assert np.linalg.norm(_table_kernel_algebras()[name].left_mat(a) @ v) <= 1e-12
+
+
+def test_analyze_on_the_table_stacks_no_basis_operators(monkeypatch):
+    """On M4: no ``svd`` input is the (n^2, n) stack over the basis, the pass's kernel stack holds its 8
+    samples, the guard's basis pairs take no SVD, and the unit's ``lstsq`` still runs once."""
+    alg = sa.matrix_algebra(4)
+    n = alg.dim
+    svd, lstsq, kernel = np.linalg.svd, np.linalg.lstsq, rickart.nullspace
+    shapes, solves, kernels = [], [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(None) or lstsq(*args, **kwargs))
+    monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    assert sa.analyze(alg).baer
+    assert shapes and (n * n, n) not in shapes and (2 * n, n) in shapes  # the center's two commutators
+    assert [shape for shape in kernels if len(shape) == 3] == [(8, n, n)]
+    assert len(kernels) == 3  # the pass and the guard's 2 random subsets
+    assert len(solves) == 1
+
+
+def test_the_center_falls_back_to_the_whole_basis(monkeypatch):
+    """When both draws are central, their commutators vanish and the candidate is all of A: it fails the check,
+    and the stack over the whole basis gives the center."""
+    alg = sa.semisimple_instance([2, 2], 1, np.random.default_rng(2))
+    n = alg.dim
+    ref = _projector(np.array([z.coeffs for z in sa.center(alg)]).T)
+    kernel, stacks = structure.nullspace, []
+    monkeypatch.setattr(structure, "random_element", lambda algebra, rng: algebra.one() * rng.standard_normal())
+    monkeypatch.setattr(structure, "nullspace", lambda m, tol: stacks.append(np.shape(m)) or kernel(m, tol))
+    got = _projector(np.array([z.coeffs for z in sa.center(alg)]).T)
+    assert stacks == [(2 * n, n), (n * n, n)]
+    assert got.shape == ref.shape and np.allclose(got, ref, rtol=0, atol=1e-12)
 
 
 def ref_spectral_terms(b, tol):

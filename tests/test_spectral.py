@@ -787,6 +787,20 @@ def test_a_returned_projection_cannot_change_a_later_hit(monkeypatch):
     assert not eigs
 
 
+def test_a_published_projection_cannot_change_a_later_answer():
+    """The pass publishes read-only rows: writing into a returned RP raises, and a later RP is unchanged."""
+    alg = sa.matrix_algebra(3)
+    sa.analyze(alg)
+    e11 = alg.basis_element(0)
+    rp = sa.right_projection(e11)
+    bits = rp.coeffs.tobytes()
+    assert bits == _published(alg)[e11.coeffs.tobytes()].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rp.coeffs[0] = 7.0
+    assert sa.right_projection(e11).coeffs.tobytes() == bits
+    assert all(not row.flags.writeable for row in _published(alg).values())
+
+
 # -- right projections in trace-form coordinates --------------------------------
 
 def _count_solves(monkeypatch):
