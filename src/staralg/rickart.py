@@ -170,7 +170,10 @@ def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     The first element that fails, in order, settles the report. ker L_a is
     read off the product table for each basis element of a monomial algebra
     (see ``core._table_singular_values``); one stacked SVD finds it for the
-    samples, and for every element on the dense form. Cached per (tol, seed).
+    samples, and for every element on the dense form. The checks run on all
+    solved elements in one batch, so an element after the first failing one
+    may be solved too, but neither its projection nor an error from its
+    solve reaches the caller. Cached per (tol, seed).
     The pass publishes the right projections it read, up to the first
     failure, as read-only arrays with the algebra's facts (see
     ``staralg.spectral``), so a later ``right_projections`` call at the same
@@ -179,9 +182,9 @@ def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
 
 
 def _weakly_rickart_pass(algebra, tol, seed):
-    """The pass in one batch: the RPs up to the first that cannot be certified, then a RP(a) = a
-    with one ``row_products`` and L_RP(a) = 0 on ker L_a for every row at once. A failure keeps
-    its message alone, as the exception's traceback would hold this frame."""
+    """The pass in one batch: the RPs up to the first that cannot be solved, then ``_first_failure``'s checks.
+    A failed certificate keeps its message alone, as the exception's traceback would hold this frame; any
+    other error from a solve is the outcome only when no row before it fails its checks."""
     rng = np.random.default_rng(seed)
     basis = [a for a in algebra.basis() if not negligible(a.norm(), tol)]
     samples = [a for a in (random_element(algebra, rng) for _ in range(8)) if not negligible(a.norm(), tol)]
@@ -191,16 +194,38 @@ def _weakly_rickart_pass(algebra, tol, seed):
     tabled = 0 if sizes is None else len(basis)  # rows whose kernel the table gives
     kernels = nullspace(np.array([a.lmat() for a in live[tabled:]]), tol) if live[tabled:] else []
 
+    published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
     rps, failure = [], None
     try:
         for e in right_projections(live, tol):
             rps.append(e.coeffs)
     except DecompositionFailed as exc:
         failure = str(exc)
+    except Exception:
+        report, _ = _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed)
+        if report is None:
+            raise
+        return report
+    report, worst = _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed)
+    if report is not None:
+        return report
+    if failure is not None:
+        return CheckReport("weakly_rickart", False, float("inf"), seed,
+                           witness={"element": _coeffs_json(xs[len(rps)]), "reason": failure})
+    return CheckReport("weakly_rickart", True, worst, seed, details={"tested": algebra.dim + 8})
+
+
+def _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed):
+    """The report of the first row a of ``xs`` whose RP e in ``rps`` fails a e = a or L_e = 0 on ker L_a, or
+    None, and the worst residual; each row up to that one goes into ``published``, read-only.
+
+    One ``row_products`` gives every a e. ker L_a is spanned by the e_j outside the column mask of ``sizes``
+    for the first len(sizes) rows, and by the columns of ``kernels`` for the rest."""
     solved = len(rps)
     es = np.array(rps, dtype=complex).reshape(solved, algebra.dim)
     es.setflags(write=False)
     a = xs[:solved]
+    tabled = 0 if sizes is None else min(len(sizes), solved)
     res1 = relative(np.linalg.norm(algebra.row_products(a, es) - a, axis=-1), np.linalg.norm(a, axis=-1))
     # |L_e x| for x = e_j in ker L_a on the table (NaN, never over a bound, for e_j outside it), and for each
     # column x of the SVD kernels
@@ -208,30 +233,26 @@ def _weakly_rickart_pass(algebra, tol, seed):
     if tabled:  # |e e_j|^2 = sum_i |e_i w[i, j]|^2, as the e_i e_j land on distinct t[i, j]
         table = es[:tabled]
         norms = np.sqrt((table * table.conj()).real @ np.abs(algebra._tables[2][1]) ** 2)
-        inside = np.where(significant(sizes[:len(table)], tol), np.nan, norms)
+        inside = np.where(significant(sizes[:tabled], tol), np.nan, norms)
     loose = [np.linalg.norm(algebra.left_mat(e) @ kernel, axis=0) for e, kernel in zip(es[tabled:], kernels)]
 
     bound = certificate_bound(tol)
     over = np.concatenate([(inside > bound).any(axis=1), [(x > bound).any() for x in loose]]).astype(bool)
     failed = over | (res1 > bound)
     r = int(np.argmax(failed)) if failed.any() else solved  # the first row that fails its checks
-    published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
     for x, e in zip(xs[:r + 1], es):
         published[x.tobytes()] = e
-    if r < solved:
-        element = _coeffs_json(xs[r])
-        if not over[r]:
-            return CheckReport("weakly_rickart", False, float(res1[r]), seed, witness={"element": element})
-        column = inside[r] if r < tabled else loose[r - tabled]
-        j = np.flatnonzero(column > bound)[0]
-        vector = np.eye(algebra.dim)[j] if r < tabled else kernels[r - tabled][:, j]
-        return CheckReport("weakly_rickart", False, float(column[j]), seed,
-                           witness={"element": element, "kernel_vector": _coeffs_json(vector)})
-    if failure is not None:
-        return CheckReport("weakly_rickart", False, float("inf"), seed,
-                           witness={"element": _coeffs_json(xs[solved]), "reason": failure})
-    worst = np.fmax.reduce(np.concatenate([res1, inside.ravel(), *loose]), initial=0.0)  # a NaN is passed over
-    return CheckReport("weakly_rickart", True, float(worst), seed, details={"tested": algebra.dim + 8})
+    worst = float(np.fmax.reduce(np.concatenate([res1, inside.ravel(), *loose]), initial=0.0))  # NaN passed over
+    if r == solved:
+        return None, worst
+    element = _coeffs_json(xs[r])
+    if not over[r]:
+        return CheckReport("weakly_rickart", False, float(res1[r]), seed, witness={"element": element}), worst
+    column = inside[r] if r < tabled else loose[r - tabled]
+    j = np.flatnonzero(column > bound)[0]
+    vector = np.eye(algebra.dim)[j] if r < tabled else kernels[r - tabled][:, j]
+    return CheckReport("weakly_rickart", False, float(column[j]), seed,
+                       witness={"element": element, "kernel_vector": _coeffs_json(vector)}), worst
 
 
 def check_baer(algebra, tol=DEFAULT_TOL, seed=0):

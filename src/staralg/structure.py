@@ -185,17 +185,18 @@ class CentralDecomposition:
     block_dims: list
 
 
-def center(algebra, tol=DEFAULT_TOL, seed=0):
+def center(algebra, tol=DEFAULT_TOL):
     """Orthonormal basis of the center: the common kernel of L_e - R_e over the basis.
 
     The center lies in the kernel of L_x - R_x for every x, and for two
-    random elements x and y, drawn from ``seed``, the common kernel of theirs
-    is the center itself unless the pair is degenerate (Murota, Kanno, Kojima
-    and Kojima, 2010). That (2n, n) kernel is kept only if every column
+    random elements x and y, drawn from a fixed generator so that the center
+    does not depend on any caller's seed, the common kernel of theirs is the
+    center itself unless the pair is degenerate (Murota, Kanno, Kojima and
+    Kojima, 2010). That (2n, n) kernel is kept only if every column
     commutes with every basis element within certificate_bound(tol) of the
     size of the products; otherwise the (n^2, n) stack over the whole basis
     decides."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     xs = np.array([random_element(algebra, rng).coeffs for _ in range(2)])
     kernel = nullspace(_commutators(algebra, xs), tol)
     if not _central(algebra, kernel.T, tol):

@@ -11,7 +11,7 @@ from test_kernel import _random_algebras, ref_unitization
 
 import staralg as sa
 from staralg import rickart, spectral, structure
-from staralg.core import _cached
+from staralg.core import _cached, _coeffs_json
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
 from staralg.linalg import relative_bound
 
@@ -670,6 +670,31 @@ def test_the_weakly_rickart_pass_stops_at_its_first_failing_row(monkeypatch, mak
     first = next(i for i, row in enumerate(live) if np.array_equal(row, failing))
     assert len(solved) == first + 1
     assert all(np.array_equal(a.coeffs, row) for a, row in zip(solved, live))
+
+
+@pytest.mark.parametrize("error", [sa.IllConditioned("a later solve is ill-conditioned"),
+                                   np.linalg.LinAlgError("a later solve is rejected")],
+                         ids=["IllConditioned", "LinAlgError"])
+def test_an_error_in_a_later_solve_gives_way_to_an_earlier_failing_row(monkeypatch, error):
+    """With every row of M3 sent to the solver and every row failing its checks, the second solve's error
+    does not reach the caller: the first row's report stands, as when no solve raises."""
+    monkeypatch.setattr(spectral, "_trace_form_projections", lambda parent, rows, coords, tol: [None] * len(rows))
+    monkeypatch.setattr(rickart, "certificate_bound", lambda tol: -1.0)
+    ref = sa.check_weakly_rickart(sa.matrix_algebra(3)).to_dict()
+    solve, calls = spectral._solved_right_projection, []
+
+    def second_raises(a, tol):
+        calls.append(None)
+        if len(calls) == 2:
+            raise error
+        return solve(a, tol)
+
+    monkeypatch.setattr(spectral, "_solved_right_projection", second_raises)
+    alg = sa.matrix_algebra(3)
+    got = sa.check_weakly_rickart(alg).to_dict()
+    assert len(calls) == 2
+    assert got == ref and got["witness"]["element"] == _coeffs_json(alg.basis_element(0).coeffs)
+    assert list(_published(alg)) == [alg.basis_element(0).coeffs.tobytes()]
 
 
 # -- one decomposition per input: the solver's last-success slot ----------------
