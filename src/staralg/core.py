@@ -196,16 +196,14 @@ def _table_singular_values(algebra, xs):
     t[i, j], so the columns of L_x are orthogonal and column j's norm is a singular value of L_x.
     So ker L_x is spanned by the e_j whose value is not ``significant``, as the SVD finds it, and
     the common kernel of a stack by the e_j whose column norm over the stack is not. Declines on
-    the dense form, and at the first row with two nonzero coefficients."""
+    the dense form, and when any row has two nonzero coefficients."""
     if algebra._tables is None:
         return None
-    at = []
-    for x in xs:
-        nonzero = x.nonzero()[0]
-        if len(nonzero) > 1:
-            return None
-        at.append(nonzero[0] if len(nonzero) else 0)
-    scale = np.abs(np.asarray(xs)[np.arange(len(at)), at])
+    xs = np.asarray(xs)
+    if (np.count_nonzero(xs, axis=1) > 1).any():
+        return None
+    at = (xs != 0).argmax(axis=1)  # the nonzero coefficient, or 0 in a zero row
+    scale = np.abs(xs[np.arange(len(at)), at])
     return scale[:, None] * np.abs(algebra._tables[2][1][at])
 
 

@@ -91,6 +91,18 @@ def nullspace(mat, tol):
     return vh[np.count_nonzero(significant(s, tol)):].conj().T
 
 
+def full_rank_in_stack(mat, stack_norm, tol):
+    """Whether ``mat`` alone has kernel {0} under the cut-off ``nullspace`` applies to a stack of matrices
+    that holds it and has Frobenius norm ``stack_norm``: its smallest singular value above
+    relative_bound(tol, stack_norm).
+
+    Then the stack's kernel is {0} too, without its SVD: stacking rows lowers no singular value, so
+    sigma_min(stack) >= sigma_min(mat), and stack_norm >= sigma_max(stack), so the stack's own cut-off
+    is no higher and every singular value of the stack is ``significant``."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return len(s) == mat.shape[1] and bool(s[-1] > relative_bound(tol, stack_norm))
+
+
 def colspace(mat, tol):
     """Orthonormal basis (columns) of the column space of `mat`."""
     mat = np.atleast_2d(mat)

@@ -8,8 +8,8 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, _table_singular_values, random_element
 from .errors import DecompositionFailed, IllConditioned, InternalInconsistency, NotARightIdeal
-from .linalg import (certificate_bound, colspace, membership_bound, negligible, nullspace, relative, require,
-                     require_each, significant, subspaces_equal)
+from .linalg import (certificate_bound, colspace, full_rank_in_stack, membership_bound, negligible, nullspace,
+                     relative, require, require_each, significant, subspaces_equal)
 from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
 
 
@@ -105,7 +105,13 @@ def annihilator(elements, tol=DEFAULT_TOL):
 
     sizes = _table_singular_values(algebra, [a.coeffs for a in elements])
     if sizes is None:
-        kernel = nullspace(np.concatenate([a.lmat() for a in elements], axis=0), tol)
+        mats = [a.lmat() for a in elements]
+        # from three members on, the first alone often settles {0}; a pair is often rank-deficient
+        if len(mats) > 2 and full_rank_in_stack(mats[0], float(np.linalg.norm([np.linalg.norm(m) for m in mats])),
+                                                tol):
+            kernel = np.zeros((algebra.dim, 0), dtype=complex)  # {0}, as the stack's SVD would find
+        else:
+            kernel = nullspace(np.concatenate(mats, axis=0), tol)
     else:  # the e_j whose column of the stacked operators is not significant
         kernel = np.eye(algebra.dim, dtype=complex)[:, ~significant(np.linalg.norm(sizes, axis=0), tol)]
     basis = [Element(algebra, kernel[:, i]) for i in range(kernel.shape[1])]

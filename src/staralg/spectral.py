@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _trace_form, _trace_ranks
+from .core import DEFAULT_TOL, Element, _cached, _table_singular_values, _trace_form, _trace_ranks
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, negligible, relative, relative_bound, require, significant
 
@@ -231,8 +231,11 @@ def right_projections(xs, tol=DEFAULT_TOL):
     """RP(a) for each a of ``xs``, all of one parent, yielded in order.
 
     An input whose RP the weakly-Rickart pass published at this tol is
-    answered from that table. The trace-form path takes the other inputs in
-    one stack before the first RP is yielded; each row it rejects goes to the
+    answered from that table. With trace-form coordinates and a unit, a
+    multiple of one basis element is read off the product table when G is
+    diagonal (see ``_table_projections``), and the trace-form path takes
+    the other inputs, and the rows the table rejects, in one stack; both
+    run before the first RP is yielded. Each row they reject goes to the
     solver when it is reached, so a row whose RP cannot be certified raises
     its own error there and no later row is solved."""
     if not xs:
@@ -243,13 +246,21 @@ def right_projections(xs, tol=DEFAULT_TOL):
     out = [Element(parent, hit) if hit is not None else parent.zero() if negligible(a.norm(), tol) else None
            for a, hit in zip(xs, hits)]
     misses = [i for i, e in enumerate(out) if e is None]
-    coords = _cached(parent, _trace_coordinates, tol)[2] if misses else None
+    _, _, coords, diagonal = _cached(parent, _trace_coordinates, tol) if misses else (None,) * 4
     if coords is not None and parent.is_unital(tol):
+        if diagonal is not None and parent._tables is not None:
+            rows = np.array([xs[i].coeffs for i in misses])
+            single = np.count_nonzero(rows, axis=1) == 1  # a multiple of one basis element
+            if single.any():
+                run = [i for i, one in zip(misses, single.tolist()) if one]
+                for i, e in zip(run, _table_projections(parent, rows[single], diagonal, tol)):
+                    out[i] = e
+                misses = [i for i in misses if out[i] is None]
         for run in _chunks(misses, parent.dim ** 2):
             rows = np.array([xs[i].coeffs for i in run])
             for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
                 out[i] = e
-    for a, e in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
+    for a, e in zip(xs, out):  # None: a row both paths rejected, or every miss without trace-form coordinates
         yield _solved_right_projection(a, tol) if e is None else e
 
 
@@ -261,28 +272,52 @@ def _solved_right_projection(a, tol):
     return e
 
 
+def _table_projections(parent, a, diagonal, tol):
+    """RP of each row of ``a``, each a multiple c e_i of one basis element, off the product table; None
+    where a certificate fails.
+
+    With G = diag(g), W = diag(g^1/2) gives trace-form coordinates, and W L_a W^-1 maps e_j to
+    c w[i, j] (g_t[i, j] / g_j)^1/2 e_t[i, j]. Its nonzero columns land on distinct t[i, j], so they are
+    orthogonal: the singular values are s_j = |c w[i, j]| (g_t[i, j] / g_j)^1/2 with right singular
+    vectors e_j, and L_RP(a) = W^-1 P W = P for P the projection onto the e_j whose s_j^2 is
+    ``significant``, the trace-form path's rank rule. So RP(a) is the unit with every other coefficient
+    set to 0, kept under the trace-form path's certificates (see ``_certified``)."""
+    t = parent._tables[2][0]
+    at = (a != 0).argmax(axis=1)
+    s = _table_singular_values(parent, a) * np.sqrt(diagonal[t[at]] / diagonal)
+    keep = significant(s * s, tol)
+    e = parent.unit_vector(tol) * keep
+    ok = _certified(parent, a, e, np.count_nonzero(keep, axis=1), tol)
+    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+
+
 def _trace_form_projections(parent, a, coords, tol):
     """RP of each row of ``a`` from one stacked SVD in trace-form coordinates; None where a certificate fails.
 
     With W L_a W^-1 = U S V^H, the kernel of L_a is W^-1 times the right
     singular vectors past the rank r, so L_RP(a) = W^-1 V_r V_r^H W and
     RP(a) is its value at 1. The rank rule is the solver's zero rule on the
-    eigenvalues S^2 of L_{a*a}. A row is kept when e = e*, e^2 = e and
-    a e = a hold at certificate_bound and tau . e = r (see ``_trace_ranks``):
-    rank L_e = rank L_a together with a e = a gives ker L_a = ker L_e."""
+    eigenvalues S^2 of L_{a*a}, and a row is kept under ``_certified``."""
     w, w_inv = coords
     rejected = np.zeros(len(a), dtype=bool)
     _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, rejected)
     ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
     c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
     e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
+    ok = _certified(parent, a, e, ranks, tol) & ~rejected
+    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+
+
+def _certified(parent, a, e, ranks, tol):
+    """Mask of the rows where e is RP(a) for a of rank ``ranks``: e = e*, e^2 = e and a e = a hold at
+    certificate_bound(tol), and tau . e = rank (see ``_trace_ranks``), as rank L_e = rank L_a together
+    with a e = a gives ker L_a = ker L_e. Each row's products run as for one element (``_rowwise``)."""
     worst = np.maximum(np.maximum(
         _norms(e - _rowwise(parent.star_coeffs, e)),
         _norms(_rowwise(parent.row_products, e, e) - e)),
         relative(_norms(_rowwise(parent.row_products, a, e) - a), _norms(a)))
     traced, off = _trace_ranks(parent, e)
-    ok = (np.maximum(worst, off) <= certificate_bound(tol)) & (traced == ranks) & ~rejected
-    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+    return (np.maximum(worst, off) <= certificate_bound(tol)) & (traced == ranks)
 
 
 def right_projection(a, tol=DEFAULT_TOL):
@@ -367,15 +402,20 @@ def _gram_matrix(algebra):
 def _trace_coordinates(algebra, tol):
     """The ``eigh`` of the Gram matrix G and, where it is positive definite, its trace-form coordinates.
 
-    Returns ``(evals, evecs, coords)``; ``coords``, the one positive-definiteness decision, is
+    Returns ``(evals, evecs, coords, diagonal)``; ``coords``, the one positive-definiteness decision, is
     ``(W, W^-1)`` when every eigenvalue of G is ``significant``, else None. W = Lambda^1/2 V^H, so
-    G = W^H W and W L_a W^-1 is L_a in a <.,.>-orthonormal basis. Use via _cached."""
-    evals, evecs = np.linalg.eigh(_cached(algebra, _gram_matrix))
-    coords = None
+    G = W^H W and W L_a W^-1 is L_a in a <.,.>-orthonormal basis. ``diagonal``, the one decision that
+    G is diagonal, is G's diagonal g when coords exist and every entry off it is 0, else None; then
+    diag(g^1/2) serves as W too. Use via _cached."""
+    gram = _cached(algebra, _gram_matrix)
+    evals, evecs = np.linalg.eigh(gram)
+    coords = diagonal = None
     if significant(evals, tol)[0]:  # eigh sorts ascending
         root = np.sqrt(evals)
         coords = (root[:, None] * evecs.conj().T, evecs / root)
-    return evals, evecs, coords
+        if np.count_nonzero(gram) == len(gram):  # its diagonal is positive, so it holds all n nonzeros
+            diagonal = np.diagonal(gram).real
+    return evals, evecs, coords, diagonal
 
 
 def cstar_norm(a, tol=DEFAULT_TOL):

@@ -74,7 +74,7 @@ def check_proper(algebra, tol=DEFAULT_TOL, seed=0):
 
 
 def _check_proper(algebra, tol, seed):
-    evals, evecs, coords = _cached(algebra, _trace_coordinates, tol)
+    evals, evecs, coords, _ = _cached(algebra, _trace_coordinates, tol)
     passed = coords is not None
     details = {"gram_min_eig": float(evals[0]), "gram_max_eig": float(evals[-1])}
     rng = np.random.default_rng(seed)

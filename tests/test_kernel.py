@@ -18,7 +18,7 @@ import pytest
 import staralg as sa
 from staralg import core, groups, rickart, spectral, structure
 from staralg.instances import nilpotent_mutant, swap_mutant, unitized_nilpotent
-from staralg.linalg import nullspace, relative_bound, significant, subspaces_equal
+from staralg.linalg import full_rank_in_stack, nullspace, relative_bound, significant, subspaces_equal
 
 
 # -- the reference: the contractions as written before the kernel --------------
@@ -523,6 +523,23 @@ def test_nullspace_matches_the_full_svd(name):
         assert np.array_equal(kernel, nullspace(one, tol))
 
 
+def test_a_full_rank_first_matrix_gives_the_stack_kernel_0():
+    """Whenever ``full_rank_in_stack`` holds for a stack's first matrix, ``nullspace`` of the stack is {0}; the
+    first matrix's smallest singular value sweeps across the cut-off, so the rule holds and fails."""
+    rng = np.random.default_rng(9)
+    tol, answers = 1e-9, []
+    for smallest in np.geomspace(1e-9, 1e-4, 26):
+        u, v = (np.linalg.qr(_random_complex(rng, 6, 6))[0] for _ in range(2))
+        first = u @ np.diag(np.append(np.geomspace(1e3, 1.0, 5), smallest)) @ v
+        mats = [first] + [_random_complex(rng, 6, 6) * 10.0 for _ in range(3)]
+        size = float(np.linalg.norm([np.linalg.norm(m) for m in mats]))
+        answers.append(full_rank_in_stack(first, size, tol))
+        if answers[-1]:
+            assert nullspace(np.concatenate(mats), tol).shape == (6, 0)
+    assert any(answers) and not all(answers)
+    assert not full_rank_in_stack(first[:5], 1.0, tol)  # a wide matrix has a kernel
+
+
 # -- kernels read off the product table --------------------------------------
 
 def _table_kernel_algebras():
@@ -570,6 +587,34 @@ def test_table_kernels_are_the_svd_kernels(name):
     assert core._table_singular_values(scrambled, np.eye(scrambled.dim)) is None
 
 
+def ref_table_singular_values(algebra, xs):
+    """``core._table_singular_values`` as a loop over the rows: the reference for its vectorised form."""
+    if algebra._tables is None:
+        return None
+    at = []
+    for x in xs:
+        nonzero = x.nonzero()[0]
+        if len(nonzero) > 1:
+            return None
+        at.append(nonzero[0] if len(nonzero) else 0)
+    scale = np.abs(np.asarray(xs)[np.arange(len(at)), at])
+    return scale[:, None] * np.abs(algebra._tables[2][1][at])
+
+
+@pytest.mark.parametrize("name", list(_table_kernel_algebras()))
+def test_table_singular_values_match_the_loop(name):
+    """Basis multiples with zero rows among them give the loop's values bit for bit; a two-term row anywhere
+    gives None, as it does there."""
+    alg = _table_kernel_algebras()[name]
+    rng = np.random.default_rng(7)
+    rows = np.eye(alg.dim, dtype=complex) * _random_complex(rng, alg.dim)[:, None]
+    rows[::3] = 0.0
+    np.testing.assert_array_equal(core._table_singular_values(alg, rows), ref_table_singular_values(alg, rows))
+    if alg.dim > 1:
+        rows[1, 0] = 1.0  # row 1 also holds its own basis element
+        assert core._table_singular_values(alg, rows) is None is ref_table_singular_values(alg, rows)
+
+
 @pytest.mark.parametrize("name", list(_table_kernel_algebras()))
 def test_the_pass_gives_the_same_report_on_the_table_kernels(monkeypatch, name):
     """The weakly-Rickart pass reads the same verdict and witness element with table kernels as with the SVD's;
@@ -596,19 +641,26 @@ def test_the_pass_gives_the_same_report_on_the_table_kernels(monkeypatch, name):
 
 
 def test_analyze_on_the_table_stacks_no_basis_operators(monkeypatch):
-    """On M4: no ``svd`` input is the (n^2, n) stack over the basis, the pass's kernel stack holds its 8
-    samples, the guard's basis pairs take no SVD, and the unit's ``lstsq`` still runs once."""
+    """On M4: no ``svd`` input is the (n^2, n) stack over the basis, no trace-form ``svd`` input holds a
+    basis row, the pass's kernel stack holds its 8 samples, the guard's basis pairs take no SVD, a guard
+    subset takes none when its first member alone has kernel {0}, and the unit's ``lstsq`` still runs once."""
     alg = sa.matrix_algebra(4)
     n = alg.dim
-    svd, lstsq, kernel = np.linalg.svd, np.linalg.lstsq, rickart.nullspace
-    shapes, solves, kernels = [], [], []
+    svd, lstsq, kernel, alone = np.linalg.svd, np.linalg.lstsq, rickart.nullspace, rickart.full_rank_in_stack
+    stack = spectral._trace_form_projections
+    shapes, solves, kernels, stacked, skipped = [], [], [], [], []
     monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(None) or lstsq(*args, **kwargs))
     monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    monkeypatch.setattr(rickart, "full_rank_in_stack",
+                        lambda m, norm, tol: skipped.append(alone(m, norm, tol)) or skipped[-1])
+    monkeypatch.setattr(spectral, "_trace_form_projections",
+                        lambda parent, rows, coords, tol: stacked.extend(rows) or stack(parent, rows, coords, tol))
     assert sa.analyze(alg).baer
     assert shapes and (n * n, n) not in shapes and (2 * n, n) in shapes  # the center's two commutators
+    assert stacked and not [row for row in stacked if np.count_nonzero(row) == 1]
     assert [shape for shape in kernels if len(shape) == 3] == [(8, n, n)]
-    assert len(kernels) == 3  # the pass and the guard's 2 random subsets
+    assert len(kernels) == 3 - sum(skipped)  # the pass and the guard's 2 random subsets, less those skipped
     assert len(solves) == 1
 
 

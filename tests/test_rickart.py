@@ -313,3 +313,61 @@ def test_annihilator_kernel_is_exact(seed):
     if result.generator is not None and result.dim:
         g = result.generator
         assert (a * g).norm() < 1e-7 * max(1.0, a.norm())
+
+
+def _shortcut_subsets(alg, rng):
+    """Random sets of 3 to n + 1 elements, first of all invertible, then with a rank-deficient first member."""
+    p = sa.spectral_decompose(sa.random_selfadjoint(alg, rng)).projections()[0]
+    sets = []
+    for first in (lambda: sa.random_element(alg, rng), lambda: sa.random_element(alg, rng) * p):
+        for size in range(3, alg.dim + 2):
+            sets.append([first()] + [sa.random_element(alg, rng) for _ in range(size - 1)])
+    sets.append([sa.random_element(alg, rng) * p for _ in range(3)])  # a common kernel that is not {0}
+    return sets
+
+
+_SHORTCUT_ALGEBRAS = {
+    **{name: (lambda name=name: (_ANNIHILATOR_ALGEBRAS[name](), name in _CSTAR)) for name in _ANNIHILATOR_PINS},
+    "M4": lambda: (sa.matrix_algebra(4), True),
+    "C[S3]": lambda: (sa.build_group_algebra(sa.symmetric_group_3()), True),
+    "scrambled [3,2]": lambda: (semisimple_instance([3, 2], 0, np.random.default_rng(4)), True),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHORTCUT_ALGEBRAS))
+def test_the_full_rank_shortcut_keeps_every_annihilator(monkeypatch, name):
+    """A set of three or more whose first member alone has kernel {0} takes no stacked SVD; with the shortcut on
+    and patched out, every annihilator of ``_annihilator_cases`` and of random sets on dense and table algebras
+    has the same dimension, basis and generator, bit for bit."""
+    alg, cstar = _SHORTCUT_ALGEBRAS[name]()
+    cases = _annihilator_cases(alg, cstar)
+    if cstar:
+        cases += _shortcut_subsets(alg, np.random.default_rng(8))
+    taken = []
+    alone = rickart.full_rank_in_stack
+    monkeypatch.setattr(rickart, "full_rank_in_stack", lambda m, norm, tol: taken.append(alone(m, norm, tol)) or taken[-1])
+    on = [sa.annihilator(s) for s in cases]
+    monkeypatch.setattr(rickart, "full_rank_in_stack", lambda m, norm, tol: False)
+    off = [sa.annihilator(s) for s in cases]
+    for got, ref in zip(on, off, strict=True):
+        assert got.dim == ref.dim and got.is_principal_projection_ideal == ref.is_principal_projection_ideal
+        for x, y in zip(got.subspace_basis, ref.subspace_basis, strict=True):
+            np.testing.assert_array_equal(x.coeffs, y.coeffs)
+        assert (got.generator is None) == (ref.generator is None)
+        if got.generator is not None:
+            np.testing.assert_array_equal(got.generator.coeffs, ref.generator.coeffs)
+    if cstar:
+        assert any(taken) and not all(taken)
+
+
+def test_the_guard_takes_no_svd_of_its_largest_subset(monkeypatch):
+    """On M6 at seed 0 the Baer guard's second random subset has 22 members, and the first alone has kernel {0}:
+    no (792, 36) stack reaches ``nullspace`` or ``svd``."""
+    sizes, kernels, shapes = [], [], []
+    ann, kernel, svd = rickart.annihilator, rickart.nullspace, np.linalg.svd
+    monkeypatch.setattr(rickart, "annihilator", lambda s, tol=sa.DEFAULT_TOL: sizes.append(len(s)) or ann(s, tol))
+    monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
+    assert sa.analyze(sa.matrix_algebra(6), seed=0).baer
+    assert 22 in sizes
+    assert (792, 36) not in kernels + shapes

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import _random_algebras, ref_unitization
+from test_structure import _diagonally_scaled
 
 import staralg as sa
 from staralg import rickart, spectral, structure
 from staralg.core import _cached, _coeffs_json
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
-from staralg.linalg import relative_bound
+from staralg.linalg import certificate_bound, relative_bound
 
 
 @pytest.fixture
@@ -288,13 +289,13 @@ _PHASES = ("pass", "guard", "cross", "other")
 def _record_right_projections(monkeypatch):
     """The coefficient bytes of every row ``right_projections`` is asked for, and of every row it solves.
 
-    A row is solved when the trace-form stack accepts it or the solver is called
-    on it. Each list is kept by phase: "pass" inside the weakly-Rickart pass,
+    A row is solved when the product table or the trace-form stack accepts it, or
+    the solver is called on it. Each list is kept by phase: "pass" inside the weakly-Rickart pass,
     "guard" inside ``annihilator`` (the Baer guard's subsets), "cross" in the rest
     of ``check_baer`` (its pairs' RP(e_i) and joins) and "other" elsewhere."""
     phase = ["other"]
     asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
-    ask, stack, solve = spectral.right_projections, spectral._trace_form_projections, spectral._solved_right_projection
+    ask, solve = spectral.right_projections, spectral._solved_right_projection
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -309,10 +310,12 @@ def _record_right_projections(monkeypatch):
         asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
         return ask(xs, tol)
 
-    def stacking(parent, rows, coords, tol):
-        out = stack(parent, rows, coords, tol)
-        solved[phase[0]].extend(row.tobytes() for row, e in zip(rows, out) if e is not None)
-        return out
+    def stacking(stack):
+        def run(parent, rows, form, tol):
+            out = stack(parent, rows, form, tol)
+            solved[phase[0]].extend(row.tobytes() for row, e in zip(rows, out) if e is not None)
+            return out
+        return run
 
     def solving(a, tol):
         solved[phase[0]].append(a.coeffs.tobytes())
@@ -325,7 +328,8 @@ def _record_right_projections(monkeypatch):
         monkeypatch.setattr(module, "check_baer", cross)
     for module in (spectral, rickart):
         monkeypatch.setattr(module, "right_projections", asking)
-    monkeypatch.setattr(spectral, "_trace_form_projections", stacking)
+    for name in ("_table_projections", "_trace_form_projections"):
+        monkeypatch.setattr(spectral, name, stacking(getattr(spectral, name)))
     monkeypatch.setattr(spectral, "_solved_right_projection", solving)
     return asked, solved
 
@@ -892,3 +896,105 @@ def test_a_projection_that_fixes_a_but_has_the_wrong_trace_falls_back(monkeypatc
     solves = _count_solves(monkeypatch)
     got = sa.right_projection(a)
     assert len(solves) == 1 and (got - expected).norm() < 1e-12 and _rank(got) == 3
+
+
+# -- right projections of basis multiples read off the product table ----------
+
+_GROUPS = {
+    **{f"C{k}": (lambda k=k: sa.cyclic_group(k)) for k in range(1, 13)},
+    "S3": sa.symmetric_group_3,
+    "D4": lambda: sa.dihedral_group(4),
+    "Q8": sa.quaternion_group,
+    "D6": lambda: sa.dihedral_group(6),
+    "S4": lambda: sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
+}
+
+
+def _table_route_algebras():
+    """Monomial algebras with a unit and a diagonal Gram matrix: M1-M7, the group algebras of the benchmark,
+    M2 + C[C3], and M2 in a basis rescaled by a positive diagonal."""
+    return {
+        **{f"M{k}": (lambda k=k: sa.matrix_algebra(k)) for k in range(1, 8)},
+        **{f"C[{name}]": (lambda group=group: sa.build_group_algebra(group())) for name, group in _GROUPS.items()},
+        "M2+C[C3]": lambda: sa.direct_sum(sa.matrix_algebra(2), sa.build_group_algebra(sa.cyclic_group(3))),
+        **{f"M2 rescaled s^2={s2:g}": (lambda s2=s2: _diagonally_scaled("M2", s2)) for s2 in (1e2, 1e4)},
+    }
+
+
+@pytest.mark.parametrize("name", list(_table_route_algebras()))
+def test_table_projections_are_the_trace_form_projections(name):
+    """For every multiple c e_i with c in {1, 2.5i, -1e3, 1e-5}, the product table gives the trace-form SVD's RP
+    within certificate_bound(tol) and with the same rank, and declines the rows the SVD route declines: at
+    c = 1e-5 the eigenvalues |c w|^2 of L_{a*a} of an unscaled basis element fall under the zero rule, so
+    e = 0 and a e = a fails, although |c w| alone would be significant."""
+    alg, tol = _table_route_algebras()[name](), sa.DEFAULT_TOL
+    _, _, coords, diagonal = _cached(alg, spectral._trace_coordinates, tol)
+    assert coords is not None and diagonal is not None and alg._tables is not None
+    rows = np.concatenate([np.eye(alg.dim, dtype=complex) * c for c in (1.0, 2.5j, -1e3, 1e-5)])
+    table = spectral._table_projections(alg, rows, diagonal, tol)
+    svd = spectral._trace_form_projections(alg, rows, coords, tol)
+    assert [e is None for e in table] == [e is None for e in svd]
+    assert any(e is None for e in table) and table[0] is not None
+    for e, f in zip(table, svd):
+        if e is not None:
+            assert (e - f).norm() <= certificate_bound(tol)
+            assert _rank(e) == _rank(f)
+
+
+def _twisted_m2():
+    """M2 under the proper involution x -> H^-1 x^H H, H = [[2, 1], [1, 2]]: monomial, but G is not diagonal."""
+    h = np.array([[2.0, 1.0], [1.0, 2.0]])
+    units = np.eye(4).reshape(4, 2, 2)
+    star = np.stack([(np.linalg.inv(h) @ m.T @ h).reshape(-1) for m in units], axis=1)
+    return sa.StarAlgebra(sa.matrix_algebra(2).mul, star)
+
+
+def test_the_table_route_declines_what_it_cannot_read(monkeypatch):
+    """``right_projections`` hands the table only multiples of one basis element of a monomial algebra with a
+    diagonal G: not E11 + E22 of M3, no row of a dense algebra, and no row of M2 under an involution whose G is
+    not diagonal. The trace-form stack answers each of those rows, and the solver none."""
+    read = []
+    table = spectral._table_projections
+    monkeypatch.setattr(spectral, "_table_projections",
+                        lambda parent, rows, diagonal, tol: read.extend(rows) or table(parent, rows, diagonal, tol))
+    solves = _count_solves(monkeypatch)
+    m3, twisted = sa.matrix_algebra(3), _twisted_m2()
+    dense = semisimple_instance([2], 1, np.random.default_rng(3))
+    assert sa.validate(twisted).passed and sa.check_proper(twisted).passed
+    coords, diagonal = _cached(twisted, spectral._trace_coordinates, sa.DEFAULT_TOL)[2:]
+    assert coords is not None and diagonal is None
+    unit = np.eye(9)
+    multi = m3.element(unit[0] + unit[4])
+    asked = [multi, dense.basis_element(0), dense.basis_element(2), twisted.basis_element(0), twisted.basis_element(1)]
+    for a in asked:
+        e = sa.right_projection(a)
+        assert sa.is_projection(e) and (a * e - a).norm() <= certificate_bound(sa.DEFAULT_TOL)
+    assert not read and not solves
+    e = sa.right_projection(m3.basis_element(1))  # E12, whose RP is E22
+    assert len(read) == 1 and not solves and (e - m3.element(unit[4])).norm() <= 1e-15
+
+
+def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
+    """Read E12's singular value in L_E11 as 1e-6 times its own: under the rank rule it drops, and the table's e
+    is the unit's E11 coefficient alone. E11 is a projection with E11 e = E11, but tau . e = 3 != 2, so the rank
+    certificate alone rejects it, and the trace-form stack answers with E11."""
+    alg, tol = sa.matrix_algebra(3), sa.DEFAULT_TOL
+    a = alg.basis_element(0)
+    values = spectral._table_singular_values
+
+    def dropped(algebra, xs):
+        out = values(algebra, xs)
+        out[:, 1] *= 1e-6
+        return out
+
+    monkeypatch.setattr(spectral, "_table_singular_values", dropped)
+    diagonal = _cached(alg, spectral._trace_coordinates, tol)[3]
+    assert spectral._table_projections(alg, a.coeffs[None], diagonal, tol) == [None]
+    read = []
+    stack = spectral._trace_form_projections
+    monkeypatch.setattr(spectral, "_trace_form_projections",
+                        lambda parent, rows, coords, tol: read.extend(rows) or stack(parent, rows, coords, tol))
+    solves = _count_solves(monkeypatch)
+    got = sa.right_projection(a)
+    assert len(read) == 1 and not solves
+    assert (got - a).norm() <= 1e-12 and _rank(got) == 3
