@@ -200,11 +200,18 @@ def _table_singular_values(algebra, xs):
     if algebra._tables is None:
         return None
     xs = np.asarray(xs)
-    if (np.count_nonzero(xs, axis=1) > 1).any():
+    if _no_single_terms(xs) or (np.count_nonzero(xs, axis=1) > 1).any():
         return None
     at = (xs != 0).argmax(axis=1)  # the nonzero coefficient, or 0 in a zero row
     scale = np.abs(xs[np.arange(len(at)), at])
     return scale[:, None] * np.abs(algebra._tables[2][1][at])
+
+
+def _no_single_terms(xs):
+    """Whether the stack ``xs`` has no zero coefficient in n > 1 columns, so that no row is a multiple of
+    one basis element, as in a stack of random elements: one total count, at a tenth of the cost of
+    the count per row."""
+    return xs.shape[-1] > 1 and np.count_nonzero(xs) == xs.size
 
 
 def _cached(algebra, fn, *args):

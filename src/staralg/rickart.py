@@ -85,7 +85,10 @@ def annihilator(elements, tol=DEFAULT_TOL):
     The subspace is the exact kernel of the stacked left-multiplication
     operators, read off the product table when every element is a multiple
     of one basis element of a monomial algebra (see
-    ``core._table_singular_values``) and found by an SVD otherwise; a kernel
+    ``core._table_singular_values``) and found by an SVD otherwise. A set of
+    three or more whose first member alone has kernel {0} under the stack's
+    cut-off has kernel {0} and takes no SVD (``linalg.full_rank_in_stack``);
+    a pair is left to the SVD, as one is often rank-deficient. A kernel
     {0} is generated by 0. Otherwise, on a unital
     algebra, the generator candidate is 1 - RP(h), one right projection, with
     h = sum s^* s over the normalised elements s/|s| above the zero rule:
@@ -275,9 +278,12 @@ def check_baer(algebra, tol=DEFAULT_TOL, seed=0):
     checked by a second route, the lattice join: its generator must equal
     1 - RP(e_i) v RP(e_j) within certificate_bound(tol), else
     InternalInconsistency, and a join that fails its own certificates raises
-    IllConditioned. The pairs' RP(e_i) are the pass's (see
-    ``staralg.spectral``). No singleton {a} is sampled: the pass certified
-    a RP(a) = a and L_RP(a) = 0 on ker L_a, so ann_r({a}) = (1 - RP(a))A.
+    IllConditioned. The pairs' RP(e_i) are the pass's, which on the monomial
+    form with a diagonal Gram matrix are read off the product table (see
+    ``staralg.spectral``); a random subset of three or more whose first
+    member is invertible takes no stacked SVD (see ``annihilator``). No
+    singleton {a} is sampled: the pass certified a RP(a) = a and
+    L_RP(a) = 0 on ker L_a, so ann_r({a}) = (1 - RP(a))A.
     """
     rng = np.random.default_rng(seed)
     if not algebra.is_unital(tol):

@@ -17,9 +17,15 @@ whose Gram matrix G passes ``check_proper``'s positivity rule, left
 multiplication is a faithful *-representation on (A, <a, b> = tr L_{b*a}),
 so RP(a) is the <.,.>-orthogonal projection onto ker(L_a)^perp applied to 1:
 one stacked ``svd`` of W L_a W^-1, with G = W^H W, gives it for a whole
-stack. Each such RP is certified as the one it claims to be; a row that
-fails, and every row of an algebra without that factor, goes to the solver
-as the decomposition of a*a, one element at a time. ``right_projections``
+stack. On the monomial form with G diagonal, a multiple c e_i of one basis
+element needs no SVD: W = diag(g^1/2) leaves one entry in each column of
+W L_a W^-1, so its singular values come off the product table and RP(c e_i)
+is the unit with the coefficients outside the significant columns set to 0.
+One call certifies the RPs of both routes with the same four checks
+(e = e*, e^2 = e, a e = a and tau . e = rank); a row the table's RP fails
+is tried again by the SVD, and a row that fails there, and every row of an
+algebra without trace-form coordinates, goes to the solver as the
+decomposition of a*a, one element at a time. ``right_projections``
 takes whole stacks and yields their RPs in row order: the weakly-Rickart
 pass asks for the basis and its 8 samples in one call, and the Baer guard
 for each pair's two; ``right_projection(a)`` is the first of a stack of one,
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _table_singular_values, _trace_form, _trace_ranks
+from .core import DEFAULT_TOL, Element, _cached, _no_single_terms, _table_singular_values, _trace_form, _trace_ranks
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, negligible, relative, relative_bound, require, significant
 
@@ -231,13 +237,13 @@ def right_projections(xs, tol=DEFAULT_TOL):
     """RP(a) for each a of ``xs``, all of one parent, yielded in order.
 
     An input whose RP the weakly-Rickart pass published at this tol is
-    answered from that table. With trace-form coordinates and a unit, a
-    multiple of one basis element is read off the product table when G is
-    diagonal (see ``_table_projections``), and the trace-form path takes
-    the other inputs, and the rows the table rejects, in one stack; both
-    run before the first RP is yielded. Each row they reject goes to the
-    solver when it is reached, so a row whose RP cannot be certified raises
-    its own error there and no later row is solved."""
+    answered from that table. The trace-form path takes the other inputs in
+    one stack before the first RP is yielded, reading a multiple of one
+    basis element off the product table when the algebra is monomial with a
+    diagonal Gram matrix, and finding the rest by one stacked SVD; each row
+    it rejects goes to the solver when it is reached, so a row whose RP
+    cannot be certified raises its own error there and no later row is
+    solved."""
     if not xs:
         return
     parent = xs[0].parent
@@ -246,21 +252,13 @@ def right_projections(xs, tol=DEFAULT_TOL):
     out = [Element(parent, hit) if hit is not None else parent.zero() if negligible(a.norm(), tol) else None
            for a, hit in zip(xs, hits)]
     misses = [i for i, e in enumerate(out) if e is None]
-    _, _, coords, diagonal = _cached(parent, _trace_coordinates, tol) if misses else (None,) * 4
+    coords = _cached(parent, _trace_coordinates, tol)[2] if misses else None
     if coords is not None and parent.is_unital(tol):
-        if diagonal is not None and parent._tables is not None:
-            rows = np.array([xs[i].coeffs for i in misses])
-            single = np.count_nonzero(rows, axis=1) == 1  # a multiple of one basis element
-            if single.any():
-                run = [i for i, one in zip(misses, single.tolist()) if one]
-                for i, e in zip(run, _table_projections(parent, rows[single], diagonal, tol)):
-                    out[i] = e
-                misses = [i for i in misses if out[i] is None]
         for run in _chunks(misses, parent.dim ** 2):
             rows = np.array([xs[i].coeffs for i in run])
             for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
                 out[i] = e
-    for a, e in zip(xs, out):  # None: a row both paths rejected, or every miss without trace-form coordinates
+    for a, e in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
         yield _solved_right_projection(a, tol) if e is None else e
 
 
@@ -272,40 +270,65 @@ def _solved_right_projection(a, tol):
     return e
 
 
+def _trace_form_projections(parent, a, coords, tol):
+    """RP of each row of ``a`` in trace-form coordinates; None where a certificate fails.
+
+    On the monomial form with G diagonal, a multiple of one basis element is read off the product
+    table (``_table_projections``); the other rows come from one stacked SVD (``_svd_projections``).
+    One ``_certified`` call checks every row, and a table row it rejects is tried again by the SVD."""
+    diagonal = _cached(parent, _trace_coordinates, tol)[3] if parent._tables is not None else None
+    table = None if diagonal is None or _no_single_terms(a) else np.count_nonzero(a, axis=1) == 1
+    if table is None or not table.any():
+        e, ranks, ok = _svd_projections(parent, a, coords, tol)
+        return _kept(parent, e, ok & _certified(parent, a, e, ranks, tol))
+    e, ranks, ok = np.empty_like(a), np.zeros(len(a), dtype=int), np.ones(len(a), dtype=bool)
+    e[table], ranks[table] = _table_projections(parent, a[table], diagonal, tol)
+    if not table.all():
+        e[~table], ranks[~table], ok[~table] = _svd_projections(parent, a[~table], coords, tol)
+    ok &= _certified(parent, a, e, ranks, tol)
+    retry = table & ~ok
+    if retry.any():
+        e[retry], ranks[retry], ok[retry] = _svd_projections(parent, a[retry], coords, tol)
+        ok[retry] &= _certified(parent, a[retry], e[retry], ranks[retry], tol)
+    return _kept(parent, e, ok)
+
+
+def _kept(parent, e, ok):
+    """Each row of ``e`` as an Element where ``ok`` holds, else None."""
+    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+
+
 def _table_projections(parent, a, diagonal, tol):
-    """RP of each row of ``a``, each a multiple c e_i of one basis element, off the product table; None
-    where a certificate fails.
+    """The candidate RP and rank of each row of ``a``, each a multiple c e_i of one basis element, off the
+    product table of an algebra whose Gram matrix is diag(``diagonal``).
 
     With G = diag(g), W = diag(g^1/2) gives trace-form coordinates, and W L_a W^-1 maps e_j to
     c w[i, j] (g_t[i, j] / g_j)^1/2 e_t[i, j]. Its nonzero columns land on distinct t[i, j], so they are
     orthogonal: the singular values are s_j = |c w[i, j]| (g_t[i, j] / g_j)^1/2 with right singular
     vectors e_j, and L_RP(a) = W^-1 P W = P for P the projection onto the e_j whose s_j^2 is
-    ``significant``, the trace-form path's rank rule. So RP(a) is the unit with every other coefficient
-    set to 0, kept under the trace-form path's certificates (see ``_certified``)."""
+    ``significant``, the SVD's rank rule. So RP(a) is the unit with every other coefficient set to 0."""
     t = parent._tables[2][0]
     at = (a != 0).argmax(axis=1)
     s = _table_singular_values(parent, a) * np.sqrt(diagonal[t[at]] / diagonal)
     keep = significant(s * s, tol)
-    e = parent.unit_vector(tol) * keep
-    ok = _certified(parent, a, e, np.count_nonzero(keep, axis=1), tol)
-    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+    return parent.unit_vector(tol) * keep, np.count_nonzero(keep, axis=1)
 
 
-def _trace_form_projections(parent, a, coords, tol):
-    """RP of each row of ``a`` from one stacked SVD in trace-form coordinates; None where a certificate fails.
+def _svd_projections(parent, a, coords, tol):
+    """The candidate RP and rank of each row of ``a`` from one stacked SVD, and the mask of the rows
+    whose matrix LAPACK accepted.
 
     With W L_a W^-1 = U S V^H, the kernel of L_a is W^-1 times the right
     singular vectors past the rank r, so L_RP(a) = W^-1 V_r V_r^H W and
     RP(a) is its value at 1. The rank rule is the solver's zero rule on the
-    eigenvalues S^2 of L_{a*a}, and a row is kept under ``_certified``."""
+    eigenvalues S^2 of L_{a*a}."""
     w, w_inv = coords
     rejected = np.zeros(len(a), dtype=bool)
     _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, rejected)
     ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
     c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
     e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
-    ok = _certified(parent, a, e, ranks, tol) & ~rejected
-    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+    return e, ranks, ~rejected
 
 
 def _certified(parent, a, e, ranks, tol):

@@ -647,14 +647,14 @@ def test_analyze_on_the_table_stacks_no_basis_operators(monkeypatch):
     alg = sa.matrix_algebra(4)
     n = alg.dim
     svd, lstsq, kernel, alone = np.linalg.svd, np.linalg.lstsq, rickart.nullspace, rickart.full_rank_in_stack
-    stack = spectral._trace_form_projections
+    stack = spectral._svd_projections
     shapes, solves, kernels, stacked, skipped = [], [], [], [], []
     monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
     monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: solves.append(None) or lstsq(*args, **kwargs))
     monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
     monkeypatch.setattr(rickart, "full_rank_in_stack",
                         lambda m, norm, tol: skipped.append(alone(m, norm, tol)) or skipped[-1])
-    monkeypatch.setattr(spectral, "_trace_form_projections",
+    monkeypatch.setattr(spectral, "_svd_projections",
                         lambda parent, rows, coords, tol: stacked.extend(rows) or stack(parent, rows, coords, tol))
     assert sa.analyze(alg).baer
     assert shapes and (n * n, n) not in shapes and (2 * n, n) in shapes  # the center's two commutators

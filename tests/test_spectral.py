@@ -289,13 +289,14 @@ _PHASES = ("pass", "guard", "cross", "other")
 def _record_right_projections(monkeypatch):
     """The coefficient bytes of every row ``right_projections`` is asked for, and of every row it solves.
 
-    A row is solved when the product table or the trace-form stack accepts it, or
-    the solver is called on it. Each list is kept by phase: "pass" inside the weakly-Rickart pass,
+    A row is solved when the trace-form stack accepts it, its RP read off the
+    product table or found by the SVD, or the solver is called on it. Each list
+    is kept by phase: "pass" inside the weakly-Rickart pass,
     "guard" inside ``annihilator`` (the Baer guard's subsets), "cross" in the rest
     of ``check_baer`` (its pairs' RP(e_i) and joins) and "other" elsewhere."""
     phase = ["other"]
     asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
-    ask, solve = spectral.right_projections, spectral._solved_right_projection
+    ask, stack, solve = spectral.right_projections, spectral._trace_form_projections, spectral._solved_right_projection
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -310,12 +311,10 @@ def _record_right_projections(monkeypatch):
         asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
         return ask(xs, tol)
 
-    def stacking(stack):
-        def run(parent, rows, form, tol):
-            out = stack(parent, rows, form, tol)
-            solved[phase[0]].extend(row.tobytes() for row, e in zip(rows, out) if e is not None)
-            return out
-        return run
+    def stacking(parent, rows, coords, tol):
+        out = stack(parent, rows, coords, tol)
+        solved[phase[0]].extend(row.tobytes() for row, e in zip(rows, out) if e is not None)
+        return out
 
     def solving(a, tol):
         solved[phase[0]].append(a.coeffs.tobytes())
@@ -328,8 +327,7 @@ def _record_right_projections(monkeypatch):
         monkeypatch.setattr(module, "check_baer", cross)
     for module in (spectral, rickart):
         monkeypatch.setattr(module, "right_projections", asking)
-    for name in ("_table_projections", "_trace_form_projections"):
-        monkeypatch.setattr(spectral, name, stacking(getattr(spectral, name)))
+    monkeypatch.setattr(spectral, "_trace_form_projections", stacking)
     monkeypatch.setattr(spectral, "_solved_right_projection", solving)
     return asked, solved
 
@@ -931,14 +929,18 @@ def test_table_projections_are_the_trace_form_projections(name):
     _, _, coords, diagonal = _cached(alg, spectral._trace_coordinates, tol)
     assert coords is not None and diagonal is not None and alg._tables is not None
     rows = np.concatenate([np.eye(alg.dim, dtype=complex) * c for c in (1.0, 2.5j, -1e3, 1e-5)])
-    table = spectral._table_projections(alg, rows, diagonal, tol)
-    svd = spectral._trace_form_projections(alg, rows, coords, tol)
-    assert [e is None for e in table] == [e is None for e in svd]
-    assert any(e is None for e in table) and table[0] is not None
-    for e, f in zip(table, svd):
+    table, table_ranks = spectral._table_projections(alg, rows, diagonal, tol)
+    svd, svd_ranks, accepted = spectral._svd_projections(alg, rows, coords, tol)
+    kept = spectral._certified(alg, rows, table, table_ranks, tol)
+    np.testing.assert_array_equal(kept, accepted & spectral._certified(alg, rows, svd, svd_ranks, tol))
+    assert kept[0] and not kept.all()
+    np.testing.assert_array_equal(table_ranks[kept], svd_ranks[kept])
+    assert np.linalg.norm(table[kept] - svd[kept], axis=1).max() <= certificate_bound(tol)
+    got = spectral._trace_form_projections(alg, rows, coords, tol)
+    assert [e is not None for e in got] == kept.tolist()
+    for e, row in zip(got, table):
         if e is not None:
-            assert (e - f).norm() <= certificate_bound(tol)
-            assert _rank(e) == _rank(f)
+            np.testing.assert_array_equal(e.coeffs, row)
 
 
 def _twisted_m2():
@@ -952,7 +954,7 @@ def _twisted_m2():
 def test_the_table_route_declines_what_it_cannot_read(monkeypatch):
     """``right_projections`` hands the table only multiples of one basis element of a monomial algebra with a
     diagonal G: not E11 + E22 of M3, no row of a dense algebra, and no row of M2 under an involution whose G is
-    not diagonal. The trace-form stack answers each of those rows, and the solver none."""
+    not diagonal. The SVD answers each of those rows, and the solver none."""
     read = []
     table = spectral._table_projections
     monkeypatch.setattr(spectral, "_table_projections",
@@ -977,7 +979,7 @@ def test_the_table_route_declines_what_it_cannot_read(monkeypatch):
 def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
     """Read E12's singular value in L_E11 as 1e-6 times its own: under the rank rule it drops, and the table's e
     is the unit's E11 coefficient alone. E11 is a projection with E11 e = E11, but tau . e = 3 != 2, so the rank
-    certificate alone rejects it, and the trace-form stack answers with E11."""
+    certificate alone rejects it, and the SVD answers the row with E11."""
     alg, tol = sa.matrix_algebra(3), sa.DEFAULT_TOL
     a = alg.basis_element(0)
     values = spectral._table_singular_values
@@ -989,11 +991,13 @@ def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
 
     monkeypatch.setattr(spectral, "_table_singular_values", dropped)
     diagonal = _cached(alg, spectral._trace_coordinates, tol)[3]
-    assert spectral._table_projections(alg, a.coeffs[None], diagonal, tol) == [None]
+    e, ranks = spectral._table_projections(alg, a.coeffs[None], diagonal, tol)
+    assert ranks.tolist() == [2] and np.abs(e[0] - a.coeffs).max() <= 1e-15  # e = E11 fixes a
+    assert not spectral._certified(alg, a.coeffs[None], e, ranks, tol)[0]
     read = []
-    stack = spectral._trace_form_projections
-    monkeypatch.setattr(spectral, "_trace_form_projections",
-                        lambda parent, rows, coords, tol: read.extend(rows) or stack(parent, rows, coords, tol))
+    svd = spectral._svd_projections
+    monkeypatch.setattr(spectral, "_svd_projections",
+                        lambda parent, rows, coords, tol: read.extend(rows) or svd(parent, rows, coords, tol))
     solves = _count_solves(monkeypatch)
     got = sa.right_projection(a)
     assert len(read) == 1 and not solves
