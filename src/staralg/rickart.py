@@ -110,8 +110,7 @@ def annihilator(elements, tol=DEFAULT_TOL):
     if sizes is None:
         mats = [a.lmat() for a in elements]
         # from three members on, the first alone often settles {0}; a pair is often rank-deficient
-        if len(mats) > 2 and full_rank_in_stack(mats[0], float(np.linalg.norm([np.linalg.norm(m) for m in mats])),
-                                                tol):
+        if len(mats) > 2 and full_rank_in_stack(mats[0], np.sqrt(sum(np.vdot(m, m).real for m in mats)), tol):
             kernel = np.zeros((algebra.dim, 0), dtype=complex)  # {0}, as the stack's SVD would find
         else:
             kernel = nullspace(np.concatenate(mats, axis=0), tol)

@@ -311,7 +311,7 @@ def _table_projections(parent, a, diagonal, tol):
     at = (a != 0).argmax(axis=1)
     s = _table_singular_values(parent, a) * np.sqrt(diagonal[t[at]] / diagonal)
     keep = significant(s * s, tol)
-    return parent.unit_vector(tol) * keep, np.count_nonzero(keep, axis=1)
+    return parent.unit_vector(tol) * keep, keep.sum(axis=1)
 
 
 def _svd_projections(parent, a, coords, tol):
