@@ -603,8 +603,8 @@ def ref_table_singular_values(algebra, xs):
 
 @pytest.mark.parametrize("name", list(_table_kernel_algebras()))
 def test_table_singular_values_match_the_loop(name):
-    """Basis multiples with zero rows among them give the loop's values bit for bit; a two-term row anywhere
-    gives None, as it does there."""
+    """Basis multiples with zero rows among them give the loop's values bit for bit; a two-term row anywhere,
+    and a stack without a zero, give None, as they do there."""
     alg = _table_kernel_algebras()[name]
     rng = np.random.default_rng(7)
     rows = np.eye(alg.dim, dtype=complex) * _random_complex(rng, alg.dim)[:, None]
@@ -613,6 +613,8 @@ def test_table_singular_values_match_the_loop(name):
     if alg.dim > 1:
         rows[1, 0] = 1.0  # row 1 also holds its own basis element
         assert core._table_singular_values(alg, rows) is None is ref_table_singular_values(alg, rows)
+        dense = _random_complex(rng, 2, alg.dim)
+        assert core._table_singular_values(alg, dense) is None is ref_table_singular_values(alg, dense)
 
 
 @pytest.mark.parametrize("name", list(_table_kernel_algebras()))

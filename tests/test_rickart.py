@@ -345,7 +345,8 @@ def test_the_full_rank_shortcut_keeps_every_annihilator(monkeypatch, name):
         cases += _shortcut_subsets(alg, np.random.default_rng(8))
     taken = []
     alone = rickart.full_rank_in_stack
-    monkeypatch.setattr(rickart, "full_rank_in_stack", lambda m, norm, tol: taken.append(alone(m, norm, tol)) or taken[-1])
+    monkeypatch.setattr(rickart, "full_rank_in_stack",
+                        lambda m, norm, tol: taken.append(alone(m, norm, tol)) or taken[-1])
     on = [sa.annihilator(s) for s in cases]
     monkeypatch.setattr(rickart, "full_rank_in_stack", lambda m, norm, tol: False)
     off = [sa.annihilator(s) for s in cases]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel import _random_algebras, ref_unitization
+from test_kernel import _group_algebras, _random_algebras, ref_unitization
 from test_structure import _diagonally_scaled
 
 import staralg as sa
@@ -898,24 +898,14 @@ def test_a_projection_that_fixes_a_but_has_the_wrong_trace_falls_back(monkeypatc
 
 # -- right projections of basis multiples read off the product table ----------
 
-_GROUPS = {
-    **{f"C{k}": (lambda k=k: sa.cyclic_group(k)) for k in range(1, 13)},
-    "S3": sa.symmetric_group_3,
-    "D4": lambda: sa.dihedral_group(4),
-    "Q8": sa.quaternion_group,
-    "D6": lambda: sa.dihedral_group(6),
-    "S4": lambda: sa.group_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
-}
-
-
 def _table_route_algebras():
-    """Monomial algebras with a unit and a diagonal Gram matrix: M1-M7, the group algebras of the benchmark,
+    """Monomial algebras with a unit and a diagonal Gram matrix: M1-M7, the 17 group algebras of the benchmark,
     M2 + C[C3], and M2 in a basis rescaled by a positive diagonal."""
     return {
-        **{f"M{k}": (lambda k=k: sa.matrix_algebra(k)) for k in range(1, 8)},
-        **{f"C[{name}]": (lambda group=group: sa.build_group_algebra(group())) for name, group in _GROUPS.items()},
-        "M2+C[C3]": lambda: sa.direct_sum(sa.matrix_algebra(2), sa.build_group_algebra(sa.cyclic_group(3))),
-        **{f"M2 rescaled s^2={s2:g}": (lambda s2=s2: _diagonally_scaled("M2", s2)) for s2 in (1e2, 1e4)},
+        **{f"M{k}": sa.matrix_algebra(k) for k in range(1, 8)},
+        **_group_algebras(),
+        "M2+C[C3]": sa.direct_sum(sa.matrix_algebra(2), sa.build_group_algebra(sa.cyclic_group(3))),
+        **{f"M2 rescaled s^2={s2:g}": _diagonally_scaled("M2", s2) for s2 in (1e2, 1e4)},
     }
 
 
@@ -925,7 +915,7 @@ def test_table_projections_are_the_trace_form_projections(name):
     within certificate_bound(tol) and with the same rank, and declines the rows the SVD route declines: at
     c = 1e-5 the eigenvalues |c w|^2 of L_{a*a} of an unscaled basis element fall under the zero rule, so
     e = 0 and a e = a fails, although |c w| alone would be significant."""
-    alg, tol = _table_route_algebras()[name](), sa.DEFAULT_TOL
+    alg, tol = _table_route_algebras()[name], sa.DEFAULT_TOL
     _, _, coords, diagonal = _cached(alg, spectral._trace_coordinates, tol)
     assert coords is not None and diagonal is not None and alg._tables is not None
     rows = np.concatenate([np.eye(alg.dim, dtype=complex) * c for c in (1.0, 2.5j, -1e3, 1e-5)])
