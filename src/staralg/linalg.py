@@ -54,9 +54,8 @@ def significant(values, tol):
     """Mask of the values above ``relative_bound(tol, largest)`` (a NaN largest reads as 1): the one
     cut-off that decides numerical rank, zero eigenvalues and positive definiteness. On a stack of
     rows, each row against its own largest."""
-    if values.ndim > 1:
-        largest = values.max(axis=-1, keepdims=True)
-        return values > relative_bound(tol, np.where(np.isnan(largest), 1.0, largest))
+    if values.ndim > 1:  # fmax reads a NaN largest as 1, and floors the rest at 1 as relative_bound does
+        return values > relative_bound(tol, np.fmax(values.max(axis=-1, keepdims=True), 1.0))
     return values > relative_bound(tol, float(values.max()))
 
 

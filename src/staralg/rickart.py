@@ -10,7 +10,8 @@ from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, _table_singular_v
 from .errors import DecompositionFailed, IllConditioned, InternalInconsistency, NotARightIdeal
 from .linalg import (certificate_bound, colspace, full_rank_in_stack, membership_bound, negligible, nullspace,
                      relative, require, require_each, significant, subspaces_equal)
-from .spectral import _PUBLISHED_RPS, left_projection, right_projection, right_projections
+from .spectral import (_PUBLISHED_RPS, _right_projections_and_kernels, left_projection, right_projection,
+                       right_projections)
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,16 @@ def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
 
     The first element that fails, in order, settles the report. ker L_a is
     read off the product table for each basis element of a monomial algebra
-    (see ``core._table_singular_values``); one stacked SVD finds it for the
-    samples, and for every element on the dense form. The checks run on all
-    solved elements in one batch, so an element after the first failing one
-    may be solved too, but neither its projection nor an error from its
-    solve reaches the caller. Cached per (tol, seed).
+    (see ``core._table_singular_values``). For the other elements it is the
+    kernel the RP's route found: on an algebra with trace-form coordinates
+    the right singular vectors past the rank of the SVD that gave RP(a)
+    (see ``staralg.spectral``), so no second SVD of L_a runs. One stacked
+    ``nullspace`` finds it for the rest: the elements the solver answered,
+    every element of an algebra without those coordinates, and RPs read from
+    the published table. The checks run on all solved elements in one batch,
+    so an element after the first failing one may be solved too, but neither
+    its projection nor an error from its solve reaches the caller. Cached per
+    (tol, seed).
     The pass publishes the right projections it read, up to the first
     failure, as read-only arrays with the algebra's facts (see
     ``staralg.spectral``), so a later ``right_projections`` call at the same
@@ -199,22 +205,21 @@ def _weakly_rickart_pass(algebra, tol, seed):
     live = basis + samples
     xs = np.array([a.coeffs for a in live]).reshape(-1, algebra.dim)
     sizes = _table_singular_values(algebra, xs[:len(basis)])
-    tabled = 0 if sizes is None else len(basis)  # rows whose kernel the table gives
-    kernels = nullspace(np.array([a.lmat() for a in live[tabled:]]), tol) if live[tabled:] else []
 
     published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
-    rps, failure = [], None
+    rps, found, failure = [], [], None
     try:
-        for e in right_projections(live, tol):
+        for e, kernel in _right_projections_and_kernels(live, published, tol):
             rps.append(e.coeffs)
+            found.append(kernel)
     except DecompositionFailed as exc:
         failure = str(exc)
     except Exception:
-        report, _ = _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed)
+        report, _ = _first_failure(algebra, xs, rps, sizes, found, published, tol, seed)
         if report is None:
             raise
         return report
-    report, worst = _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed)
+    report, worst = _first_failure(algebra, xs, rps, sizes, found, published, tol, seed)
     if report is not None:
         return report
     if failure is not None:
@@ -223,12 +228,25 @@ def _weakly_rickart_pass(algebra, tol, seed):
     return CheckReport("weakly_rickart", True, worst, seed, details={"tested": algebra.dim + 8})
 
 
-def _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed):
+def _kernels(algebra, xs, found, tol):
+    """ker L_a of each row a of ``xs``: formed by its function in ``found`` where the RP's route handed one
+    back, else from one stacked ``nullspace`` over the rows without one."""
+    kernels = [None if form is None else form() for form in found]
+    missing = [i for i, kernel in enumerate(kernels) if kernel is None]
+    if missing:
+        for i, kernel in zip(missing, nullspace(np.array([algebra.left_mat(xs[i]) for i in missing]), tol)):
+            kernels[i] = kernel
+    return kernels
+
+
+def _first_failure(algebra, xs, rps, sizes, found, published, tol, seed):
     """The report of the first row a of ``xs`` whose RP e in ``rps`` fails a e = a or L_e = 0 on ker L_a, or
     None, and the worst residual; each row up to that one goes into ``published``, read-only.
 
     One ``row_products`` gives every a e. ker L_a is spanned by the e_j outside the column mask of ``sizes``
-    for the first len(sizes) rows, and by the columns of ``kernels`` for the rest."""
+    for the first len(sizes) rows, and by the columns of ``_kernels`` for the rest, from the RP's route
+    (``found``) or ``nullspace``. One more ``row_products`` gives e x for every column x of those kernels,
+    so a row whose kernel is {0}, as every row of a full-rank element's, takes no product."""
     solved = len(rps)
     es = np.array(rps, dtype=complex).reshape(solved, algebra.dim)
     es.setflags(write=False)
@@ -236,13 +254,19 @@ def _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed):
     tabled = 0 if sizes is None else min(len(sizes), solved)
     res1 = relative(np.linalg.norm(algebra.row_products(a, es) - a, axis=-1), np.linalg.norm(a, axis=-1))
     # |L_e x| for x = e_j in ker L_a on the table (NaN, never over a bound, for e_j outside it), and for each
-    # column x of the SVD kernels
+    # column x of the other kernels
     inside = np.zeros((0, algebra.dim))
     if tabled:  # |e e_j|^2 = sum_i |e_i w[i, j]|^2, as the e_i e_j land on distinct t[i, j]
         table = es[:tabled]
         norms = np.sqrt((table * table.conj()).real @ np.abs(algebra._tables[2][1]) ** 2)
         inside = np.where(significant(sizes[:tabled], tol), np.nan, norms)
-    loose = [np.linalg.norm(algebra.left_mat(e) @ kernel, axis=0) for e, kernel in zip(es[tabled:], kernels)]
+    kernels = _kernels(algebra, a[tabled:], found[tabled:solved], tol)
+    widths = [kernel.shape[1] for kernel in kernels]
+    products = np.zeros(0)
+    if sum(widths):
+        columns = np.concatenate([kernel.T for kernel in kernels])
+        products = np.linalg.norm(algebra.row_products(np.repeat(es[tabled:], widths, axis=0), columns), axis=-1)
+    loose = np.split(products, np.cumsum(widths))[:-1]  # one piece per row
 
     bound = certificate_bound(tol)
     over = np.concatenate([(inside > bound).any(axis=1), [(x > bound).any() for x in loose]]).astype(bool)
@@ -250,7 +274,7 @@ def _first_failure(algebra, xs, rps, sizes, kernels, published, tol, seed):
     r = int(np.argmax(failed)) if failed.any() else solved  # the first row that fails its checks
     for x, e in zip(xs[:r + 1], es):
         published[x.tobytes()] = e
-    worst = float(np.fmax.reduce(np.concatenate([res1, inside.ravel(), *loose]), initial=0.0))  # NaN passed over
+    worst = float(np.fmax.reduce(np.concatenate([res1, inside.ravel(), products]), initial=0.0))  # NaN passed over
     if r == solved:
         return None, worst
     element = _coeffs_json(xs[r])

@@ -58,6 +58,7 @@ gives, as the input bits are equal. The slot is freed with the algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -244,22 +245,32 @@ def right_projections(xs, tol=DEFAULT_TOL):
     it rejects goes to the solver when it is reached, so a row whose RP
     cannot be certified raises its own error there and no later row is
     solved."""
+    published = xs[0].parent._cache.get((_PUBLISHED_RPS, tol), {}) if xs else {}
+    for e, _ in _right_projections_and_kernels(xs, published, tol):
+        yield e
+
+
+def _right_projections_and_kernels(xs, published, tol):
+    """``right_projections`` with the table ``published`` at tol, each RP yielded with the kernel of L_a its
+    route found: a function of no arguments that forms it, so that a caller which does not read it pays
+    nothing for it. The table route gives the e_j outside the significant columns, the SVD route
+    W^-1 V[rank:]^H in unit columns; a published hit, a zero input and a row the solver answered give None."""
     if not xs:
         return
     parent = xs[0].parent
-    table = parent._cache.get((_PUBLISHED_RPS, tol), {})
-    hits = [table.get(a.coeffs.tobytes()) for a in xs]
-    out = [Element(parent, hit) if hit is not None else parent.zero() if negligible(a.norm(), tol) else None
+    hits = [published.get(a.coeffs.tobytes()) for a in xs]
+    out = [(Element(parent, hit), None) if hit is not None
+           else (parent.zero(), None) if negligible(a.norm(), tol) else None
            for a, hit in zip(xs, hits)]
-    misses = [i for i, e in enumerate(out) if e is None]
+    misses = [i for i, found in enumerate(out) if found is None]
     coords = _cached(parent, _trace_coordinates, tol)[2] if misses else None
     if coords is not None and parent.is_unital(tol):
         for run in _chunks(misses, parent.dim ** 2):
             rows = np.array([xs[i].coeffs for i in run])
-            for i, e in zip(run, _trace_form_projections(parent, rows, coords, tol)):
-                out[i] = e
-    for a, e in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
-        yield _solved_right_projection(a, tol) if e is None else e
+            for i, found in zip(run, _trace_form_projections(parent, rows, coords, tol)):
+                out[i] = found
+    for a, found in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
+        yield (_solved_right_projection(a, tol), None) if found is None else found
 
 
 def _solved_right_projection(a, tol):
@@ -271,64 +282,83 @@ def _solved_right_projection(a, tol):
 
 
 def _trace_form_projections(parent, a, coords, tol):
-    """RP of each row of ``a`` in trace-form coordinates; None where a certificate fails.
+    """RP of each row of ``a`` in trace-form coordinates with its route's kernel function (see
+    ``_right_projections_and_kernels``); None where a certificate fails.
 
     On the monomial form with G diagonal, a multiple of one basis element is read off the product
     table (``_table_projections``); the other rows come from one stacked SVD (``_svd_projections``).
-    One ``_certified`` call checks every row, and a table row it rejects is tried again by the SVD."""
+    One ``_certified`` call checks every row, and a table row it rejects is tried again by the SVD,
+    whose kernel then replaces the table's."""
     diagonal = _cached(parent, _trace_coordinates, tol)[3] if parent._tables is not None else None
     table = None if diagonal is None or _no_single_terms(a) else np.count_nonzero(a, axis=1) == 1
     if table is None or not table.any():
-        e, ranks, ok = _svd_projections(parent, a, coords, tol)
-        return _kept(parent, e, ok & _certified(parent, a, e, ranks, tol))
+        e, ranks, ok, kernels = _svd_projections(parent, a, coords, tol)
+        return _kept(parent, e, ok & _certified(parent, a, e, ranks, tol), kernels)
     e, ranks, ok = np.empty_like(a), np.zeros(len(a), dtype=int), np.ones(len(a), dtype=bool)
-    e[table], ranks[table] = _table_projections(parent, a[table], diagonal, tol)
+    kernels = np.empty(len(a), dtype=object)
+    e[table], ranks[table], kernels[table] = _table_projections(parent, a[table], diagonal, tol)
     if not table.all():
-        e[~table], ranks[~table], ok[~table] = _svd_projections(parent, a[~table], coords, tol)
+        e[~table], ranks[~table], ok[~table], kernels[~table] = _svd_projections(parent, a[~table], coords, tol)
     ok &= _certified(parent, a, e, ranks, tol)
     retry = table & ~ok
     if retry.any():
-        e[retry], ranks[retry], ok[retry] = _svd_projections(parent, a[retry], coords, tol)
+        e[retry], ranks[retry], ok[retry], kernels[retry] = _svd_projections(parent, a[retry], coords, tol)
         ok[retry] &= _certified(parent, a[retry], e[retry], ranks[retry], tol)
-    return _kept(parent, e, ok)
+    return _kept(parent, e, ok, kernels)
 
 
-def _kept(parent, e, ok):
-    """Each row of ``e`` as an Element where ``ok`` holds, else None."""
-    return [Element(parent, row) if good else None for row, good in zip(e, ok.tolist())]
+def _kept(parent, e, ok, kernels):
+    """Each row of ``e`` as an Element with its kernel function where ``ok`` holds, else None."""
+    return [(Element(parent, row), kernel) if good else None for row, good, kernel in zip(e, ok.tolist(), kernels)]
 
 
 def _table_projections(parent, a, diagonal, tol):
-    """The candidate RP and rank of each row of ``a``, each a multiple c e_i of one basis element, off the
-    product table of an algebra whose Gram matrix is diag(``diagonal``).
+    """The candidate RP, rank and kernel function of each row of ``a``, each a multiple c e_i of one basis
+    element, off the product table of an algebra whose Gram matrix is diag(``diagonal``).
 
     With G = diag(g), W = diag(g^1/2) gives trace-form coordinates, and W L_a W^-1 maps e_j to
     c w[i, j] (g_t[i, j] / g_j)^1/2 e_t[i, j]. Its nonzero columns land on distinct t[i, j], so they are
     orthogonal: the singular values are s_j = |c w[i, j]| (g_t[i, j] / g_j)^1/2 with right singular
     vectors e_j, and L_RP(a) = W^-1 P W = P for P the projection onto the e_j whose s_j^2 is
-    ``significant``, the SVD's rank rule. So RP(a) is the unit with every other coefficient set to 0."""
+    ``significant``, the SVD's rank rule. So RP(a) is the unit with every other coefficient set to 0,
+    and ker L_a is spanned by the other e_j."""
     t = parent._tables[2][0]
     at = (a != 0).argmax(axis=1)
     s = _table_singular_values(parent, a) * np.sqrt(diagonal[t[at]] / diagonal)
     keep = significant(s * s, tol)
-    return parent.unit_vector(tol) * keep, keep.sum(axis=1)
+    return parent.unit_vector(tol) * keep, keep.sum(axis=1), [partial(_table_kernel, row) for row in keep]
+
+
+def _table_kernel(keep):
+    """ker L_a off the product table: the e_j outside the significant columns ``keep``."""
+    return np.eye(len(keep), dtype=complex)[:, ~keep]
 
 
 def _svd_projections(parent, a, coords, tol):
-    """The candidate RP and rank of each row of ``a`` from one stacked SVD, and the mask of the rows
-    whose matrix LAPACK accepted.
+    """The candidate RP, rank and kernel function of each row of ``a`` from one stacked SVD, and the mask
+    of the rows whose matrix LAPACK accepted.
 
     With W L_a W^-1 = U S V^H, the kernel of L_a is W^-1 times the right
     singular vectors past the rank r, so L_RP(a) = W^-1 V_r V_r^H W and
     RP(a) is its value at 1. The rank rule is the solver's zero rule on the
-    eigenvalues S^2 of L_{a*a}."""
+    eigenvalues S^2 of L_{a*a}, one count over the whole stack."""
     w, w_inv = coords
     rejected = np.zeros(len(a), dtype=bool)
     _, s, vh = _lapack(np.linalg.svd, w @ _rowwise(parent.left_mat, a) @ w_inv, rejected)
-    ranks = np.array([np.count_nonzero(significant(row * row, tol)) for row in s])
-    c = (vh @ (w @ parent.unit_vector(tol))) * (np.arange(parent.dim) < ranks[:, None])
+    keep = significant(s * s, tol)  # the first rank entries of each row, as s is sorted descending
+    ranks = keep.sum(axis=1)
+    c = (vh @ (w @ parent.unit_vector(tol))) * keep
     e = (w_inv @ (vh.conj().swapaxes(-1, -2) @ c[:, :, None]))[..., 0]
-    return e, ranks, ~rejected
+    return e, ranks, ~rejected, [partial(_svd_kernel, w_inv, v[r:]) for v, r in zip(vh, ranks.tolist())]
+
+
+def _svd_kernel(w_inv, tail):
+    """ker L_a off the trace-form SVD: W^-1 times the right singular vectors ``tail`` past the rank, in unit
+    columns."""
+    if not len(tail):  # full rank: kernel {0}
+        return np.zeros((len(w_inv), 0), dtype=complex)
+    kernel = w_inv @ tail.conj().T
+    return kernel / np.linalg.norm(kernel, axis=0)
 
 
 def _certified(parent, a, e, ranks, tol):

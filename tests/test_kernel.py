@@ -644,8 +644,9 @@ def test_the_pass_gives_the_same_report_on_the_table_kernels(monkeypatch, name):
 
 def test_analyze_on_the_table_stacks_no_basis_operators(monkeypatch):
     """On M4: no ``svd`` input is the (n^2, n) stack over the basis, no trace-form ``svd`` input holds a
-    basis row, the pass's kernel stack holds its 8 samples, the guard's basis pairs take no SVD, a guard
-    subset takes none when its first member alone has kernel {0}, and the unit's ``lstsq`` still runs once."""
+    basis row, the pass takes no kernel stack (its samples' kernels come from the SVD that gave their RPs),
+    the guard's basis pairs take no SVD, a guard subset takes none when its first member alone has kernel
+    {0}, and the unit's ``lstsq`` still runs once."""
     alg = sa.matrix_algebra(4)
     n = alg.dim
     svd, lstsq, kernel, alone = np.linalg.svd, np.linalg.lstsq, rickart.nullspace, rickart.full_rank_in_stack
@@ -661,9 +662,28 @@ def test_analyze_on_the_table_stacks_no_basis_operators(monkeypatch):
     assert sa.analyze(alg).baer
     assert shapes and (n * n, n) not in shapes and (2 * n, n) in shapes  # the center's two commutators
     assert stacked and not [row for row in stacked if np.count_nonzero(row) == 1]
-    assert [shape for shape in kernels if len(shape) == 3] == [(8, n, n)]
-    assert len(kernels) == 3 - sum(skipped)  # the pass and the guard's 2 random subsets, less those skipped
+    assert [shape for shape in kernels if len(shape) == 3] == []
+    assert len(kernels) == 2 - sum(skipped)  # the guard's 2 random subsets, less those skipped
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: sa.semisimple_instance([2, 2], 1, np.random.default_rng(1)), True),
+    (lambda: sa.semisimple_instance([3, 2], 0, np.random.default_rng(4)), True),
+    (lambda: nilpotent_mutant(1), False),
+    (lambda: nilpotent_mutant(3), False),
+], ids=["scrambled [2,2]+1", "scrambled [3,2]", "nilpotent_mutant(1)", "nilpotent_mutant(3)"])
+def test_the_pass_takes_no_kernel_stack_of_its_own(monkeypatch, make, expected):
+    """On a scrambled algebra every RP of the pass comes from the trace-form SVD with its kernel, so the pass
+    calls ``nullspace`` not at all. A nilpotent mutant has no trace-form coordinates, but its pass stops at x,
+    the second basis row, and the one row it solved before is read off the product table: no call either."""
+    alg = make()
+    kernel, kernels = rickart.nullspace, []
+    monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    report = sa.check_weakly_rickart(alg)
+    assert report.passed == expected and kernels == []
+    if not expected:
+        assert report.witness["element"] == core._coeffs_json(alg.basis_element(1).coeffs)
 
 
 def test_the_center_falls_back_to_the_whole_basis(monkeypatch):

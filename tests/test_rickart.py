@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import staralg as sa
 from staralg.core import _coeffs_json
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
-from staralg.linalg import certificate_bound, nullspace
-from staralg import rickart
+from staralg.linalg import certificate_bound, colspace, membership_bound, nullspace, subspaces_equal
+from staralg import rickart, spectral
 from staralg.rickart import CheckReport, orthogonal_family
 
 
@@ -372,3 +372,68 @@ def test_the_guard_takes_no_svd_of_its_largest_subset(monkeypatch):
     assert sa.analyze(sa.matrix_algebra(6), seed=0).baer
     assert 22 in sizes
     assert (792, 36) not in kernels + shapes
+
+
+# -- the kernels the right projections' routes hand back to the pass
+
+_KERNEL_ALGEBRAS = {
+    "scrambled [2,2]+1": lambda: semisimple_instance([2, 2], 1, np.random.default_rng(1)),
+    "scrambled [3,2]": lambda: semisimple_instance([3, 2], 0, np.random.default_rng(4)),
+    "M3": lambda: sa.matrix_algebra(3),
+    "C[S3]": lambda: sa.build_group_algebra(sa.symmetric_group_3()),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_ALGEBRAS))
+def test_the_routes_hand_back_the_kernel_of_l_a(name):
+    """On dense and monomial algebras, the kernel handed back with RP(a) spans nullspace(L_a), in unit columns:
+    from the SVD for the rank-deficient x p of ``_annihilator_cases`` (the benchmark makes no such row), and
+    for each basis element from the SVD on the dense form and from the product table on the monomial one."""
+    alg, tol = _KERNEL_ALGEBRAS[name](), sa.DEFAULT_TOL
+    deficient = [a for subset in _annihilator_cases(alg, True)[-3:] for a in subset]
+    xs = deficient + alg.basis()
+    found = list(spectral._right_projections_and_kernels(xs, {}, tol))
+    table = alg._tables is not None
+    assert [form.func for _, form in found] == ([spectral._svd_kernel] * len(deficient)
+                                                + [spectral._table_kernel if table else spectral._svd_kernel] * alg.dim)
+    for i, (a, (_, form)) in enumerate(zip(xs, found)):
+        kernel = form()
+        assert kernel.shape[1] > 0 or i >= len(deficient)
+        assert np.abs(np.linalg.norm(kernel, axis=0) - 1.0).max(initial=0.0) <= 1e-12
+        assert subspaces_equal(colspace(kernel, tol), nullspace(a.lmat(), tol), membership_bound(tol))
+
+
+@pytest.mark.parametrize("name", ["scrambled [2,2]+1", "M3"])
+def test_a_projection_that_leaves_a_kernel_direction_alive_is_reported(monkeypatch, name):
+    """With the samples x p rank-deficient and ``_certified`` patched to accept p + q, for q a projection under
+    1 - p, in place of RP(x p) = p: a (p + q) = a still holds, so only L_RP(a) = 0 on the kernel the SVD handed
+    back can catch it. The pass names the first sample, with a kernel vector v of L_a (|L_a v| <= 1e-12) that
+    p + q does not annihilate, and takes no ``nullspace``; without the patch the same samples pass."""
+    make, tol = _KERNEL_ALGEBRAS[name], sa.DEFAULT_TOL
+    rng = np.random.default_rng(5)
+    alg = make()
+    one = alg.one()
+    p = sa.spectral_decompose(sa.random_selfadjoint(alg, rng)).projections()[0]
+    q = sa.spectral_decompose((one - p) * sa.random_selfadjoint(alg, rng) * (one - p)).projections()[0]
+    assert sa.is_projection(p + q) and (p * q).norm() <= certificate_bound(tol)
+    sample, kernel, kernels = rickart.random_element, rickart.nullspace, []
+    monkeypatch.setattr(rickart, "random_element",
+                        lambda algebra, rng: sample(algebra, rng) * algebra.element(p.coeffs))
+    monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    assert sa.check_weakly_rickart(make()).passed
+    certified = spectral._certified
+
+    def accepting(parent, a, e, ranks, tol):
+        ok = certified(parent, a, e, ranks, tol)
+        e[(ranks < parent.dim) & (np.count_nonzero(a, axis=1) > 1)] += q.coeffs  # the samples' rows
+        return ok
+
+    monkeypatch.setattr(spectral, "_certified", accepting)
+    alg = make()
+    report = sa.check_weakly_rickart(alg)
+    first = sample(alg, np.random.default_rng(0)) * alg.element(p.coeffs)
+    a, v = (np.array([complex(*z) for z in report.witness[key]]) for key in ("element", "kernel_vector"))
+    assert not report.passed and report.witness["element"] == _coeffs_json(first.coeffs)
+    assert np.linalg.norm(alg.left_mat(a) @ v) <= 1e-12
+    assert report.worst_residual == pytest.approx(np.linalg.norm((p + q).lmat() @ v), rel=1e-9)
+    assert report.worst_residual > certificate_bound(tol) and kernels == []

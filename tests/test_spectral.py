@@ -14,7 +14,8 @@ import staralg as sa
 from staralg import rickart, spectral, structure
 from staralg.core import _cached, _coeffs_json
 from staralg.instances import nilpotent_mutant, semisimple_instance, swap_mutant
-from staralg.linalg import certificate_bound, relative_bound
+from staralg.linalg import (certificate_bound, colspace, membership_bound, relative_bound, significant,
+                            subspaces_equal)
 
 
 @pytest.fixture
@@ -296,7 +297,8 @@ def _record_right_projections(monkeypatch):
     of ``check_baer`` (its pairs' RP(e_i) and joins) and "other" elsewhere."""
     phase = ["other"]
     asked, solved = ({name: [] for name in _PHASES} for _ in range(2))
-    ask, stack, solve = spectral.right_projections, spectral._trace_form_projections, spectral._solved_right_projection
+    ask, stack = spectral._right_projections_and_kernels, spectral._trace_form_projections
+    solve = spectral._solved_right_projection
 
     def in_phase(name, fn):
         def run(*args, **kwargs):
@@ -307,9 +309,9 @@ def _record_right_projections(monkeypatch):
                 phase[0] = outer
         return run
 
-    def asking(xs, tol=sa.DEFAULT_TOL):
+    def asking(xs, published, tol):
         asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
-        return ask(xs, tol)
+        return ask(xs, published, tol)
 
     def stacking(parent, rows, coords, tol):
         out = stack(parent, rows, coords, tol)
@@ -325,8 +327,8 @@ def _record_right_projections(monkeypatch):
     cross = in_phase("cross", rickart.check_baer)
     for module in (rickart, structure):
         monkeypatch.setattr(module, "check_baer", cross)
-    for module in (spectral, rickart):
-        monkeypatch.setattr(module, "right_projections", asking)
+    for module in (spectral, rickart):  # every right_projections call and the pass's go through it
+        monkeypatch.setattr(module, "_right_projections_and_kernels", asking)
     monkeypatch.setattr(spectral, "_trace_form_projections", stacking)
     monkeypatch.setattr(spectral, "_solved_right_projection", solving)
     return asked, solved
@@ -629,13 +631,13 @@ def test_the_memo_stores_each_success_once_and_no_failure(monkeypatch):
 
     alg = make()
     seen = []
-    ask = rickart.right_projections
+    ask = rickart._right_projections_and_kernels
 
-    def asking(xs, tol):
+    def asking(xs, published, tol):
         seen.append(xs)
-        return ask(xs, tol)
+        return ask(xs, published, tol)
 
-    monkeypatch.setattr(rickart, "right_projections", asking)
+    monkeypatch.setattr(rickart, "_right_projections_and_kernels", asking)
     assert not sa.check_weakly_rickart(alg).passed
     [rows] = seen
     fresh = make()
@@ -672,6 +674,28 @@ def test_the_weakly_rickart_pass_stops_at_its_first_failing_row(monkeypatch, mak
     first = next(i for i, row in enumerate(live) if np.array_equal(row, failing))
     assert len(solved) == first + 1
     assert all(np.array_equal(a.coeffs, row) for a, row in zip(solved, live))
+
+
+def test_rows_no_route_hands_a_kernel_take_one_stacked_nullspace(monkeypatch):
+    """The pass falls back to one ``nullspace`` stack over the solved rows that came with no kernel: the n
+    basis rows a pass at another seed reads from the published table, the 8 samples the solver answers on M2
+    rescaled at s^2 = 1e5 (proper, but without trace-form coordinates; its basis rows are on the product
+    table), and every row when the trace-form path answers none. The reports stand as they were."""
+    kernel, kernels = rickart.nullspace, []
+    monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
+    alg = semisimple_instance([2, 2], 1, np.random.default_rng(1))
+    n = alg.dim
+    assert sa.check_weakly_rickart(alg).passed and kernels == []
+    assert sa.check_weakly_rickart(alg, seed=1).passed and kernels == [(n, n, n)]
+    kernels.clear()
+    assert sa.check_weakly_rickart(_diagonally_scaled("M2", 1e5)).passed and kernels == [(8, 4, 4)]
+    kernels.clear()
+    ref = sa.check_weakly_rickart(semisimple_instance([2, 2], 1, np.random.default_rng(1))).to_dict()
+    monkeypatch.setattr(spectral, "_trace_form_projections", lambda parent, rows, coords, tol: [None] * len(rows))
+    got = sa.check_weakly_rickart(semisimple_instance([2, 2], 1, np.random.default_rng(1))).to_dict()
+    assert kernels == [(n + 8, n, n)] and got.pop("worst_residual") < 1e-12
+    ref.pop("worst_residual")
+    assert got == ref
 
 
 @pytest.mark.parametrize("error", [sa.IllConditioned("a later solve is ill-conditioned"),
@@ -919,18 +943,51 @@ def test_table_projections_are_the_trace_form_projections(name):
     _, _, coords, diagonal = _cached(alg, spectral._trace_coordinates, tol)
     assert coords is not None and diagonal is not None and alg._tables is not None
     rows = np.concatenate([np.eye(alg.dim, dtype=complex) * c for c in (1.0, 2.5j, -1e3, 1e-5)])
-    table, table_ranks = spectral._table_projections(alg, rows, diagonal, tol)
-    svd, svd_ranks, accepted = spectral._svd_projections(alg, rows, coords, tol)
+    table, table_ranks, table_kernels = spectral._table_projections(alg, rows, diagonal, tol)
+    svd, svd_ranks, accepted, svd_kernels = spectral._svd_projections(alg, rows, coords, tol)
     kept = spectral._certified(alg, rows, table, table_ranks, tol)
     np.testing.assert_array_equal(kept, accepted & spectral._certified(alg, rows, svd, svd_ranks, tol))
     assert kept[0] and not kept.all()
     np.testing.assert_array_equal(table_ranks[kept], svd_ranks[kept])
     assert np.linalg.norm(table[kept] - svd[kept], axis=1).max() <= certificate_bound(tol)
+    for i in np.flatnonzero(kept):  # both routes hand back ker L_a
+        assert subspaces_equal(table_kernels[i](), colspace(svd_kernels[i](), tol), membership_bound(tol))
     got = spectral._trace_form_projections(alg, rows, coords, tol)
-    assert [e is not None for e in got] == kept.tolist()
-    for e, row in zip(got, table):
-        if e is not None:
-            np.testing.assert_array_equal(e.coeffs, row)
+    assert [found is not None for found in got] == kept.tolist()
+    for found, row in zip(got, table):
+        if found is not None:
+            np.testing.assert_array_equal(found[0].coeffs, row)
+
+
+@pytest.mark.parametrize("name", ["M3", "C[S3]", "scrambled [2,2]+1"])
+def test_svd_projection_ranks_match_the_loop(monkeypatch, name):
+    """``_svd_projections`` counts each row's rank over the whole stack in one call, bit for bit what the loop over
+    its singular values gave, on full-rank, rank-deficient, tiny and huge rows; and the count gives the loop's
+    ranks on a stack with a zero row and NaN rows, as the stacked ``significant`` reads a NaN largest as 1."""
+    alg, tol = {"M3": lambda: sa.matrix_algebra(3), "C[S3]": lambda: sa.build_group_algebra(sa.symmetric_group_3()),
+                "scrambled [2,2]+1": lambda: semisimple_instance([2, 2], 1, np.random.default_rng(1))}[name](), 1e-9
+    rng = np.random.default_rng(6)
+    p = sa.spectral_decompose(sa.random_selfadjoint(alg, rng)).projections()[0]
+    rows = np.array([x.coeffs * c for x in (sa.random_element(alg, rng), sa.random_element(alg, rng) * p, p)
+                     for c in (1.0, 1e-6, 3e4j)])
+    values = []
+    lapack = spectral._lapack
+
+    def recording(fn, mats, rejected):
+        out = lapack(fn, mats, rejected)
+        values.append(out[1])
+        return out
+
+    monkeypatch.setattr(spectral, "_lapack", recording)
+    coords = _cached(alg, spectral._trace_coordinates, tol)[2]
+    _, ranks, _, _ = spectral._svd_projections(alg, rows, coords, tol)
+    [s] = values
+    loop = [np.count_nonzero(significant(row * row, tol)) for row in s]
+    assert ranks.tolist() == loop and len(set(loop)) > 1
+    s = np.abs(rng.standard_normal((6, 5))) * np.geomspace(1, 1e-12, 5)
+    s[1], s[2, 0], s[3] = 0.0, np.nan, np.nan
+    np.testing.assert_array_equal(np.count_nonzero(significant(s * s, tol), axis=1),
+                                  [np.count_nonzero(significant(row * row, tol)) for row in s])
 
 
 def _twisted_m2():
@@ -981,7 +1038,7 @@ def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
 
     monkeypatch.setattr(spectral, "_table_singular_values", dropped)
     diagonal = _cached(alg, spectral._trace_coordinates, tol)[3]
-    e, ranks = spectral._table_projections(alg, a.coeffs[None], diagonal, tol)
+    e, ranks, _ = spectral._table_projections(alg, a.coeffs[None], diagonal, tol)
     assert ranks.tolist() == [2] and np.abs(e[0] - a.coeffs).max() <= 1e-15  # e = E11 fixes a
     assert not spectral._certified(alg, a.coeffs[None], e, ranks, tol)[0]
     read = []
