@@ -36,6 +36,15 @@ it leaves the later rows unsolved. Every product of the stacked path runs on
 slices shaped as for one element, so an element's numbers do not depend on
 the elements stacked with it.
 
+Each route finds ker L_a on the way to RP(a): the table the e_j outside the
+significant columns, the SVD W^-1 times the right singular vectors past the
+rank, in unit columns. ``_right_projections_and_kernels`` yields each RP
+with a function that forms the kernel its accepted route found (None for a
+solved row, a zero row or a published one), so the weakly-Rickart pass
+checks L_RP(a) = 0 on it without a second SVD of L_a, and
+``right_projections``, which is that generator with the kernels dropped,
+never forms one.
+
 The weakly-Rickart pass publishes read-only copies of the coefficients of
 each RP it reads, up to its first failing row, keyed by the input's
 coefficient bytes, in one table per tol in ``algebra._cache``. ``right_projections`` reads that table, wrapping each

@@ -1026,7 +1026,8 @@ def test_the_table_route_declines_what_it_cannot_read(monkeypatch):
 def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
     """Read E12's singular value in L_E11 as 1e-6 times its own: under the rank rule it drops, and the table's e
     is the unit's E11 coefficient alone. E11 is a projection with E11 e = E11, but tau . e = 3 != 2, so the rank
-    certificate alone rejects it, and the SVD answers the row with E11."""
+    certificate alone rejects it, and the SVD answers the row with E11 and hands back its kernel, spanned by the
+    6 matrix units E_pq with p != 1, not the table's 7 columns."""
     alg, tol = sa.matrix_algebra(3), sa.DEFAULT_TOL
     a = alg.basis_element(0)
     values = spectral._table_singular_values
@@ -1049,3 +1050,6 @@ def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
     got = sa.right_projection(a)
     assert len(read) == 1 and not solves
     assert (got - a).norm() <= 1e-12 and _rank(got) == 3
+    [(e, form)] = spectral._right_projections_and_kernels([a], {}, tol)  # the kernel comes from the SVD too
+    assert form.func is spectral._svd_kernel and len(read) == 2
+    assert subspaces_equal(colspace(form(), tol), np.eye(9)[:, 3:], membership_bound(tol))
