@@ -209,7 +209,7 @@ def main(argv=None):
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     except (FileError, StarAlgError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a MemoryError often has no message
         return 1
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))

@@ -22,7 +22,8 @@ The kernel has two storage forms:
   and the involution there too when ``star`` is monomial (each of its
   columns holds at most one nonzero, e_i* = s_i e_p(i)). The kernel of
   L_x for x a multiple of one basis element is read off the same table
-  (``_table_singular_values``);
+  (``_table_singular_values``), and so are the norms |e e_j|
+  (``_table_product_norms``);
 - dense: any other ``mul``, including every scrambled basis. The kernel is one
   matrix product with ``mul`` reshaped to (n, n^2).
 
@@ -189,29 +190,38 @@ def _gather(xs, src, w):
     return out
 
 
-def _table_singular_values(algebra, xs):
+def _table_singular_values(algebra, xs, diagonal=None):
     """On the monomial form, ``[r, j] = |c w[i, j]|`` for each row r = c e_i of ``xs``; else None.
 
     L_{c e_i} maps e_j to c w[i, j] e_t[i, j], and the e_j with w[i, j] != 0 land on distinct
     t[i, j], so the columns of L_x are orthogonal and column j's norm is a singular value of L_x.
     So ker L_x is spanned by the e_j whose value is not ``significant``, as the SVD finds it, and
     the common kernel of a stack by the e_j whose column norm over the stack is not. Declines on
-    the dense form, and when any row has two nonzero coefficients."""
-    if algebra._tables is None:
-        return None
+    the dense form, and when any row has two nonzero coefficients. With ``diagonal``, the g of a diagonal
+    Gram matrix, each value is scaled by (g_t[i, j] / g_j)^1/2: the singular values of W L_x W^-1, W = diag(g^1/2)."""
     xs = np.asarray(xs)
-    if _no_single_terms(xs) or (np.count_nonzero(xs, axis=1) > 1).any():
+    single = _single_terms(algebra, xs)
+    if single is None or not single.all():
         return None
     at = (xs != 0).argmax(axis=1)  # the nonzero coefficient, or 0 in a zero row
     scale = np.abs(xs[np.arange(len(at)), at])
-    return scale[:, None] * np.abs(algebra._tables[2][1][at])
+    values = scale[:, None] * np.abs(algebra._tables[2][1][at])
+    return values if diagonal is None else values * np.sqrt(diagonal[algebra._tables[2][0][at]] / diagonal)
 
 
-def _no_single_terms(xs):
-    """Whether the stack ``xs`` has no zero coefficient in n > 1 columns, so that no row is a multiple of
-    one basis element, as in a stack of random elements: one total count, at a tenth of the cost of
-    the count per row."""
-    return xs.shape[-1] > 1 and np.count_nonzero(xs) == xs.size
+def _single_terms(algebra, xs):
+    """On the monomial form, the mask of the rows of the stack ``xs`` with at most one nonzero coefficient; None
+    on the dense form, and when no row has a zero coefficient in n > 1 columns, as in a stack of random
+    elements: one total count, at a tenth of the cost of the count per row."""
+    if algebra._tables is None or xs.shape[-1] > 1 and np.count_nonzero(xs) == xs.size:
+        return None
+    return np.count_nonzero(xs, axis=1) <= 1
+
+
+def _table_product_norms(algebra, es):
+    """On the monomial form, ``[r, j] = |e e_j|`` for each row e of ``es``: |e e_j|^2 = sum_i |e_i w[i, j]|^2,
+    as the e_i e_j land on distinct t[i, j]."""
+    return np.sqrt((es * es.conj()).real @ np.abs(algebra._tables[2][1]) ** 2)
 
 
 def _cached(algebra, fn, *args):

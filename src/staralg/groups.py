@@ -97,9 +97,11 @@ def group_from_permutations(degree, generators, cap=10000):
     gens = []
     for g in generators:
         g = tuple(_integer(x, "generator entry") for x in g)
-        if sorted(g) != list(range(degree)):
+        if len(g) != degree or sorted(g) != list(range(degree)):  # the length first: degree may be huge
             raise GroupTableError(f"{g} is not a permutation of degree {degree}")
         gens.append(g)
+    if not gens:  # the trivial group, with no identity permutation of length degree formed
+        return group_from_cayley([[0]])
 
     identity = tuple(range(degree))
     elements = [identity]

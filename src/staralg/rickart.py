@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _coeffs_json, _table_singular_values, random_element
+from .core import (DEFAULT_TOL, Element, _cached, _coeffs_json, _table_product_norms, _table_singular_values,
+                   random_element)
 from .errors import DecompositionFailed, IllConditioned, InternalInconsistency, NotARightIdeal
 from .linalg import (certificate_bound, colspace, full_rank_in_stack, membership_bound, negligible, nullspace,
                      relative, require, require_each, significant, subspaces_equal)
-from .spectral import (_PUBLISHED_RPS, _right_projections_and_kernels, left_projection, right_projection,
-                       right_projections)
+from .spectral import _publish, _right_projections_and_kernels, left_projection, right_projection, right_projections
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,17 @@ def projection_generator(ideal_basis, tol=DEFAULT_TOL):
 def check_weakly_rickart(algebra, tol=DEFAULT_TOL, seed=0):
     """Construct RP(a) for the basis and 8 sampled elements and verify both axioms.
 
-    The first element that fails, in order, settles the report. ker L_a is
-    read off the product table for each basis element of a monomial algebra
-    (see ``core._table_singular_values``). For the other elements it is the
-    kernel the RP's route found: on an algebra with trace-form coordinates
-    the right singular vectors past the rank of the SVD that gave RP(a)
-    (see ``staralg.spectral``), so no second SVD of L_a runs. One stacked
-    ``nullspace`` finds it for the rest: the elements the solver answered,
-    every element of an algebra without those coordinates, and RPs read from
-    the published table. The checks run on all solved elements in one batch,
-    so an element after the first failing one may be solved too, but neither
-    its projection nor an error from its solve reaches the caller. Cached per
-    (tol, seed).
-    The pass publishes the right projections it read, up to the first
-    failure, as read-only arrays with the algebra's facts (see
-    ``staralg.spectral``), so a later ``right_projections`` call at the same
-    tol, such as the Baer guard's, reuses them."""
+    The first element that fails, in order, settles the report. ker L_a is read off the product table for
+    each basis element of a monomial algebra (see ``core._table_singular_values``). For the other elements
+    it is the kernel that the SVD giving RP(a) found on an algebra with trace-form coordinates (see
+    ``staralg.spectral``), so no second SVD of L_a runs. One stacked ``nullspace`` finds it for the rest:
+    the elements the solver answered, every element of an algebra without those coordinates, RPs read from
+    the published table, and the samples of a one-dimensional monomial algebra, whose RPs the product table
+    gives. The checks run on all solved elements in one batch, so an element after the first failing one
+    may be solved too, but neither its projection nor an error from its solve reaches the caller. Cached
+    per (tol, seed). The pass publishes the right projections it read, up to the first failure, through
+    ``staralg.spectral``, so a later ``right_projections`` call at the same tol, such as the Baer guard's,
+    reuses them."""
     return _cached(algebra, _weakly_rickart_pass, tol, seed)
 
 
@@ -206,20 +201,19 @@ def _weakly_rickart_pass(algebra, tol, seed):
     xs = np.array([a.coeffs for a in live]).reshape(-1, algebra.dim)
     sizes = _table_singular_values(algebra, xs[:len(basis)])
 
-    published = algebra._cache.setdefault((_PUBLISHED_RPS, tol), {})
     rps, found, failure = [], [], None
     try:
-        for e, kernel in _right_projections_and_kernels(live, published, tol):
+        for e, kernel in _right_projections_and_kernels(live, tol):
             rps.append(e.coeffs)
             found.append(kernel)
     except DecompositionFailed as exc:
         failure = str(exc)
     except Exception:
-        report, _ = _first_failure(algebra, xs, rps, sizes, found, published, tol, seed)
+        report, _ = _first_failure(algebra, xs, rps, sizes, found, tol, seed)
         if report is None:
             raise
         return report
-    report, worst = _first_failure(algebra, xs, rps, sizes, found, published, tol, seed)
+    report, worst = _first_failure(algebra, xs, rps, sizes, found, tol, seed)
     if report is not None:
         return report
     if failure is not None:
@@ -239,9 +233,9 @@ def _kernels(algebra, xs, found, tol):
     return kernels
 
 
-def _first_failure(algebra, xs, rps, sizes, found, published, tol, seed):
+def _first_failure(algebra, xs, rps, sizes, found, tol, seed):
     """The report of the first row a of ``xs`` whose RP e in ``rps`` fails a e = a or L_e = 0 on ker L_a, or
-    None, and the worst residual; each row up to that one goes into ``published``, read-only.
+    None, and the worst residual; each row up to that one is published (``spectral._publish``).
 
     One ``row_products`` gives every a e. ker L_a is spanned by the e_j outside the column mask of ``sizes``
     for the first len(sizes) rows, and by the columns of ``_kernels`` for the rest, from the RP's route
@@ -249,17 +243,14 @@ def _first_failure(algebra, xs, rps, sizes, found, published, tol, seed):
     so a row whose kernel is {0}, as every row of a full-rank element's, takes no product."""
     solved = len(rps)
     es = np.array(rps, dtype=complex).reshape(solved, algebra.dim)
-    es.setflags(write=False)
     a = xs[:solved]
     tabled = 0 if sizes is None else min(len(sizes), solved)
     res1 = relative(np.linalg.norm(algebra.row_products(a, es) - a, axis=-1), np.linalg.norm(a, axis=-1))
     # |L_e x| for x = e_j in ker L_a on the table (NaN, never over a bound, for e_j outside it), and for each
     # column x of the other kernels
     inside = np.zeros((0, algebra.dim))
-    if tabled:  # |e e_j|^2 = sum_i |e_i w[i, j]|^2, as the e_i e_j land on distinct t[i, j]
-        table = es[:tabled]
-        norms = np.sqrt((table * table.conj()).real @ np.abs(algebra._tables[2][1]) ** 2)
-        inside = np.where(significant(sizes[:tabled], tol), np.nan, norms)
+    if tabled:
+        inside = np.where(significant(sizes[:tabled], tol), np.nan, _table_product_norms(algebra, es[:tabled]))
     kernels = _kernels(algebra, a[tabled:], found[tabled:solved], tol)
     widths = [kernel.shape[1] for kernel in kernels]
     products = np.zeros(0)
@@ -272,8 +263,7 @@ def _first_failure(algebra, xs, rps, sizes, found, published, tol, seed):
     over = np.concatenate([(inside > bound).any(axis=1), [(x > bound).any() for x in loose]]).astype(bool)
     failed = over | (res1 > bound)
     r = int(np.argmax(failed)) if failed.any() else solved  # the first row that fails its checks
-    for x, e in zip(xs[:r + 1], es):
-        published[x.tobytes()] = e
+    _publish(algebra, xs[:r + 1], es, tol)
     worst = float(np.fmax.reduce(np.concatenate([res1, inside.ravel(), products]), initial=0.0))  # NaN passed over
     if r == solved:
         return None, worst

@@ -36,21 +36,20 @@ it leaves the later rows unsolved. Every product of the stacked path runs on
 slices shaped as for one element, so an element's numbers do not depend on
 the elements stacked with it.
 
-Each route finds ker L_a on the way to RP(a): the table the e_j outside the
-significant columns, the SVD W^-1 times the right singular vectors past the
-rank, in unit columns. ``_right_projections_and_kernels`` yields each RP
-with a function that forms the kernel its accepted route found (None for a
-solved row, a zero row or a published one), so the weakly-Rickart pass
-checks L_RP(a) = 0 on it without a second SVD of L_a, and
-``right_projections``, which is that generator with the kernels dropped,
-never forms one.
+The SVD finds ker L_a on the way to RP(a): W^-1 times the right singular
+vectors past the rank, in unit columns. ``_right_projections_and_kernels``
+yields each RP with a function that forms that kernel (None for a row the
+table, the solver or the published table answered, or a zero row), so the
+weakly-Rickart pass checks L_RP(a) = 0 on it without a second SVD of L_a;
+``right_projections`` is that generator with the kernels dropped.
 
-The weakly-Rickart pass publishes read-only copies of the coefficients of
-each RP it reads, up to its first failing row, keyed by the input's
-coefficient bytes, in one table per tol in ``algebra._cache``. ``right_projections`` reads that table, wrapping each
-hit as an Element, and never creates it: the Baer guard's RP(e_i) are the
-pass's, and an algebra no pass ran on solves every input. A published RP is
-what a fresh solve gives, as a row's numbers do not depend on its stack.
+This module alone touches the published right projections: one table per
+tol in ``algebra._cache``, of read-only RPs keyed by the input's coefficient
+bytes. ``_publish`` writes it, called by the weakly-Rickart pass with the
+RPs it read up to its first failing row, and ``_right_projections_and_kernels``
+reads it, wrapping each hit as an Element. So the Baer guard's RP(e_i) are
+the pass's, and an algebra no pass ran on solves every input. A published RP
+is what a fresh solve gives, as a row's numbers do not depend on its stack.
 Each caller's own certificates still run on every call.
 
 ``spectral_decompose`` keeps its most recent success, one slot per tol in
@@ -71,7 +70,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Element, _cached, _no_single_terms, _table_singular_values, _trace_form, _trace_ranks
+from .core import DEFAULT_TOL, Element, _cached, _single_terms, _table_singular_values, _trace_form, _trace_ranks
 from .errors import DecompositionFailed, DegenerateInput, IllConditioned, NoCStarNorm, NotPositive
 from .linalg import certificate_bound, cluster_points, negligible, relative, relative_bound, require, significant
 
@@ -254,19 +253,19 @@ def right_projections(xs, tol=DEFAULT_TOL):
     it rejects goes to the solver when it is reached, so a row whose RP
     cannot be certified raises its own error there and no later row is
     solved."""
-    published = xs[0].parent._cache.get((_PUBLISHED_RPS, tol), {}) if xs else {}
-    for e, _ in _right_projections_and_kernels(xs, published, tol):
+    for e, _ in _right_projections_and_kernels(xs, tol):
         yield e
 
 
-def _right_projections_and_kernels(xs, published, tol):
-    """``right_projections`` with the table ``published`` at tol, each RP yielded with the kernel of L_a its
-    route found: a function of no arguments that forms it, so that a caller which does not read it pays
-    nothing for it. The table route gives the e_j outside the significant columns, the SVD route
-    W^-1 V[rank:]^H in unit columns; a published hit, a zero input and a row the solver answered give None."""
+def _right_projections_and_kernels(xs, tol):
+    """``right_projections``, each RP yielded with the kernel of L_a its route found: a function of no
+    arguments that forms it, so that a caller which does not read it pays nothing for it. The SVD route
+    gives W^-1 V[rank:]^H in unit columns; a published hit, a zero input, a row read off the product table
+    and a row the solver answered give None."""
     if not xs:
         return
     parent = xs[0].parent
+    published = parent._cache.get((_PUBLISHED_RPS, tol), {})
     hits = [published.get(a.coeffs.tobytes()) for a in xs]
     out = [(Element(parent, hit), None) if hit is not None
            else (parent.zero(), None) if negligible(a.norm(), tol) else None
@@ -280,6 +279,13 @@ def _right_projections_and_kernels(xs, published, tol):
                 out[i] = found
     for a, found in zip(xs, out):  # None: a row the trace-form path rejected, or every miss without its coordinates
         yield (_solved_right_projection(a, tol), None) if found is None else found
+
+
+def _publish(parent, xs, es, tol):
+    """Publish each row of ``es``, made read-only, as RP(x) at tol for the row x of ``xs`` beside it, for
+    ``_right_projections_and_kernels`` to read; the weakly-Rickart pass is the one caller."""
+    es.setflags(write=False)
+    parent._cache.setdefault((_PUBLISHED_RPS, tol), {}).update((x.tobytes(), e) for x, e in zip(xs, es))
 
 
 def _solved_right_projection(a, tol):
@@ -297,15 +303,15 @@ def _trace_form_projections(parent, a, coords, tol):
     On the monomial form with G diagonal, a multiple of one basis element is read off the product
     table (``_table_projections``); the other rows come from one stacked SVD (``_svd_projections``).
     One ``_certified`` call checks every row, and a table row it rejects is tried again by the SVD,
-    whose kernel then replaces the table's."""
-    diagonal = _cached(parent, _trace_coordinates, tol)[3] if parent._tables is not None else None
-    table = None if diagonal is None or _no_single_terms(a) else np.count_nonzero(a, axis=1) == 1
+    whose kernel the row then takes."""
+    diagonal = _cached(parent, _trace_coordinates, tol)[3]
+    table = None if diagonal is None else _single_terms(parent, a)
     if table is None or not table.any():
         e, ranks, ok, kernels = _svd_projections(parent, a, coords, tol)
         return _kept(parent, e, ok & _certified(parent, a, e, ranks, tol), kernels)
     e, ranks, ok = np.empty_like(a), np.zeros(len(a), dtype=int), np.ones(len(a), dtype=bool)
     kernels = np.empty(len(a), dtype=object)
-    e[table], ranks[table], kernels[table] = _table_projections(parent, a[table], diagonal, tol)
+    e[table], ranks[table] = _table_projections(parent, a[table], diagonal, tol)
     if not table.all():
         e[~table], ranks[~table], ok[~table], kernels[~table] = _svd_projections(parent, a[~table], coords, tol)
     ok &= _certified(parent, a, e, ranks, tol)
@@ -322,25 +328,17 @@ def _kept(parent, e, ok, kernels):
 
 
 def _table_projections(parent, a, diagonal, tol):
-    """The candidate RP, rank and kernel function of each row of ``a``, each a multiple c e_i of one basis
-    element, off the product table of an algebra whose Gram matrix is diag(``diagonal``).
+    """The candidate RP and rank of each row of ``a``, each a multiple c e_i of one basis element, off the
+    product table of an algebra whose Gram matrix is diag(``diagonal``).
 
     With G = diag(g), W = diag(g^1/2) gives trace-form coordinates, and W L_a W^-1 maps e_j to
     c w[i, j] (g_t[i, j] / g_j)^1/2 e_t[i, j]. Its nonzero columns land on distinct t[i, j], so they are
     orthogonal: the singular values are s_j = |c w[i, j]| (g_t[i, j] / g_j)^1/2 with right singular
     vectors e_j, and L_RP(a) = W^-1 P W = P for P the projection onto the e_j whose s_j^2 is
-    ``significant``, the SVD's rank rule. So RP(a) is the unit with every other coefficient set to 0,
-    and ker L_a is spanned by the other e_j."""
-    t = parent._tables[2][0]
-    at = (a != 0).argmax(axis=1)
-    s = _table_singular_values(parent, a) * np.sqrt(diagonal[t[at]] / diagonal)
+    ``significant``, the SVD's rank rule. So RP(a) is the unit with every other coefficient set to 0."""
+    s = _table_singular_values(parent, a, diagonal)
     keep = significant(s * s, tol)
-    return parent.unit_vector(tol) * keep, keep.sum(axis=1), [partial(_table_kernel, row) for row in keep]
-
-
-def _table_kernel(keep):
-    """ker L_a off the product table: the e_j outside the significant columns ``keep``."""
-    return np.eye(len(keep), dtype=complex)[:, ~keep]
+    return parent.unit_vector(tol) * keep, keep.sum(axis=1)
 
 
 def _svd_projections(parent, a, coords, tol):

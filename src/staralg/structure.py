@@ -123,11 +123,11 @@ def _star_squares(algebra, vs, tol):
 def quotient_by_radical(algebra, rad_basis, tol=DEFAULT_TOL):
     """A / rad as a StarAlgebra on the orthogonal complement of the radical.
 
-    With u the orthonormal columns spanning that complement, the structure
-    constants are u^H (u_i u_j) and the involution u^H star conj(u). It declares
-    no unit: its readers find one with unit_vector.
+    With u the orthonormal columns spanning that complement, the structure constants are u^H (u_i u_j) and
+    the involution u^H star conj(u). It declares no unit: its readers find one with unit_vector. With
+    rad = {0}, u is the identity, so the quotient is A in its own basis.
     """
-    r = np.stack([x.coeffs for x in rad_basis], axis=1)
+    r = np.stack([x.coeffs for x in rad_basis], axis=1) if rad_basis else np.zeros((algebra.dim, 0), dtype=complex)
     u = nullspace(r.conj().T, tol)
     s = u.conj().T @ algebra.star @ np.conj(u)
     return StarAlgebra(algebra.products(u.T, u.T) @ np.conj(u), s)

@@ -162,6 +162,18 @@ def test_a_dim_too_large_to_allocate_is_an_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
+def test_a_memory_error_without_a_message_is_named(tmp_path, monkeypatch, capsys):
+    """``MemoryError()`` has an empty message, so the error line names the exception instead."""
+    def exhausted(data):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "group_from_json", exhausted)
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(group_to_json(sa.symmetric_group_3())))
+    assert main(["group", str(path)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_check_properties(m2_file, capsys):
     for prop in ("rp", "baer", "regular", "sqrt"):
         assert main(["check", m2_file, "--property", prop]) == 0, prop

@@ -1,5 +1,12 @@
 """Finite groups, group algebras, and the certification driver."""
 
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +73,41 @@ def test_group_from_cayley_rejects_bad_tables():
 def test_group_from_permutations_closure_cap():
     with pytest.raises(sa.ClosureCapExceeded):
         sa.group_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=10)
+
+
+# a child's address space: enough for Python and numpy, far short of a permutation of degree 10^9
+_CHILD_ADDRESS_SPACE = 1 << 30
+_HUGE_DEGREE = """
+import json, sys, time
+from staralg.errors import GroupTableError
+from staralg.groups import group_from_json
+answers = []
+for generators in ([], [[1, 0]]):
+    start = time.perf_counter()
+    try:
+        answers.append(group_from_json({"type": "perm", "degree": 10 ** 9, "generators": generators}).order)
+    except GroupTableError as exc:
+        answers.append(type(exc).__name__)
+    answers.append(time.perf_counter() - start)
+print(json.dumps(answers))
+"""
+
+
+def test_a_huge_degree_is_answered_before_anything_of_its_size_is_formed():
+    """Degree 10^9 with no generators is the trivial group, and with a generator of length 2 an error, each
+    within a second: no identity or sorted range of length degree is formed. The child runs under an
+    address-space limit, so a regression fails there instead of exhausting the machine."""
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    src = str(Path(sa.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _HUGE_DEGREE], preexec_fn=limited, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    order, first_s, error, second_s = json.loads(done.stdout)
+    assert (order, error) == (1, "GroupTableError")
+    assert first_s < 1.0 and second_s < 1.0
 
 
 def test_group_algebra_structure():

@@ -618,6 +618,17 @@ def test_table_singular_values_match_the_loop(name):
 
 
 @pytest.mark.parametrize("name", list(_table_kernel_algebras()))
+def test_table_product_norms_are_the_column_norms_of_l_e(name):
+    """|e e_j| off the product table, which the pass reads for L_RP(a) = 0 on a basis kernel, is the norm of
+    column j of L_e, for random rows e and basis multiples alike."""
+    alg = _table_kernel_algebras()[name]
+    rng = np.random.default_rng(8)
+    es = np.concatenate([_random_complex(rng, 3, alg.dim), np.eye(alg.dim) * _random_complex(rng, alg.dim)[:, None]])
+    np.testing.assert_allclose(core._table_product_norms(alg, es), np.linalg.norm(alg.left_mat(es), axis=-2),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", list(_table_kernel_algebras()))
 def test_the_pass_gives_the_same_report_on_the_table_kernels(monkeypatch, name):
     """The weakly-Rickart pass reads the same verdict and witness element with table kernels as with the SVD's;
     with every check made to fail, both name the first row, and a kernel vector of the table's lies in ker L_a."""
@@ -790,6 +801,16 @@ def test_structure_constants_have_one_reader():
     assert not hits, "mul read outside the product kernel:\n" + "\n".join(hits)
 
 
+def test_the_product_table_is_read_in_core_alone():
+    """No ``._tables`` attribute is read outside ``core``: the storage form's readers there (the kernel,
+    ``validate``, ``_table_singular_values``, ``_single_terms`` and ``_table_product_norms``) are the only
+    code a change of storage touches."""
+    hits = [f"{path.name}:{node.lineno}" for path in sorted(Path(sa.__file__).parent.glob("*.py"))
+            if path.name != "core.py" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "_tables"]
+    assert not hits, "_tables read outside core:\n" + "\n".join(hits)
+
+
 def _unitize_calls_and_hull_names(node, scope=()):
     """``(enclosing definition, line, what)`` for each ``unitize(...)`` call and each removed hull name under node."""
     for child in ast.iter_child_nodes(node):
@@ -939,9 +960,10 @@ def _cache_references(node, scope=()):
 
 def test_per_algebra_facts_live_in_one_cache():
     """No module keeps a context-variable memo; ``_cache`` is touched by ``core._cached``, by
-    the right-projection table's one reader (``right_projections``) and one writer (the pass), and
-    by ``spectral_decompose``, which reads and writes its one-slot memo of the last decomposition."""
-    allowed = {("core.py", "_cached"), ("spectral.py", "right_projections"), ("rickart.py", "_weakly_rickart_pass"),
+    the right-projection table's one reader (``_right_projections_and_kernels``) and one writer
+    (``_publish``, which the pass calls), both in ``spectral``, and by ``spectral_decompose``, which
+    reads and writes its one-slot memo of the last decomposition."""
+    allowed = {("core.py", "_cached"), ("spectral.py", "_right_projections_and_kernels"), ("spectral.py", "_publish"),
                ("spectral.py", "spectral_decompose")}
     paths = sorted(Path(sa.__file__).parent.glob("*.py"))
     imports = [f"{path.name}:{node.lineno}" for path in paths for node in ast.walk(ast.parse(path.read_text()))

@@ -309,9 +309,9 @@ def _record_right_projections(monkeypatch):
                 phase[0] = outer
         return run
 
-    def asking(xs, published, tol):
+    def asking(xs, tol):
         asked[phase[0]].extend(a.coeffs.tobytes() for a in xs)
-        return ask(xs, published, tol)
+        return ask(xs, tol)
 
     def stacking(parent, rows, coords, tol):
         out = stack(parent, rows, coords, tol)
@@ -484,7 +484,8 @@ def test_reports_are_byte_identical_without_the_published_table(monkeypatch, see
     _, solved = _record_right_projections(monkeypatch)
     with_table = [_report_json(alg, seed) for alg in _memo_corpus()]
     solved_with_table = sum(len(rows) for rows in solved.values())
-    monkeypatch.setattr(rickart, "_PUBLISHED_RPS", "unread right projections")
+    publish = spectral._publish
+    monkeypatch.setattr(rickart, "_publish", lambda parent, xs, es, tol: publish(parent, xs, es, ("unread", tol)))
     without_table = [_report_json(alg, seed) for alg in _memo_corpus()]
     assert sum(len(rows) for rows in solved.values()) - solved_with_table > solved_with_table
     assert without_table == with_table
@@ -633,9 +634,9 @@ def test_the_memo_stores_each_success_once_and_no_failure(monkeypatch):
     seen = []
     ask = rickart._right_projections_and_kernels
 
-    def asking(xs, published, tol):
+    def asking(xs, tol):
         seen.append(xs)
-        return ask(xs, published, tol)
+        return ask(xs, tol)
 
     monkeypatch.setattr(rickart, "_right_projections_and_kernels", asking)
     assert not sa.check_weakly_rickart(alg).passed
@@ -680,7 +681,8 @@ def test_rows_no_route_hands_a_kernel_take_one_stacked_nullspace(monkeypatch):
     """The pass falls back to one ``nullspace`` stack over the solved rows that came with no kernel: the n
     basis rows a pass at another seed reads from the published table, the 8 samples the solver answers on M2
     rescaled at s^2 = 1e5 (proper, but without trace-form coordinates; its basis rows are on the product
-    table), and every row when the trace-form path answers none. The reports stand as they were."""
+    table), the 8 samples of M1, which the product table answers with no kernel, and every row when the
+    trace-form path answers none. The reports stand as they were."""
     kernel, kernels = rickart.nullspace, []
     monkeypatch.setattr(rickart, "nullspace", lambda m, tol: kernels.append(np.shape(m)) or kernel(m, tol))
     alg = semisimple_instance([2, 2], 1, np.random.default_rng(1))
@@ -689,6 +691,8 @@ def test_rows_no_route_hands_a_kernel_take_one_stacked_nullspace(monkeypatch):
     assert sa.check_weakly_rickart(alg, seed=1).passed and kernels == [(n, n, n)]
     kernels.clear()
     assert sa.check_weakly_rickart(_diagonally_scaled("M2", 1e5)).passed and kernels == [(8, 4, 4)]
+    kernels.clear()
+    assert sa.check_weakly_rickart(sa.matrix_algebra(1)).passed and kernels == [(8, 1, 1)]
     kernels.clear()
     ref = sa.check_weakly_rickart(semisimple_instance([2, 2], 1, np.random.default_rng(1))).to_dict()
     monkeypatch.setattr(spectral, "_trace_form_projections", lambda parent, rows, coords, tol: [None] * len(rows))
@@ -943,15 +947,13 @@ def test_table_projections_are_the_trace_form_projections(name):
     _, _, coords, diagonal = _cached(alg, spectral._trace_coordinates, tol)
     assert coords is not None and diagonal is not None and alg._tables is not None
     rows = np.concatenate([np.eye(alg.dim, dtype=complex) * c for c in (1.0, 2.5j, -1e3, 1e-5)])
-    table, table_ranks, table_kernels = spectral._table_projections(alg, rows, diagonal, tol)
-    svd, svd_ranks, accepted, svd_kernels = spectral._svd_projections(alg, rows, coords, tol)
+    table, table_ranks = spectral._table_projections(alg, rows, diagonal, tol)
+    svd, svd_ranks, accepted, _ = spectral._svd_projections(alg, rows, coords, tol)
     kept = spectral._certified(alg, rows, table, table_ranks, tol)
     np.testing.assert_array_equal(kept, accepted & spectral._certified(alg, rows, svd, svd_ranks, tol))
     assert kept[0] and not kept.all()
     np.testing.assert_array_equal(table_ranks[kept], svd_ranks[kept])
     assert np.linalg.norm(table[kept] - svd[kept], axis=1).max() <= certificate_bound(tol)
-    for i in np.flatnonzero(kept):  # both routes hand back ker L_a
-        assert subspaces_equal(table_kernels[i](), colspace(svd_kernels[i](), tol), membership_bound(tol))
     got = spectral._trace_form_projections(alg, rows, coords, tol)
     assert [found is not None for found in got] == kept.tolist()
     for found, row in zip(got, table):
@@ -1027,19 +1029,19 @@ def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
     """Read E12's singular value in L_E11 as 1e-6 times its own: under the rank rule it drops, and the table's e
     is the unit's E11 coefficient alone. E11 is a projection with E11 e = E11, but tau . e = 3 != 2, so the rank
     certificate alone rejects it, and the SVD answers the row with E11 and hands back its kernel, spanned by the
-    6 matrix units E_pq with p != 1, not the table's 7 columns."""
+    6 matrix units E_pq with p != 1."""
     alg, tol = sa.matrix_algebra(3), sa.DEFAULT_TOL
     a = alg.basis_element(0)
     values = spectral._table_singular_values
 
-    def dropped(algebra, xs):
-        out = values(algebra, xs)
+    def dropped(algebra, xs, diagonal=None):
+        out = values(algebra, xs, diagonal)
         out[:, 1] *= 1e-6
         return out
 
     monkeypatch.setattr(spectral, "_table_singular_values", dropped)
     diagonal = _cached(alg, spectral._trace_coordinates, tol)[3]
-    e, ranks, _ = spectral._table_projections(alg, a.coeffs[None], diagonal, tol)
+    e, ranks = spectral._table_projections(alg, a.coeffs[None], diagonal, tol)
     assert ranks.tolist() == [2] and np.abs(e[0] - a.coeffs).max() <= 1e-15  # e = E11 fixes a
     assert not spectral._certified(alg, a.coeffs[None], e, ranks, tol)[0]
     read = []
@@ -1050,6 +1052,6 @@ def test_a_table_projection_that_misses_a_column_falls_back(monkeypatch):
     got = sa.right_projection(a)
     assert len(read) == 1 and not solves
     assert (got - a).norm() <= 1e-12 and _rank(got) == 3
-    [(e, form)] = spectral._right_projections_and_kernels([a], {}, tol)  # the kernel comes from the SVD too
+    [(e, form)] = spectral._right_projections_and_kernels([a], tol)  # the kernel comes from the SVD
     assert form.func is spectral._svd_kernel and len(read) == 2
     assert subspaces_equal(colspace(form(), tol), np.eye(9)[:, 3:], membership_bound(tol))

@@ -102,6 +102,22 @@ def test_quotient_by_radical_dimension():
     assert sa.check_proper(quotient).passed
 
 
+@pytest.mark.parametrize("make", [
+    lambda: matrix_algebra(1), lambda: matrix_algebra(2), lambda: sa.build_group_algebra(sa.cyclic_group(1)),
+    lambda: sa.diagonal_algebra(2), lambda: swap_mutant(1),
+], ids=["M1", "M2", "C[C1]", "C^2", "swap_mutant(1)"])
+def test_the_quotient_by_a_zero_radical_is_the_algebra(make):
+    """On a semisimple A the radical is {0}, and A / {0} is A in its own basis: it validates and has A's
+    structure constants and involution."""
+    alg = make()
+    rad = sa.radical(alg)
+    assert rad == []
+    quotient = sa.quotient_by_radical(alg, rad)
+    assert sa.validate(quotient).passed
+    np.testing.assert_array_equal(quotient.mul, alg.mul)
+    np.testing.assert_array_equal(quotient.star, alg.star)
+
+
 def test_center_of_matrix_algebra():
     c = sa.center(matrix_algebra(2))
     assert len(c) == 1  # scalars only
